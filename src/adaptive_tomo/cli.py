@@ -158,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument("--seed", type=int, help="master seed (default 0)")
         p.add_argument("--reps", type=int, help="repetitions per grid point (default 150)")
-        p.add_argument("--threads", type=int, help="worker threads (default 1)")
+        p.add_argument("--threads", type=int,
+                       help="accepted for compatibility; no longer changes scheduling")
         p.add_argument("--state", help="named state (eq7, eq10) or Bloch triple x,y,z")
         p.add_argument("--gnuplot", action="store_const", const=True,
                        help="also emit a gnuplot script for the CSV")
@@ -520,7 +521,7 @@ def execute(config: RunConfig) -> int:
             error_model=_resolve_error_model(config),
             seed=config.seed,
         )
-        result = run_campaign(spec, threads=config.threads)
+        result = run_campaign(spec)
         name = protocol_name(spec.protocol)
         for row in result.rows:
             print(
@@ -559,7 +560,7 @@ def execute(config: RunConfig) -> int:
                 error_model=base.error_model,
                 seed=config.seed,
             )
-            result = run_campaign(spec, threads=config.threads)
+            result = run_campaign(spec)
             results.append(result)
             fit = fit_power_law([(r.n, r.mean_infidelity) for r in result.rows])
             entry = _fit_entry(protocol_name(spec.protocol), fit)
@@ -587,7 +588,6 @@ def execute(config: RunConfig) -> int:
             seed=config.seed,
             n_start=config.n_start,
             n_cap=config.n_cap,
-            threads=config.threads,
         )
         _atomic_write(os.path.join(config.out_dir, "floors.csv"), _floors_csv(results, config))
         entries = []
@@ -660,7 +660,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TomographyError, ValueError) as exc:
+    except (TomographyError, ValueError, RuntimeError, AssertionError) as exc:
+        # RuntimeError: a boundary solver did not converge; AssertionError: a
+        # protocol's budget leaked.  Both are runtime failures, not tracebacks.
         print(
             f"error: {type(exc).__name__}: {exc} "
             f"(protocol={config.protocol}, n_grid={config.n_grid}, "

@@ -2,14 +2,15 @@
 
 A campaign repeats a protocol R times at every sample size in a grid and
 aggregates mean infidelity with its standard error.  Per-run random streams
-are labelled by (campaign hash, grid index, repetition index), so results are
-byte-identical no matter how the runs are scheduled or parallelised.
+are labelled by (campaign hash, grid index, repetition index); the R runs of
+a grid point are simulated together as arrays (``protocols.run_batch``),
+each from its own streams, so every count equals that of the scalar
+``run_protocol`` on the same labels.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -24,7 +25,7 @@ from .measurement import (
     PerSettingError,
     RngContext,
 )
-from .protocols import Adaptive, ProtocolSpec, protocol_name, run_protocol
+from .protocols import Adaptive, ProtocolSpec, protocol_name, run_batch
 from .states import bloch_to_density
 
 
@@ -95,40 +96,26 @@ def campaign_hash(spec: CampaignSpec) -> str:
 def run_campaign(spec: CampaignSpec, threads: int = 1) -> CampaignResult:
     """Run reps x grid independent experiments and aggregate per grid point.
 
-    Results are reduced in (grid index, repetition index) order, never by
-    completion order, so any thread count yields the same bytes.
+    Each grid point is one vectorised pass over its repetitions.  ``threads``
+    is accepted for compatibility and no longer changes scheduling; results
+    never depended on it.
     """
     digest = campaign_hash(spec)
     label = int.from_bytes(bytes.fromhex(digest[:16]), "big")
     rho_true = bloch_to_density(spec.state_bloch)
-    infidelities = np.empty((len(spec.n_grid), spec.reps))
-
-    def one(i: int, j: int) -> float:
-        rng = RngContext(spec.seed, (label, i, j))
-        return run_protocol(
-            spec.protocol, rho_true, spec.n_grid[i], spec.error_model, rng
+    rows = []
+    for i, n in enumerate(spec.n_grid):
+        infidelities = run_batch(
+            spec.protocol, rho_true, n, spec.error_model,
+            RngContext(spec.seed, (label, i)), spec.reps,
         ).infidelity
-
-    if threads <= 1:
-        for i in range(len(spec.n_grid)):
-            for j in range(spec.reps):
-                infidelities[i, j] = one(i, j)
-    else:
-        tasks = [(i, j) for i in range(len(spec.n_grid)) for j in range(spec.reps)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for (i, j), value in zip(tasks, pool.map(lambda t: one(*t), tasks)):
-                infidelities[i, j] = value
-
-    rows = tuple(
-        CampaignRow(
+        rows.append(CampaignRow(
             n=n,
-            mean_infidelity=float(np.mean(infidelities[i])),
-            stderr=float(np.std(infidelities[i], ddof=1) / math.sqrt(spec.reps)),
+            mean_infidelity=float(np.mean(infidelities)),
+            stderr=float(np.std(infidelities, ddof=1) / math.sqrt(spec.reps)),
             reps=spec.reps,
-        )
-        for i, n in enumerate(spec.n_grid)
-    )
-    return CampaignResult(spec=spec, rows=rows, spec_hash=digest, seed=spec.seed)
+        ))
+    return CampaignResult(spec=spec, rows=tuple(rows), spec_hash=digest, seed=spec.seed)
 
 
 @dataclass(frozen=True)

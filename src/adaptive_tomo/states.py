@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +35,12 @@ DEGENERACY_GAP = 1e-10
 POSITIVITY_TOL = 1e-8
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Where mub_axes hands a row to the scalar construction (see its docstring).
+_CLOSED_FORM_MIN_NORM = 1e-9
+_CLOSED_FORM_MIN_RHO = 1e-6
+_CLOSED_FORM_TIE = 1e-12
+_CLOSED_FORM_MIN_DOT = 1e-9
 
 
 def bloch_to_density(r: Sequence[float]) -> np.ndarray:
@@ -295,3 +301,58 @@ def mub_triplet(eig: EigenDecomposition) -> BasisTriplet:
     axis2 = bloch_of_ket((psi1 + psi2) * inv_sqrt2)
     axis3 = bloch_of_ket((psi1 + 1j * psi2) * inv_sqrt2)
     return BasisTriplet((axis1, axis2, axis3))
+
+
+def mub_axes(r: np.ndarray, probe: Optional[np.ndarray] = None) -> np.ndarray:
+    """Axes of ``mub_triplet(eigendecompose(bloch_to_density(r_k)))`` for each
+    row r_k of an (R, 3) array, as an (R, 3, 3) array.
+
+    With r_hat = r_k / |r_k| = (x, y, z) and rho = sqrt(x^2 + y^2) the triplet
+    is (r_hat, (-z x/rho, -z y/rho, rho), (y/rho, -x/rho, 0)), which agrees with
+    the scalar construction to about 1e-15.  A row takes the scalar
+    construction where a last-ulp difference could flip a discrete choice
+    downstream: |r_k| <= 1e-9 (the degenerate branch of ``eigendecompose``),
+    rho < 1e-6 (the phase convention's branch at the poles), an axis within
+    1e-12 of a Pauli axis (``merge_records`` merges on exact equality), the two
+    smallest |components| of an axis within 1e-12 of each other (the tie rule
+    of the misalignment basis) and, when ``probe`` is given, an axis within
+    1e-9 of orthogonal to it (binomial sampling branches at p = 1/2).
+    """
+    r = np.asarray(r, dtype=float)
+    norm = np.sqrt(np.sum(r * r, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, y, z = (r / norm[:, None]).T
+        rho = np.sqrt(x * x + y * y)
+        axes = np.stack([
+            np.stack([x, y, z], axis=-1),
+            np.stack([-z * x / rho, -z * y / rho, rho], axis=-1),
+            np.stack([y / rho, -x / rho, np.zeros_like(x)], axis=-1),
+        ], axis=1)
+    scalar = ~(norm > _CLOSED_FORM_MIN_NORM) | ~(rho >= _CLOSED_FORM_MIN_RHO)
+    near_pauli = np.all(np.abs(axes[:, :, None, :] - np.eye(3)) <= _CLOSED_FORM_TIE, axis=-1)
+    scalar |= np.any(near_pauli, axis=(1, 2))
+    smallest = np.sort(np.abs(axes), axis=-1)
+    scalar |= np.any(smallest[..., 1] - smallest[..., 0] <= _CLOSED_FORM_TIE, axis=1)
+    if probe is not None:
+        scalar |= np.any(np.abs(axes @ np.asarray(probe, dtype=float)) < _CLOSED_FORM_MIN_DOT,
+                         axis=1)
+    for k in np.flatnonzero(scalar):
+        axes[k] = mub_triplet(eigendecompose(bloch_to_density(r[k]))).axes
+    return axes
+
+
+def fidelity_bloch(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``fidelity`` of states given as Bloch vectors (arrays (..., 3)).
+
+    Evaluates (1 + r.s + sqrt((1 - |r|^2)(1 - |s|^2)))/2, each factor under
+    the root floored at 0 like the determinants of the matrix form, and
+    clamps the result into [0, 1].  Inside the ball it agrees with
+    ``fidelity`` to about 3e-16; for pure states the root of a vanishing
+    determinant amplifies the rounding of either form to about 1e-8.
+    """
+    r = np.asarray(r, dtype=float)
+    s = np.asarray(s, dtype=float)
+    det_r = np.maximum(1.0 - np.sum(r * r, axis=-1), 0.0)
+    det_s = np.maximum(1.0 - np.sum(s * s, axis=-1), 0.0)
+    f = 0.5 * (1.0 + np.sum(r * s, axis=-1) + np.sqrt(det_r * det_s))
+    return np.minimum(np.maximum(f, 0.0), 1.0)

@@ -187,3 +187,44 @@ class TestSweepCommands:
     def test_noise_sweep_requires_model(self, tmp_path, capsys):
         assert main(["sweep-noise", "--protocols", "static",
                      "--out", str(tmp_path)]) == 2
+
+
+class TestRuntimeFailureExitCodes:
+    """Solver and budget failures exit with status 1 and the config context."""
+
+    ARGV = ["run", "--protocol", "adaptive", "--n", "1000", "--reps", "20", "--seed", "4"]
+
+    def run_failing(self, tmp_path, capsys, error):
+        assert main(self.ARGV + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert error in err
+        assert "protocol=adaptive" in err and "n_grid=(1000,)" in err
+
+    def test_diverged_boundary_search(self, tmp_path, capsys, monkeypatch):
+        import adaptive_tomo.protocols as protocols
+
+        def diverging(shots, n_plus):
+            raise RuntimeError("boundary multiplier search diverged")
+
+        monkeypatch.setattr(protocols, "mle_pauli", diverging)
+        self.run_failing(tmp_path, capsys, "RuntimeError: boundary multiplier search diverged")
+
+    def test_newton_iteration_cap(self, tmp_path, capsys, monkeypatch):
+        import adaptive_tomo.estimation as estimation
+
+        monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
+        self.run_failing(tmp_path, capsys, "RuntimeError: boundary Newton iteration")
+
+    def test_budget_leak(self, tmp_path, capsys, monkeypatch):
+        import adaptive_tomo.protocols as protocols
+
+        monkeypatch.setattr(protocols, "_split_three", lambda total: [total // 3] * 3)
+        self.run_failing(tmp_path, capsys, "AssertionError: budget leak")
+
+    def test_scalar_budget_leak(self, monkeypatch):
+        import adaptive_tomo.protocols as protocols
+        from adaptive_tomo import NoError, RngContext, Static, named_state
+
+        monkeypatch.setattr(protocols, "_split_three", lambda total: [total // 3] * 3)
+        with pytest.raises(AssertionError, match="budget leak"):
+            protocols.run_protocol(Static(), named_state("eq7"), 1000, NoError(), RngContext(0))

@@ -1,0 +1,240 @@
+"""The batched campaign engine against the scalar reference path.
+
+``protocols.run_batch`` simulates all repetitions of a grid point as arrays;
+``protocols.run_protocol`` simulates one run.  On the same stream labels both
+must draw identical counts, so every statistic of a campaign is the scalar
+engine's up to the final fit's rounding.
+"""
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adaptive_tomo import (
+    Adaptive,
+    AdaptivePow,
+    BudgetError,
+    CampaignSpec,
+    CountRecord,
+    FixedError,
+    KnownBasis,
+    NoError,
+    PerExperimentError,
+    PerSettingError,
+    ReducedAdaptive,
+    RngContext,
+    Static,
+    UnderdeterminedError,
+    bloch_to_density,
+    campaign_hash,
+    density_to_bloch,
+    eigendecompose,
+    fidelity,
+    mle,
+    mub_triplet,
+    run_campaign,
+    run_protocol,
+)
+from adaptive_tomo.estimation import mle_batch, mle_pauli
+from adaptive_tomo.fixtures import EQ7_BLOCH
+from adaptive_tomo.measurement import _generator, stream_states
+from adaptive_tomo.protocols import run_batch
+from adaptive_tomo.states import fidelity_bloch, mub_axes
+
+SEED = 1729
+# A campaign label needs two entropy words, like most campaign-hash labels.
+LABEL = 0x9E3779B97F4A7C15
+REPS = 2
+PROTOCOLS = (Static(), Adaptive(0.5), Adaptive(0.2), AdaptivePow(), ReducedAdaptive(0.5),
+             KnownBasis())
+MODELS = (NoError(), PerSettingError(0.01), PerExperimentError(0.02), FixedError(0.01))
+STATES = (EQ7_BLOCH, (0.3, 0.4, 0.2), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (1e-9, 0.0, 0.999),
+          (0.6, 0.0, 0.0))
+GRIDS = ((6, 7, 12, 30, 84), (300, 5000))
+
+settings.register_profile("engine", derandomize=True, database=None, max_examples=150,
+                          deadline=None)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS, ids=repr)
+def test_batch_matches_scalar_reference(protocol):
+    checked = 0
+    for model in MODELS:
+        for state in STATES:
+            rho = bloch_to_density(state)
+            for grid in GRIDS:
+                for i, n in enumerate(grid):
+                    rng = RngContext(SEED, (LABEL, i))
+                    try:
+                        batch = run_batch(protocol, rho, n, model, rng, REPS)
+                    except BudgetError as exc:
+                        with pytest.raises(BudgetError, match=re.escape(str(exc))):
+                            run_protocol(protocol, rho, n, model, rng.child(0))
+                        continue
+                    for j in range(REPS):
+                        run = run_protocol(protocol, rho, n, model, rng.child(j))
+                        where = f"{model} {state} N={n} rep {j}"
+                        assert batch.n_plus[j].tolist() == [r.n_plus for r in run.records], where
+                        assert np.max(np.abs(batch.bloch_hat[j] - density_to_bloch(run.rho_hat))) \
+                            <= 1e-8, where
+                        assert abs(batch.infidelity[j] - run.infidelity) <= 1e-6, where
+                        checked += 1
+    assert checked > 0
+
+
+def test_campaign_reduces_the_reference_runs():
+    spec = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (90, 300), reps=4, seed=SEED,
+                        error_model=PerSettingError(0.01))
+    result = run_campaign(spec)
+    label = int(campaign_hash(spec)[:16], 16)
+    rho = bloch_to_density(EQ7_BLOCH)
+    for i, row in enumerate(result.rows):
+        values = [run_protocol(spec.protocol, rho, row.n, spec.error_model,
+                               RngContext(SEED, (label, i, j))).infidelity
+                  for j in range(spec.reps)]
+        assert row.mean_infidelity == pytest.approx(np.mean(values), abs=1e-9)
+        assert row.stderr == pytest.approx(np.std(values, ddof=1) / 2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, SEED, 2**32 - 1, 2**32, 2**64 - 1, -5])
+@pytest.mark.parametrize("label", [0, 7, 2**32 - 1, 2**32, LABEL, 2**64 - 1])
+def test_stream_states_match_seed_sequence(seed, label):
+    rng = RngContext(seed, (label, 3))
+    suffixes = np.array([[j, s, 0, k] for j in (0, 1, 2**32 - 1) for s in (1, 2)
+                         for k in range(6)])
+    states = stream_states(rng, suffixes)
+    short = stream_states(rng, suffixes[:, :3])
+    for row, state, state3 in zip(suffixes, states, short):
+        labels = [int(x) for x in row]
+        entropy = [seed & (2**64 - 1), label, 3]
+        assert np.array_equal(
+            state, np.random.SeedSequence(entropy + labels).generate_state(4, np.uint64))
+        assert np.array_equal(
+            state3, np.random.SeedSequence(entropy + labels[:3]).generate_state(4, np.uint64))
+    reference = rng.child(*suffixes[-1]).generator()
+    assert _generator(states[-1]).binomial(1000, 0.3) == reference.binomial(1000, 0.3)
+
+
+def test_stream_states_reject_wide_suffixes():
+    with pytest.raises(ValueError):
+        stream_states(RngContext(0), np.array([[2**32]]))
+
+
+def scalar_axes(r):
+    return np.array(mub_triplet(eigendecompose(bloch_to_density(r))).axes)
+
+
+def test_closed_form_triplets():
+    rng = np.random.default_rng(SEED)
+    generic = rng.normal(size=(200, 3))
+    generic *= (rng.uniform(size=(200, 1)) ** (1 / 3)) / np.linalg.norm(generic, axis=1,
+                                                                         keepdims=True)
+    axes = mub_axes(generic)
+    for r, got in zip(generic, axes):
+        assert np.max(np.abs(got - scalar_axes(r))) <= 1e-14
+
+    probe = np.array([0.1, -0.5, 0.2])
+    orthogonal = np.cross(probe, [1.0, 0.0, 0.0])
+    triggers = {
+        "degenerate": [1e-10, 0.0, 0.0],
+        "pole": [1e-8, 0.0, 0.9],
+        "pauli axis": [0.5, 0.0, 0.0],
+        "component tie": [0.3, 0.3, 0.5],
+        "orthogonal to probe": 0.8 * orthogonal / np.linalg.norm(orthogonal),
+    }
+    r = np.array(list(triggers.values()))
+    for name, got, want in zip(triggers, mub_axes(r, probe=probe), map(scalar_axes, r)):
+        assert np.array_equal(got, want), name
+
+
+def test_bloch_fidelity_matches_matrix_form():
+    rng = np.random.default_rng(5)
+    r = rng.normal(size=(400, 3))
+    r /= np.linalg.norm(r, axis=1, keepdims=True)
+    r[:300] *= rng.uniform(size=(300, 1)) ** (1 / 3)
+    s = np.roll(r, 1, axis=0)
+    got = fidelity_bloch(r, s)
+    want = [fidelity(bloch_to_density(a), bloch_to_density(b)) for a, b in zip(r, s)]
+    # Inside the ball the two forms agree to rounding; at the surface the
+    # square root of a vanishing determinant amplifies it to ~1e-8.
+    assert np.max(np.abs(got[:299] - want[:299])) <= 1e-15
+    assert np.max(np.abs(got[299:] - want[299:])) <= 1e-7
+
+
+@st.composite
+def record_batches(draw):
+    n_axes = draw(st.integers(3, 6))
+    rows = draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    axes = np.array(draw(st.lists(st.lists(st.tuples(unit, unit, unit), min_size=n_axes,
+                                           max_size=n_axes), min_size=rows, max_size=rows)))
+    norms = np.linalg.norm(axes, axis=-1, keepdims=True)
+    axes = np.where(norms > 1e-3, axes / np.where(norms > 0, norms, 1.0), [0.0, 0.0, 1.0])
+    shots = draw(st.lists(st.integers(1, 10**6), min_size=n_axes, max_size=n_axes))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=rows * n_axes,
+                              max_size=rows * n_axes))
+    n_plus = np.array([round(f * n) for f, n in zip(fractions, shots * rows)]).reshape(rows, -1)
+    return axes, shots, n_plus
+
+
+def objective(r, axes, shots, n_plus):
+    f = n_plus / np.asarray(shots)
+    ft = (n_plus + 0.5) / (np.asarray(shots) + 1.0)
+    return float(np.sum(np.asarray(shots) * (0.5 * (1.0 + axes @ r) - f) ** 2 / (ft * (1.0 - ft))))
+
+
+@settings(settings.get_profile("engine"))
+@given(record_batches())
+def test_batched_final_fit_matches_mle(batch):
+    axes, shots, n_plus = batch
+    expected = []
+    for k in range(len(n_plus)):
+        records = [CountRecord(a, a, n, int(p)) for a, n, p in zip(axes[k], shots, n_plus[k])]
+        try:
+            expected.append(density_to_bloch(mle(records).rho))
+        except UnderdeterminedError:
+            with pytest.raises(UnderdeterminedError):
+                mle_batch(axes, shots, n_plus)
+            return
+    got = mle_batch(axes, shots, n_plus)
+    for k, want in enumerate(expected):
+        # The batched fit is feasible and at least as good as the scalar one.
+        assert np.linalg.norm(got[k]) <= 1.0 + 1e-12
+        best = objective(want, axes[k], shots, n_plus[k])
+        assert objective(got[k], axes[k], shots, n_plus[k]) <= best + 1e-9 * (1.0 + best)
+        # Where the normal equations are well conditioned, both solvers'
+        # rounding is small and the two fits agree.  Beyond that the scalar
+        # bisection on a Cramer solve carries about cond(A) * 1e-16 of error.
+        weights = np.asarray(shots) / (((n_plus[k] + 0.5) / (np.asarray(shots) + 1.0))
+                                       * (1.0 - (n_plus[k] + 0.5) / (np.asarray(shots) + 1.0)))
+        gram = (axes[k].T * weights) @ axes[k]
+        if np.linalg.cond(gram) <= 1e6:
+            assert np.max(np.abs(got[k] - want)) <= 1e-8
+
+
+@settings(settings.get_profile("engine"))
+@given(
+    st.lists(st.integers(1, 10**7), min_size=3, max_size=3),
+    st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12),
+)
+def test_preliminary_fit_is_bit_exact(shots, fractions):
+    n_plus = np.array([round(f * n) for f, n in zip(fractions, shots * 4)]).reshape(4, 3)
+    got = mle_pauli(shots, n_plus)
+    pauli = np.eye(3)
+    for k in range(4):
+        records = [CountRecord(pauli[m], pauli[m], shots[m], int(n_plus[k, m]))
+                   for m in range(3)]
+        assert np.array_equal(bloch_to_density(got[k]), mle(records).rho)
+
+
+def test_final_fit_merges_repeated_axes_like_mle():
+    z = [0.0, 0.0, 1.0]
+    axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], z, z])
+    shots, n_plus = [50, 50, 40, 60], np.array([[45, 20, 39, 58]])
+    records = [CountRecord(np.array(a), np.array(a), n, int(p))
+               for a, n, p in zip(axes, shots, n_plus[0])]
+    want = density_to_bloch(mle(records).rho)
+    assert np.max(np.abs(mle_batch(axes, shots, n_plus)[0] - want)) <= 1e-15
+
