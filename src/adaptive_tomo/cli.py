@@ -29,7 +29,7 @@ import re
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args
 
 import numpy as np
 
@@ -41,27 +41,28 @@ from .harness import (
     CampaignSpec,
     NoiseFloorResult,
     ScalingFit,
+    alpha_sweep,
+    fit_campaign,
     fit_power_law,
     noise_floor_sweep,
     run_campaign,
 )
-from .measurement import FixedError, NoError, PerExperimentError, PerSettingError
-from .protocols import (
-    Adaptive,
-    AdaptivePow,
-    KnownBasis,
-    ProtocolSpec,
-    ReducedAdaptive,
-    Static,
-    protocol_name,
-)
+from .measurement import ErrorModel, FixedError, NoError, PerExperimentError, PerSettingError
+from .protocols import ProtocolSpec, protocol_name
 from .states import density_to_bloch, fidelity, purity
 
 OUTPUT_DIR_ENV = "ADAPTIVE_TOMO_OUT"
 
-_DEFAULT_AXIS = (2.0 / math.sqrt(5.0), 1.0 / math.sqrt(5.0), 0.0)
+# --protocol name -> protocol class, keyed by the classes' own names.
+_PROTOCOLS = {cls.name: cls for cls in get_args(ProtocolSpec)}
 
-PROTOCOL_NAMES = ("static", "adaptive", "adaptive-pow", "reduced-adaptive", "known-basis")
+# --model value -> error model of magnitude E about the --error-axis.
+_ERROR_MODELS = {
+    "none": lambda e, axis: NoError(),
+    "1": lambda e, axis: PerSettingError(e),
+    "2": lambda e, axis: PerExperimentError(e),
+    "3": FixedError,
+}
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class RunConfig:
     reps: int = 150
     model: str = "none"
     e_value: float = 0.0
-    error_axis: tuple[float, float, float] = _DEFAULT_AXIS
+    error_axis: tuple[float, float, float] = FixedError(0.0).rotation_axis
     seed: int = 0
     out_dir: str = ""
     threads: int = 1
@@ -156,17 +157,17 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-        p.add_argument("--reps", type=int, help="repetitions per grid point (default 150)")
-        p.add_argument("--threads", type=int,
+        p.add_argument("--seed", help="master seed (default 0)")
+        p.add_argument("--reps", help="repetitions per grid point (default 150)")
+        p.add_argument("--threads",
                        help="accepted for compatibility; no longer changes scheduling")
         p.add_argument("--state", help="named state (eq7, eq10) or Bloch triple x,y,z")
-        p.add_argument("--gnuplot", action="store_const", const=True,
+        p.add_argument("--gnuplot", action="store_const", const="true",
                        help="also emit a gnuplot script for the CSV")
 
     p_run = sub.add_parser("run", help="run one campaign")
     common(p_run)
-    p_run.add_argument("--protocol", help="|".join(PROTOCOL_NAMES))
+    p_run.add_argument("--protocol", help="|".join(_PROTOCOLS))
     p_run.add_argument("--alpha", help="preliminary fraction for adaptive/reduced")
     p_run.add_argument("--exponent", help="preliminary exponent for adaptive-pow")
     p_run.add_argument("--n", help="single sample size")
@@ -184,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_noise = sub.add_parser("sweep-noise", help="noise-floor sweep over E")
     common(p_noise)
     p_noise.add_argument("--model", help="error model: 1, 2 or 3")
-    p_noise.add_argument("--protocols", help="comma list of protocol names")
+    p_noise.add_argument("--protocols", help="comma list of " + "|".join(_PROTOCOLS))
     p_noise.add_argument("--e-grid", dest="e_grid", help="comma list or start:stop:count")
     p_noise.add_argument("--error-axis", dest="error_axis",
                          help="fixed rotation axis for model 3 (x,y,z)")
@@ -207,8 +208,8 @@ _KEY_PARSERS = {
     "alpha": parse_float,
     "exponent": parse_float,
     "state": str,
-    "n": str,
-    "n_grid": str,
+    "n": parse_n_grid,
+    "n_grid": parse_n_grid,
     "reps": int,
     "model": str,
     "e_value": parse_float,
@@ -216,109 +217,83 @@ _KEY_PARSERS = {
     "seed": int,
     "out_dir": str,
     "threads": int,
-    "alphas": str,
-    "protocols": str,
-    "e_grid": str,
+    "alphas": parse_float_grid,
+    "protocols": lambda s: tuple(name.strip() for name in s.split(",") if name.strip()),
+    "e_grid": parse_float_grid,
     "n_start": int,
     "n_cap": int,
     "csv_path": str,
     "gnuplot": lambda s: s.strip().lower() in ("1", "true", "yes"),
 }
 
+# Flag spellings whose destination is not the flag with "-" read as "_".
 _FILE_KEY_ALIASES = {
-    "n-grid": "n_grid",
     "e": "e_value",
-    "error-axis": "error_axis",
     "alpha-grid": "alphas",
     "e-grid": "e_grid",
-    "n-start": "n_start",
-    "n-cap": "n_cap",
     "out": "out_dir",
     "csv": "csv_path",
 }
 
 
+def _parse_value(key: str, text: str, where: str = ""):
+    try:
+        return _KEY_PARSERS[key](text)
+    except (UsageError, ValueError) as exc:
+        raise UsageError(f"{where}bad value for {key}: {exc}") from None
+
+
 def _read_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise UsageError(f"config file {path!r} not found")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        raise UsageError(f"config file {path!r} not found") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc}") from None
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = _FILE_KEY_ALIASES.get(key, key.replace("-", "_"))
-            if key not in _KEY_PARSERS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _KEY_PARSERS[key](value)
-            except (UsageError, ValueError) as exc:
-                raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = _FILE_KEY_ALIASES.get(key, key.replace("-", "_"))
+        if key not in _KEY_PARSERS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = _parse_value(key, value, f"{path}:{lineno}: ")
     return values
 
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Resolve argv (and any --config file) into a validated RunConfig."""
     ns = _build_parser().parse_args(argv)
-    given = {k: v for k, v in vars(ns).items() if v is not None and k != "config"}
-
+    given = {key: _parse_value(key, value) for key, value in vars(ns).items()
+             if value is not None and key not in ("command", "config")}
     from_file: dict = _read_config_file(ns.config) if ns.config else {}
     merged: dict = {**from_file, **given}
-    command = merged.pop("command")
 
     # A single sample size and a grid are the same option; within each source
     # the explicit single value wins, and flags beat the file as usual.
     merged.pop("n", None)
     for source in (from_file, given):
         if "n" in source:
-            merged["n_grid"] = str(source["n"])
+            merged["n_grid"] = source["n"]
         elif "n_grid" in source:
             merged["n_grid"] = source["n_grid"]
 
-    # Normalise string-typed flag values.
-    for key in ("alpha", "exponent", "e_value"):
-        if isinstance(merged.get(key), str):
-            merged[key] = parse_float(merged[key])
-    for key in ("reps", "seed", "threads", "n_start", "n_cap"):
-        if isinstance(merged.get(key), str):
-            try:
-                merged[key] = int(merged[key])
-            except ValueError:
-                raise UsageError(f"{key} must be an integer, got {merged[key]!r}") from None
-    if isinstance(merged.get("error_axis"), str):
-        merged["error_axis"] = parse_axis(merged["error_axis"])
-
-    if isinstance(merged.get("n_grid"), str):
-        merged["n_grid"] = parse_n_grid(merged["n_grid"])
-
-    if isinstance(merged.get("alphas"), str):
-        merged["alphas"] = parse_float_grid(merged["alphas"])
-    if isinstance(merged.get("e_grid"), str):
-        merged["e_grid"] = parse_float_grid(merged["e_grid"])
-    if isinstance(merged.get("protocols"), str):
-        merged["protocols"] = tuple(
-            name.strip() for name in merged["protocols"].split(",") if name.strip()
-        )
-
     if not merged.get("out_dir"):
         merged["out_dir"] = os.environ.get(OUTPUT_DIR_ENV, ".")
-
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(merged) - known
-    if unknown:
-        raise UsageError(f"unknown option(s): {sorted(unknown)}")
-    config = RunConfig(command=command, **merged)
+    config = RunConfig(command=ns.command, **merged)
     _validate(config)
     return config
 
 
 def _validate(config: RunConfig) -> None:
-    if config.protocol not in PROTOCOL_NAMES:
+    if config.protocol not in _PROTOCOLS:
         raise UsageError(
-            f"protocol must be one of {', '.join(PROTOCOL_NAMES)}, got {config.protocol!r}"
+            f"protocol must be one of {', '.join(_PROTOCOLS)}, got {config.protocol!r}"
         )
     if not 0.0 < config.alpha < 1.0:
         raise UsageError(f"alpha must be in (0, 1), got {config.alpha}")
@@ -328,7 +303,7 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"reps must be >= 2, got {config.reps}")
     if config.threads < 1:
         raise UsageError(f"threads must be >= 1, got {config.threads}")
-    if config.model not in ("none", "1", "2", "3"):
+    if config.model not in _ERROR_MODELS:
         raise UsageError(f"model must be none, 1, 2 or 3, got {config.model!r}")
     if config.e_value < 0:
         raise UsageError(f"error magnitude must be >= 0, got {config.e_value}")
@@ -337,7 +312,7 @@ def _validate(config: RunConfig) -> None:
     if any(not 0.0 < a < 1.0 for a in config.alphas):
         raise UsageError(f"alpha grid values must be in (0, 1), got {config.alphas}")
     for name in config.protocols:
-        if name not in PROTOCOL_NAMES:
+        if name not in _PROTOCOLS:
             raise UsageError(f"unknown protocol {name!r} in --protocols")
     if config.e_grid and any(e <= 0 for e in config.e_grid):
         raise UsageError("e-grid values must be positive")
@@ -369,30 +344,27 @@ def _resolve_state(text: str) -> tuple[float, float, float]:
     return bloch
 
 
-def _resolve_protocol(config: RunConfig, name: Optional[str] = None) -> ProtocolSpec:
-    name = name if name is not None else config.protocol
-    if name == "static":
-        return Static()
-    if name == "adaptive":
-        return Adaptive(config.alpha)
-    if name == "adaptive-pow":
-        return AdaptivePow(config.exponent)
-    if name == "reduced-adaptive":
-        return ReducedAdaptive(config.alpha)
-    if name == "known-basis":
-        return KnownBasis()
-    raise UsageError(f"unknown protocol {name!r}")
+def _protocol(config: RunConfig, name: str) -> ProtocolSpec:
+    # Parameters come from the RunConfig fields of the same name.
+    cls = _PROTOCOLS[name]
+    return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
 
-def _resolve_error_model(config: RunConfig, e_value: Optional[float] = None):
-    e = config.e_value if e_value is None else e_value
-    if config.model == "none" or e == 0.0:
+def _error_model(config: RunConfig, e: float) -> ErrorModel:
+    if e == 0.0:
         return NoError()
-    if config.model == "1":
-        return PerSettingError(e)
-    if config.model == "2":
-        return PerExperimentError(e)
-    return FixedError(e, config.error_axis)
+    return _ERROR_MODELS[config.model](e, config.error_axis)
+
+
+def _campaign_spec(config: RunConfig) -> CampaignSpec:
+    return CampaignSpec(
+        protocol=_protocol(config, config.protocol),
+        state_bloch=_resolve_state(config.state),
+        n_grid=config.n_grid,
+        reps=config.reps,
+        error_model=_error_model(config, config.e_value),
+        seed=config.seed,
+    )
 
 
 def _fmt(x: float) -> str:
@@ -448,10 +420,8 @@ def _fits_from_rows(rows: Sequence[tuple[str, int, float]]) -> list[dict]:
     return [_fit_entry(name, fit_power_law(grouped[name])) for name in order]
 
 
-def _provenance(config: RunConfig) -> str:
-    return json.dumps(
-        {"artifact_version": __version__, "config": asdict(config)}, indent=2
-    ) + "\n"
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def config_from_provenance(data: dict) -> RunConfig:
@@ -501,95 +471,48 @@ def execute(config: RunConfig) -> int:
                 (row["protocol"], int(row["N"]), float(row["mean_infidelity"]))
                 for row in reader
             ]
-        payload = {"fits": _fits_from_rows(rows)}
-        _atomic_write(
-            os.path.join(config.out_dir, "fit.json"),
-            json.dumps(payload, indent=2) + "\n",
-        )
-        _atomic_write(os.path.join(config.out_dir, "provenance.json"), _provenance(config))
-        print(f"fitted {len(payload['fits'])} protocol(s) from {config.csv_path}")
-        return 0
+        fits = _fits_from_rows(rows)
+        files = {"fit.json": _json({"fits": fits})}
+        print(f"fitted {len(fits)} protocol(s) from {config.csv_path}")
 
-    state_bloch = _resolve_state(config.state)
-
-    if config.command == "run":
-        spec = CampaignSpec(
-            protocol=_resolve_protocol(config),
-            state_bloch=state_bloch,
-            n_grid=config.n_grid,
-            reps=config.reps,
-            error_model=_resolve_error_model(config),
-            seed=config.seed,
-        )
-        result = run_campaign(spec)
-        name = protocol_name(spec.protocol)
+    elif config.command == "run":
+        result = run_campaign(_campaign_spec(config))
+        name = protocol_name(result.spec.protocol)
         for row in result.rows:
             print(
                 f"{name} N={row.n} reps={row.reps} "
                 f"mean={row.mean_infidelity:.6e} stderr={row.stderr:.6e}"
             )
-        _atomic_write(os.path.join(config.out_dir, "campaign.csv"), _campaign_csv([result]))
-        fit_rows = [(name, row.n, row.mean_infidelity) for row in result.rows]
-        fits = _fits_from_rows(fit_rows) if len(result.rows) >= 3 else []
-        _atomic_write(
-            os.path.join(config.out_dir, "fit.json"),
-            json.dumps({"fits": fits}, indent=2) + "\n",
-        )
-        _atomic_write(os.path.join(config.out_dir, "provenance.json"), _provenance(config))
+        fits = [_fit_entry(name, fit_campaign(result))] if len(result.rows) >= 3 else []
+        files = {"campaign.csv": _campaign_csv([result]), "fit.json": _json({"fits": fits})}
         if config.gnuplot:
-            _atomic_write(os.path.join(config.out_dir, "campaign.gp"), _GNUPLOT)
-        return 0
+            files["campaign.gp"] = _GNUPLOT
 
-    if config.command == "sweep-alpha":
-        base = CampaignSpec(
-            protocol=Adaptive(0.5),
-            state_bloch=state_bloch,
-            n_grid=config.n_grid,
-            reps=config.reps,
-            error_model=_resolve_error_model(config),
-            seed=config.seed,
-        )
-        results = []
+    elif config.command == "sweep-alpha":
+        sweep = alpha_sweep(config.alphas, _campaign_spec(config))
         entries = []
-        for alpha in config.alphas:
-            spec = CampaignSpec(
-                protocol=Adaptive(alpha),
-                state_bloch=state_bloch,
-                n_grid=config.n_grid,
-                reps=config.reps,
-                error_model=base.error_model,
-                seed=config.seed,
-            )
-            result = run_campaign(spec)
-            results.append(result)
-            fit = fit_power_law([(r.n, r.mean_infidelity) for r in result.rows])
-            entry = _fit_entry(protocol_name(spec.protocol), fit)
+        for alpha, result, fit in sweep:
+            entry = _fit_entry(protocol_name(result.spec.protocol), fit)
             entry["alpha"] = alpha
             entries.append(entry)
             print(f"alpha={alpha} beta={fit.beta:.6f} p={fit.p:+.4f}")
-        _atomic_write(os.path.join(config.out_dir, "campaign.csv"), _campaign_csv(results))
-        _atomic_write(
-            os.path.join(config.out_dir, "fit.json"),
-            json.dumps({"alpha_sweep": entries}, indent=2) + "\n",
-        )
-        _atomic_write(os.path.join(config.out_dir, "provenance.json"), _provenance(config))
-        return 0
+        files = {"campaign.csv": _campaign_csv([result for _, result, _ in sweep]),
+                 "fit.json": _json({"alpha_sweep": entries})}
 
-    if config.command == "sweep-noise":
+    elif config.command == "sweep-noise":
         if config.model == "none":
             raise UsageError("sweep-noise requires --model 1, 2 or 3")
         e_grid = config.e_grid or tuple(float(x) for x in np.geomspace(1e-3, 3e-2, 5))
         results = noise_floor_sweep(
-            lambda e: _resolve_error_model(config, e),
+            lambda e: _error_model(config, e),
             e_grid,
-            [_resolve_protocol(config, name) for name in config.protocols],
-            state_bloch,
+            [_protocol(config, name) for name in config.protocols],
+            _resolve_state(config.state),
             reps=config.reps,
             seed=config.seed,
             n_start=config.n_start,
             n_cap=config.n_cap,
         )
-        _atomic_write(os.path.join(config.out_dir, "floors.csv"), _floors_csv(results, config))
         entries = []
         for result in results:
             name = protocol_name(result.protocol)
@@ -615,14 +538,16 @@ def execute(config: RunConfig) -> int:
             entries.append(entry)
             slope = "n/a" if result.slope_fit is None else f"{result.slope_fit.p:.3f}"
             print(f"{name}: floor slope vs E = {slope}")
-        _atomic_write(
-            os.path.join(config.out_dir, "fit.json"),
-            json.dumps({"noise_floors": entries}, indent=2) + "\n",
-        )
-        _atomic_write(os.path.join(config.out_dir, "provenance.json"), _provenance(config))
-        return 0
+        files = {"floors.csv": _floors_csv(results, config),
+                 "fit.json": _json({"noise_floors": entries})}
 
-    raise UsageError(f"unknown command {config.command!r}")
+    else:
+        raise UsageError(f"unknown command {config.command!r}")
+
+    files["provenance.json"] = _json({"artifact_version": __version__, "config": asdict(config)})
+    for filename, data in files.items():
+        _atomic_write(os.path.join(config.out_dir, filename), data)
+    return 0
 
 
 def _floors_csv(results: Sequence[NoiseFloorResult], config: RunConfig) -> str:

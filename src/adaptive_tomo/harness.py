@@ -17,30 +17,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidStateError
-from .measurement import (
-    ErrorModel,
-    FixedError,
-    NoError,
-    PerExperimentError,
-    PerSettingError,
-    RngContext,
-)
+from .measurement import ErrorModel, NoError, RngContext, error_model_name
 from .protocols import Adaptive, ProtocolSpec, protocol_name, run_batch
 from .states import bloch_to_density
-
-
-def error_model_name(model: ErrorModel) -> str:
-    """Canonical printable name for an error model (used in hashing and CSV)."""
-    if isinstance(model, NoError):
-        return "none"
-    if isinstance(model, PerSettingError):
-        return f"per-setting(E={float(model.magnitude)!r})"
-    if isinstance(model, PerExperimentError):
-        return f"per-experiment(E={float(model.magnitude)!r})"
-    if isinstance(model, FixedError):
-        ax = tuple(float(x) for x in model.rotation_axis)
-        return f"fixed(E={float(model.magnitude)!r},axis=({ax[0]!r},{ax[1]!r},{ax[2]!r}))"
-    raise TypeError(f"unknown error model {model!r}")
 
 
 @dataclass(frozen=True)
@@ -175,17 +154,18 @@ def alpha_sweep(
     alphas: Sequence[float],
     base_spec: CampaignSpec,
     threads: int = 1,
-) -> list[tuple[float, ScalingFit]]:
+) -> list[tuple[float, CampaignResult, ScalingFit]]:
     """One campaign + power-law fit per preliminary-budget fraction alpha.
 
     The campaign for each alpha is exactly the campaign of the corresponding
     Adaptive(alpha) spec with the same seed, so a sweep over {0.5} reproduces
-    a direct Adaptive(0.5) campaign number for number.
+    a direct Adaptive(0.5) campaign number for number.  Returns
+    (alpha, campaign, fit) per alpha, in the order given.
     """
     out = []
     for alpha in alphas:
-        spec = replace(base_spec, protocol=Adaptive(alpha))
-        out.append((alpha, fit_campaign(run_campaign(spec, threads=threads))))
+        result = run_campaign(replace(base_spec, protocol=Adaptive(alpha)), threads=threads)
+        out.append((alpha, result, fit_campaign(result)))
     return out
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -170,9 +170,25 @@ def _generator(state: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_preset_seed_class()(state)))
 
 
+def _check_magnitude(magnitude: float) -> None:
+    if magnitude < 0:
+        raise InvalidStateError("error magnitude must be >= 0")
+
+
+# Each error model states its own data: ``name`` (the stem of its
+# ``error_model_name``) and ``draws_per``, how often a random model draws a
+# fresh misalignment: once per "setting", once per "experiment", or never
+# (None).  A model with a nonzero magnitude that never draws tilts every axis
+# by a fixed rotation.
+
+
 @dataclass(frozen=True)
 class NoError:
     """Perfectly aligned measurements."""
+
+    name: ClassVar[str] = "none"
+    magnitude: ClassVar[float] = 0.0
+    draws_per: ClassVar[Optional[str]] = None
 
 
 @dataclass(frozen=True)
@@ -180,10 +196,11 @@ class PerSettingError:
     """Independent Normal(0, magnitude^2) mount error per setting (model 1)."""
 
     magnitude: float
+    name: ClassVar[str] = "per-setting"
+    draws_per: ClassVar[Optional[str]] = "setting"
 
     def __post_init__(self):
-        if self.magnitude < 0:
-            raise InvalidStateError("error magnitude must be >= 0")
+        _check_magnitude(self.magnitude)
 
 
 @dataclass(frozen=True)
@@ -191,10 +208,11 @@ class PerExperimentError:
     """One Normal(0, magnitude^2) mount error per experiment (model 2)."""
 
     magnitude: float
+    name: ClassVar[str] = "per-experiment"
+    draws_per: ClassVar[Optional[str]] = "experiment"
 
     def __post_init__(self):
-        if self.magnitude < 0:
-            raise InvalidStateError("error magnitude must be >= 0")
+        _check_magnitude(self.magnitude)
 
 
 @dataclass(frozen=True)
@@ -203,16 +221,33 @@ class FixedError:
 
     magnitude: float
     rotation_axis: tuple[float, float, float] = (2.0 / math.sqrt(5.0), 1.0 / math.sqrt(5.0), 0.0)
+    name: ClassVar[str] = "fixed"
+    draws_per: ClassVar[Optional[str]] = None
 
     def __post_init__(self):
-        if self.magnitude < 0:
-            raise InvalidStateError("error magnitude must be >= 0")
+        _check_magnitude(self.magnitude)
         norm = math.sqrt(sum(x * x for x in self.rotation_axis))
         if abs(norm - 1.0) > 1e-9:
             raise InvalidStateError("rotation axis must be a unit vector")
 
 
 ErrorModel = Union[NoError, PerSettingError, PerExperimentError, FixedError]
+
+# How each error-model field is spelled in ``error_model_name``.
+_NAME_LABELS = {"magnitude": "E", "rotation_axis": "axis"}
+
+
+def _name_value(value) -> str:
+    if np.ndim(value) == 0:
+        return repr(float(value))
+    return "(" + ",".join(repr(float(x)) for x in value) + ")"
+
+
+def error_model_name(model: ErrorModel) -> str:
+    """Canonical printable name for an error model (used in hashing and CSV)."""
+    params = ",".join(f"{_NAME_LABELS[f.name]}={_name_value(getattr(model, f.name))}"
+                      for f in fields(model))
+    return f"{model.name}({params})" if params else model.name
 
 
 @dataclass(frozen=True)
@@ -295,6 +330,14 @@ def _rotate(axis: np.ndarray, rot_axis, angle: float) -> np.ndarray:
     return np.array([ox / n, oy / n, oz / n])
 
 
+def _align_labels(model: ErrorModel, experiment_index, setting_index) -> tuple:
+    # Labels of the stream a random model draws a misalignment from, after
+    # those of the run's context; the indices may be label arrays.
+    if model.draws_per == "setting":
+        return (_ALIGN_STREAM, experiment_index, setting_index)
+    return (_ALIGN_STREAM, experiment_index)
+
+
 def _realized_axis(
     intended: np.ndarray,
     model: ErrorModel,
@@ -302,9 +345,9 @@ def _realized_axis(
     setting_index: int,
     rng: RngContext,
 ) -> np.ndarray:
-    if isinstance(model, NoError) or model.magnitude == 0.0:
+    if model.magnitude == 0.0:
         return intended
-    if isinstance(model, FixedError):
+    if model.draws_per is None:
         wx, wy, wz = model.rotation_axis
         ax, ay, az = float(intended[0]), float(intended[1]), float(intended[2])
         d = wx * ax + wy * ay + wz * az
@@ -318,12 +361,7 @@ def _realized_axis(
             (px / norm, py / norm, pz / norm),
             MOUNT_TO_BLOCH_ANGLE * model.magnitude,
         )
-    if isinstance(model, PerSettingError):
-        gen = rng.child(_ALIGN_STREAM, experiment_index, setting_index).generator()
-    elif isinstance(model, PerExperimentError):
-        gen = rng.child(_ALIGN_STREAM, experiment_index).generator()
-    else:
-        raise TypeError(f"unknown error model {model!r}")
+    gen = rng.child(*_align_labels(model, experiment_index, setting_index)).generator()
     delta = gen.standard_normal() * model.magnitude
     chi = gen.uniform(0.0, 2.0 * math.pi)
     e1, e2 = _perp_basis(intended)
@@ -421,20 +459,14 @@ def misalignment_draws(
     ``(j, align, 0)`` per experiment and shares it across settings.  Returns
     None for models that draw nothing.
     """
-    if isinstance(model, (NoError, FixedError)) or model.magnitude == 0.0:
+    if model.magnitude == 0.0 or model.draws_per is None:
         return None
-    j = np.arange(reps)
-    if isinstance(model, PerSettingError):
-        s = np.arange(n_settings)
-        labels = _label_rows(j[:, None], _ALIGN_STREAM, 0, s[None, :])
-        normal, chi = _draw_misalignments(stream_states(rng, labels))
-        return normal.reshape(reps, n_settings), chi.reshape(reps, n_settings)
-    if isinstance(model, PerExperimentError):
-        labels = _label_rows(j, _ALIGN_STREAM, 0)
-        normal, chi = _draw_misalignments(stream_states(rng, labels))
-        return (np.repeat(normal[:, None], n_settings, axis=1),
-                np.repeat(chi[:, None], n_settings, axis=1))
-    raise TypeError(f"unknown error model {model!r}")
+    labels = _label_rows(np.arange(reps)[:, None],
+                         *_align_labels(model, 0, np.arange(n_settings)[None, :]))
+    normal, chi = _draw_misalignments(stream_states(rng, labels))
+    shape = (reps, n_settings)
+    return (np.broadcast_to(normal.reshape(reps, -1), shape),
+            np.broadcast_to(chi.reshape(reps, -1), shape))
 
 
 def _rotate3(a, u, c, s):
@@ -455,10 +487,10 @@ def realized_axes(
     ``draws`` are the matching (normal, angle) arrays from
     ``misalignment_draws`` for the random models.
     """
-    if isinstance(model, NoError) or model.magnitude == 0.0:
+    if model.magnitude == 0.0:
         return intended
     a = (intended[..., 0], intended[..., 1], intended[..., 2])
-    if isinstance(model, FixedError):
+    if model.draws_per is None:
         wx, wy, wz = model.rotation_axis
         d = wx * a[0] + wy * a[1] + wz * a[2]
         px, py, pz = wx - d * a[0], wy - d * a[1], wz - d * a[2]
@@ -469,8 +501,6 @@ def realized_axes(
                                     math.cos(angle), math.sin(angle)), axis=-1)
         # Rotation about the measured axis itself is unobservable.
         return np.where((norm < 1e-12)[..., None], intended, out)
-    if not isinstance(model, (PerSettingError, PerExperimentError)):
-        raise TypeError(f"unknown error model {model!r}")
     normal, chi = draws
     delta = normal * model.magnitude
     # _perp_basis: unit vector on the smallest |component| (first on ties),

@@ -1,4 +1,4 @@
-"""The four tomography strategies.
+"""The tomography strategies.
 
 * ``Static``: the sample budget is split across the three Pauli axes and a
   single estimate is fitted.
@@ -20,8 +20,8 @@ the remainder given to the earliest axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -50,9 +50,28 @@ from .states import (
 )
 
 
+def _check_open_unit(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise InvalidStateError(f"{name} must be in (0, 1), got {value}")
+
+
+# Each protocol states its own data: ``name`` (its CLI name), how many
+# settings its adapted phase measures (0, 1 or 3), whether its first phase
+# measures in the true state's triplet instead of the Pauli frame, and
+# ``first_phase_budget``, the shots of the first phase out of ``n_total``
+# (all of them, or the preliminary budget of a two-phase protocol).
+
+
 @dataclass(frozen=True)
 class Static:
     """Fixed Pauli-frame tomography."""
+
+    name: ClassVar[str] = "static"
+    adapted_settings: ClassVar[int] = 0
+    true_basis: ClassVar[bool] = False
+
+    def first_phase_budget(self, n_total: int) -> int:
+        return n_total
 
 
 @dataclass(frozen=True)
@@ -60,10 +79,15 @@ class Adaptive:
     """Two-phase tomography with preliminary budget alpha * N."""
 
     alpha: float = 0.5
+    name: ClassVar[str] = "adaptive"
+    adapted_settings: ClassVar[int] = 3
+    true_basis: ClassVar[bool] = False
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidStateError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_open_unit("alpha", self.alpha)
+
+    def first_phase_budget(self, n_total: int) -> int:
+        return _round_half_up(self.alpha * n_total)
 
 
 @dataclass(frozen=True)
@@ -71,10 +95,15 @@ class AdaptivePow:
     """Two-phase tomography with preliminary budget N ** exponent."""
 
     exponent: float = 2.0 / 3.0
+    name: ClassVar[str] = "adaptive-pow"
+    adapted_settings: ClassVar[int] = 3
+    true_basis: ClassVar[bool] = False
 
     def __post_init__(self):
-        if not 0.0 < self.exponent < 1.0:
-            raise InvalidStateError(f"exponent must be in (0, 1), got {self.exponent}")
+        _check_open_unit("exponent", self.exponent)
+
+    def first_phase_budget(self, n_total: int) -> int:
+        return _round_half_up(n_total**self.exponent)
 
 
 @dataclass(frozen=True)
@@ -82,15 +111,27 @@ class ReducedAdaptive:
     """Adaptive tomography spending the whole second phase on one axis."""
 
     alpha: float = 0.5
+    name: ClassVar[str] = "reduced-adaptive"
+    adapted_settings: ClassVar[int] = 1
+    true_basis: ClassVar[bool] = False
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidStateError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_open_unit("alpha", self.alpha)
+
+    def first_phase_budget(self, n_total: int) -> int:
+        return _round_half_up(self.alpha * n_total)
 
 
 @dataclass(frozen=True)
 class KnownBasis:
     """Measures in the true state's eigenbasis for all samples (diagnostic)."""
+
+    name: ClassVar[str] = "known-basis"
+    adapted_settings: ClassVar[int] = 0
+    true_basis: ClassVar[bool] = True
+
+    def first_phase_budget(self, n_total: int) -> int:
+        return n_total
 
 
 ProtocolSpec = Union[Static, Adaptive, AdaptivePow, ReducedAdaptive, KnownBasis]
@@ -109,17 +150,8 @@ class RunResult:
 
 def protocol_name(spec: ProtocolSpec) -> str:
     """Canonical printable name, stable across runs (used in CSV and hashing)."""
-    if isinstance(spec, Static):
-        return "static"
-    if isinstance(spec, Adaptive):
-        return f"adaptive(alpha={float(spec.alpha)!r})"
-    if isinstance(spec, AdaptivePow):
-        return f"adaptive-pow(exponent={float(spec.exponent)!r})"
-    if isinstance(spec, ReducedAdaptive):
-        return f"reduced-adaptive(alpha={float(spec.alpha)!r})"
-    if isinstance(spec, KnownBasis):
-        return "known-basis"
-    raise TypeError(f"unknown protocol {spec!r}")
+    params = ",".join(f"{f.name}={float(getattr(spec, f.name))!r}" for f in fields(spec))
+    return f"{spec.name}({params})" if params else spec.name
 
 
 def _round_half_up(x: float) -> int:
@@ -135,6 +167,32 @@ def _split_three(total: int) -> list[int]:
 def _require_positive(shots: list[int], what: str) -> None:
     if min(shots) < 1:
         raise BudgetError(f"{what} split {shots} leaves a setting without shots")
+
+
+def _shot_plan(spec: ProtocolSpec, n_total: int) -> tuple[list[int], list[int]]:
+    """Per-setting shots of the first phase and of the adapted phase."""
+    if n_total < 6:
+        raise BudgetError(f"need at least 6 samples, got {n_total}")
+    n_first = spec.first_phase_budget(n_total)
+    shots1 = _split_three(n_first)
+    _require_positive(shots1, "preliminary phase" if spec.adapted_settings else spec.name)
+    n_final = n_total - n_first
+    shots2: list[int] = []
+    if spec.adapted_settings == 1:
+        if n_final < 1:
+            raise BudgetError("no samples left for the adapted setting")
+        shots2 = [n_final]
+    elif spec.adapted_settings == 3:
+        shots2 = _split_three(n_final)
+        _require_positive(shots2, "adapted phase")
+    total = sum(shots1) + sum(shots2)
+    if total != n_total:
+        raise AssertionError(f"budget leak: measured {total} of {n_total}")
+    return shots1, shots2
+
+
+def _first_phase_axes(spec: ProtocolSpec, rho_true: np.ndarray):
+    return mub_triplet(eigendecompose(rho_true)).axes if spec.true_basis else PAULI_AXES
 
 
 def _measure_batch(rho, axes, shots, model, rng, offset) -> list[CountRecord]:
@@ -159,56 +217,24 @@ def run_protocol(
     Deterministic: identical arguments give a bit-identical result.
     """
     check_density(rho_true)
-    if n_total < 6:
-        raise BudgetError(f"need at least 6 samples, got {n_total}")
-
+    shots1, shots2 = _shot_plan(spec, n_total)
+    records = _measure_batch(rho_true, _first_phase_axes(spec, rho_true), shots1,
+                             error_model, rng, 0)
     prelim = None
-    if isinstance(spec, Static):
-        shots = _split_three(n_total)
-        _require_positive(shots, "static")
-        records = _measure_batch(rho_true, PAULI_AXES, shots, error_model, rng, 0)
-    elif isinstance(spec, KnownBasis):
-        shots = _split_three(n_total)
-        _require_positive(shots, "known-basis")
-        triplet = mub_triplet(eigendecompose(rho_true))
-        records = _measure_batch(rho_true, triplet.axes, shots, error_model, rng, 0)
-    elif isinstance(spec, (Adaptive, AdaptivePow, ReducedAdaptive)):
-        if isinstance(spec, AdaptivePow):
-            n_prelim = _round_half_up(n_total**spec.exponent)
-        else:
-            n_prelim = _round_half_up(spec.alpha * n_total)
-        n_final = n_total - n_prelim
-        shots1 = _split_three(n_prelim)
-        _require_positive(shots1, "preliminary phase")
-        records = _measure_batch(rho_true, PAULI_AXES, shots1, error_model, rng, 0)
-        prelim_est = mle(records)
-        prelim = prelim_est.rho
+    if shots2:
+        prelim = mle(records).rho
         triplet = mub_triplet(eigendecompose(prelim))
-        if isinstance(spec, ReducedAdaptive):
-            if n_final < 1:
-                raise BudgetError("no samples left for the adapted setting")
-            records = records + _measure_batch(
-                rho_true, triplet.axes[:1], [n_final], error_model, rng, 3
-            )
-        else:
-            shots2 = _split_three(n_final)
-            _require_positive(shots2, "adapted phase")
-            records = records + _measure_batch(
-                rho_true, triplet.axes, shots2, error_model, rng, 3
-            )
-    else:
-        raise TypeError(f"unknown protocol {spec!r}")
+        records = records + _measure_batch(
+            rho_true, triplet.axes[:len(shots2)], shots2, error_model, rng, 3
+        )
 
     est = mle(records)
-    total = sum(rec.n_shots for rec in records)
-    if total != n_total:
-        raise AssertionError(f"budget leak: measured {total} of {n_total}")
     return RunResult(
         rho_hat=est.rho,
         rho_prelim=prelim,
         records=tuple(records),
         infidelity=1.0 - fidelity(est.rho, rho_true),
-        total_shots=total,
+        total_shots=sum(rec.n_shots for rec in records),
     )
 
 
@@ -244,39 +270,9 @@ def run_batch(
     repetition (state, budget, budget leak) run once.
     """
     r_true = density_to_bloch(rho_true)
-    if n_total < 6:
-        raise BudgetError(f"need at least 6 samples, got {n_total}")
-
-    adaptive = isinstance(spec, (Adaptive, AdaptivePow, ReducedAdaptive))
-    axes1 = np.array(PAULI_AXES)
-    shots2: list[int] = []
-    if isinstance(spec, Static):
-        shots1 = _split_three(n_total)
-        _require_positive(shots1, "static")
-    elif isinstance(spec, KnownBasis):
-        shots1 = _split_three(n_total)
-        _require_positive(shots1, "known-basis")
-        axes1 = np.array(mub_triplet(eigendecompose(rho_true)).axes)
-    elif adaptive:
-        if isinstance(spec, AdaptivePow):
-            n_prelim = _round_half_up(n_total**spec.exponent)
-        else:
-            n_prelim = _round_half_up(spec.alpha * n_total)
-        n_final = n_total - n_prelim
-        shots1 = _split_three(n_prelim)
-        _require_positive(shots1, "preliminary phase")
-        if isinstance(spec, ReducedAdaptive):
-            if n_final < 1:
-                raise BudgetError("no samples left for the adapted setting")
-            shots2 = [n_final]
-        else:
-            shots2 = _split_three(n_final)
-            _require_positive(shots2, "adapted phase")
-    else:
-        raise TypeError(f"unknown protocol {spec!r}")
+    shots1, shots2 = _shot_plan(spec, n_total)
     shots = shots1 + shots2
-    if sum(shots) != n_total:
-        raise AssertionError(f"budget leak: measured {sum(shots)} of {n_total}")
+    axes1 = np.array(_first_phase_axes(spec, rho_true))
 
     streams = count_streams(rng, reps, len(shots))
     draws = misalignment_draws(error_model, rng, reps, len(shots))
@@ -291,7 +287,7 @@ def run_batch(
 
     axes = np.broadcast_to(axes1, (reps, 3, 3))
     n_plus = measure(axes, 0)
-    if adaptive:
+    if shots2:
         axes2 = mub_axes(mle_pauli(shots1, n_plus), probe=r_true)[:, :len(shots2)]
         n_plus = np.concatenate([n_plus, measure(axes2, 3)], axis=1)
         axes = np.concatenate([axes, axes2], axis=1)

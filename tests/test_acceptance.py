@@ -6,7 +6,6 @@ slow tier; deselect it with ``-m "not slow"``.
 """
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from adaptive_tomo import (
     ReducedAdaptive,
     RngContext,
     Static,
+    alpha_sweep,
     bloch_to_density,
     chernoff_exponent,
     density_to_bloch,
@@ -128,13 +128,11 @@ class TestCriterion3AlphaOptimum:
         # the node id is kept so its history can be traced.
         base = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, FIG2_GRID, reps=400, seed=SEED)
         c, sigma, p = {}, {}, {}
-        for alpha in self.ALPHAS:
-            # The campaign alpha_sweep runs for this alpha.
-            result = run_campaign(replace(base, protocol=Adaptive(alpha)))
+        for alpha, result, fit in alpha_sweep(self.ALPHAS, base):
             top = result.rows[-self.TOP_ROWS:]
             c[alpha] = sum(row.n * row.mean_infidelity for row in top) / len(top)
             sigma[alpha] = math.sqrt(sum((row.n * row.stderr) ** 2 for row in top)) / len(top)
-            p[alpha] = fit_campaign(result).p
+            p[alpha] = fit.p
         best = min(c, key=c.get)
 
         def margin(alpha):

@@ -1,7 +1,9 @@
+import csv
 import json
 
 import pytest
 
+from adaptive_tomo import Adaptive, CampaignSpec, alpha_sweep
 from adaptive_tomo.cli import (
     OUTPUT_DIR_ENV,
     config_from_provenance,
@@ -12,6 +14,7 @@ from adaptive_tomo.cli import (
     parse_n_grid,
 )
 from adaptive_tomo.errors import UsageError
+from adaptive_tomo.fixtures import EQ7_BLOCH
 
 
 class TestParsing:
@@ -76,6 +79,13 @@ class TestParsing:
         cfg.write_text("nonsense = 3\n")
         with pytest.raises(UsageError):
             parse_config(["run", "--config", str(cfg)])
+
+    def test_unreadable_config_file_is_a_usage_error(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("seed = 1  # caf\xe9\n".encode("latin-1"))
+        for path in (latin1, tmp_path):
+            assert main(["run", "--config", str(path)]) == 2
+            assert "error:" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["run", "--protocol", "adaptive", "--alpha", "1.5"]) == 2
@@ -169,6 +179,26 @@ class TestSweepCommands:
         assert [e["alpha"] for e in payload["alpha_sweep"]] == [0.3, 0.5]
         body = (tmp_path / "campaign.csv").read_text()
         assert "adaptive(alpha=0.3)" in body and "adaptive(alpha=0.5)" in body
+
+    def test_alpha_sweep_writes_what_the_harness_returns(self, tmp_path, capsys):
+        assert main(["sweep-alpha", "--alpha-grid", "0.3,0.5", "--n-grid", "60,120,240",
+                     "--reps", "2", "--seed", "13", "--out", str(tmp_path)]) == 0
+        base = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (60, 120, 240), reps=2, seed=13)
+        sweep = alpha_sweep([0.3, 0.5], base)
+        with open(tmp_path / "campaign.csv", newline="", encoding="utf-8") as fh:
+            rows = [(r["protocol"], int(r["N"]), int(r["reps"]), float(r["mean_infidelity"]),
+                     float(r["stderr"]), int(r["seed"])) for r in csv.DictReader(fh)]
+        assert rows == [
+            (f"adaptive(alpha={alpha})", row.n, row.reps, row.mean_infidelity, row.stderr, 13)
+            for alpha, result, _ in sweep for row in result.rows
+        ]
+        entries = json.loads((tmp_path / "fit.json").read_text())["alpha_sweep"]
+        assert entries == [
+            {"protocol": f"adaptive(alpha={alpha})", "beta": fit.beta, "p": fit.p,
+             "sigma_p": fit.sigma_p, "sigma_beta": fit.sigma_beta,
+             "fit_range": list(fit.fit_range), "alpha": alpha}
+            for alpha, _, fit in sweep
+        ]
 
     def test_noise_sweep_outputs(self, tmp_path, capsys):
         assert main(["sweep-noise", "--model", "1", "--protocols", "static,adaptive",

@@ -6,21 +6,27 @@ import pytest
 
 from adaptive_tomo import (
     Adaptive,
+    AdaptivePow,
     CampaignSpec,
+    FixedError,
     InvalidStateError,
     KnownBasis,
     NoError,
+    PerExperimentError,
     PerSettingError,
+    ReducedAdaptive,
     Static,
     alpha_sweep,
     campaign_hash,
     fit_campaign,
     fit_power_law,
     noise_floor_sweep,
+    protocol_name,
     run_campaign,
 )
 from adaptive_tomo.fixtures import EQ7_BLOCH
 from adaptive_tomo.harness import CampaignResult, CampaignRow
+from adaptive_tomo.measurement import error_model_name
 
 
 def fraction_ols(points):
@@ -104,6 +110,38 @@ class TestRunCampaign:
         c = campaign_hash(CampaignSpec(Static(), EQ7_BLOCH, (100,), reps=2, seed=6))
         assert len({a, b, c}) == 3
 
+    def test_stream_keys_are_pinned(self):
+        # These strings seed every random stream; the literals were taken
+        # before protocols and error models carried their own names.
+        protocols = [Static(), Adaptive(0.5), AdaptivePow(), ReducedAdaptive(0.3), KnownBasis()]
+        assert [protocol_name(p) for p in protocols] == [
+            "static",
+            "adaptive(alpha=0.5)",
+            "adaptive-pow(exponent=0.6666666666666666)",
+            "reduced-adaptive(alpha=0.3)",
+            "known-basis",
+        ]
+        models = [NoError(), PerSettingError(0.01), PerExperimentError(0.02), FixedError(0.005),
+                  FixedError(0.01, (0, 0.6, 0.8))]
+        assert [error_model_name(m) for m in models] == [
+            "none",
+            "per-setting(E=0.01)",
+            "per-experiment(E=0.02)",
+            "fixed(E=0.005,axis=(0.8944271909999159,0.4472135954999579,0.0))",
+            "fixed(E=0.01,axis=(0.0,0.6,0.8))",
+        ]
+        hashes = [
+            campaign_hash(CampaignSpec(p, EQ7_BLOCH, (100, 300), reps=3, error_model=m, seed=7))
+            for p, m in zip(protocols, models)
+        ]
+        assert hashes == [
+            "53a151231e751936f5c0490b4811938b7330c9685418b4c46ad4ff7c34c807a1",
+            "efe5819fbb20f44ac93055477957460558fa36efba6691923268fd000b613331",
+            "3a3d1fccabeb20d6e5f6a9c38fd63a7081529482d05d66833a676b857b94c590",
+            "e0ba754f99ad503cd7ad3c7a20ca1791b6a3ff925b01e284fff085521e698572",
+            "6bd48378b979d1f7b59c015b2b062d8cfcf2687f223189651e210491d0f31819",
+        ]
+
     def test_spec_validation(self):
         with pytest.raises(InvalidStateError):
             CampaignSpec(Static(), EQ7_BLOCH, (100, 100), reps=2)
@@ -156,17 +194,20 @@ class TestFitCampaign:
 class TestAlphaSweep:
     def test_single_point_matches_direct_campaign(self):
         base = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (100, 300, 1000), reps=5, seed=31)
-        direct = fit_campaign(run_campaign(base))
+        campaign = run_campaign(base)
+        direct = fit_campaign(campaign)
         sweep = alpha_sweep([0.5], base)
         assert len(sweep) == 1
-        alpha, fit = sweep[0]
+        alpha, result, fit = sweep[0]
         assert alpha == 0.5
         assert fit == direct
+        assert result == campaign
 
     def test_smoke_rows(self):
         base = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (100, 300, 1000), reps=2, seed=31)
         sweep = alpha_sweep([0.3, 0.5], base)
-        assert [a for a, _ in sweep] == [0.3, 0.5]
+        assert [a for a, _, _ in sweep] == [0.3, 0.5]
+        assert [result.spec.protocol for _, result, _ in sweep] == [Adaptive(0.3), Adaptive(0.5)]
 
 
 class TestNoiseFloorSweep:
