@@ -203,18 +203,25 @@ def noise_floor_sweep(
     """Locate the infidelity floor vs error magnitude and fit its slope.
 
     For each error magnitude E the sample size is doubled from ``n_start``
-    until the mean infidelity changes by less than ``rel_tol`` between
-    successive doublings (floor detected) or ``n_cap`` is exceeded (reported
-    as not converged; E = 0 never converges).  Per protocol, the slope of
-    log(floor) vs log(E) is fitted over the converged magnitudes; ``slope_fit``
-    is None when fewer than three are available.
+    until the last three points of the ladder are flat, or ``n_cap`` is
+    exceeded (reported as not converged; E = 0 never converges).  Flat means
+    that the weighted least-squares slope s of ln(mean) against ln(N) over
+    those three points, with weights (mean/stderr)^2, satisfies
+    |s| < ln(1 + rel_tol)/ln 2 (the mean moves by less than ``rel_tol`` per
+    doubling) and s > -0.5 + 3 sigma_s, so that the points cannot still be
+    falling at -0.5, the scaling slope of static tomography.  The floor is
+    the mean of the three points, with their standard errors pooled, and
+    ``n_at_floor`` is the largest N of the three.  Per protocol, the slope of
+    log(floor) vs log(E) is fitted over the converged magnitudes;
+    ``slope_fit`` is None when fewer than three are available.
     """
+    flat = math.log(1.0 + rel_tol) / math.log(2.0)
     results = []
     for protocol in protocols:
         points = []
         for e_value in e_grid:
             model = model_factory(float(e_value))
-            prev_mean = None
+            ladder: list[CampaignRow] = []
             point = FloorPoint(float(e_value), False, None, None, None)
             n = n_start
             while n <= n_cap:
@@ -226,13 +233,22 @@ def noise_floor_sweep(
                     error_model=model,
                     seed=seed,
                 )
-                row = run_campaign(spec, threads=threads).rows[0]
-                if prev_mean is not None and abs(row.mean_infidelity - prev_mean) < rel_tol * prev_mean:
-                    point = FloorPoint(
-                        float(e_value), True, row.mean_infidelity, n, row.stderr
-                    )
-                    break
-                prev_mean = row.mean_infidelity
+                ladder.append(run_campaign(spec, threads=threads).rows[0])
+                last = ladder[-3:]
+                if len(last) == 3 and all(row.stderr > 0.0 for row in last):
+                    x = np.log([row.n for row in last])
+                    y = np.log([row.mean_infidelity for row in last])
+                    w = np.array([(row.mean_infidelity / row.stderr) ** 2 for row in last])
+                    dx = x - np.sum(w * x) / np.sum(w)
+                    sxx = float(np.sum(w * dx * dx))
+                    s = float(np.sum(w * dx * y)) / sxx
+                    if abs(s) < flat and s > -0.5 + 3.0 / math.sqrt(sxx):
+                        point = FloorPoint(
+                            float(e_value), True,
+                            sum(row.mean_infidelity for row in last) / 3.0, n,
+                            math.sqrt(sum(row.stderr**2 for row in last)) / 3.0,
+                        )
+                        break
                 n *= 2
             points.append(point)
         fittable = [
