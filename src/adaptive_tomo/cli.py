@@ -48,7 +48,7 @@ from .harness import (
     run_campaign,
 )
 from .measurement import ErrorModel, FixedError, NoError, PerExperimentError, PerSettingError
-from .protocols import ProtocolSpec, protocol_name
+from .protocols import STREAM_VERSION, ProtocolSpec, protocol_name
 from .states import density_to_bloch, fidelity, purity
 
 OUTPUT_DIR_ENV = "ADAPTIVE_TOMO_OUT"
@@ -147,8 +147,15 @@ def parse_axis(text: str) -> tuple[float, float, float]:
     return (parts[0] / norm, parts[1] / norm, parts[2] / norm)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse exits with status 2 on a usage error; raising instead lets
+    # ``main`` report it and return 2 to a caller that imported it.
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="adaptive-tomo",
         description="Simulate static and adaptive single-qubit tomography.",
     )
@@ -544,7 +551,9 @@ def execute(config: RunConfig) -> int:
     else:
         raise UsageError(f"unknown command {config.command!r}")
 
-    files["provenance.json"] = _json({"artifact_version": __version__, "config": asdict(config)})
+    files["provenance.json"] = _json({"artifact_version": __version__,
+                                      "stream_version": STREAM_VERSION,
+                                      "config": asdict(config)})
     for filename, data in files.items():
         _atomic_write(os.path.join(config.out_dir, filename), data)
     return 0

@@ -27,9 +27,6 @@ _RADIUS_TOL = 1e-12
 _SPAN_TOL = 1e-9
 # Multiplier beyond which the boundary search is declared diverged.
 _MU_LIMIT = 1e300
-# Batched bisection steps before the rows still open finish in the scalar
-# routine (about 0.1% of boundary fits of adaptive runs on a pure state).
-_BATCH_BISECTION_STEPS = 64
 # Newton's method on the secular equation, used by mle_batch.
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 100
@@ -246,64 +243,6 @@ def _boundary_solution(a_mat, b_vec):
 def _radius(a_mat, b_vec, mu):
     r = _solve3_sym(a_mat, b_vec, mu)
     return np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]), r
-
-
-def _boundary_bisection(a_mat, b_vec) -> np.ndarray:
-    # _boundary_solution evaluated on arrays, bit for bit: each row leaves
-    # the working arrays at the step where the scalar loop would return.
-    # Rows still open after _BATCH_BISECTION_STEPS rerun in the scalar
-    # routine, so the batch needs no record of their best iterate.
-    n = len(b_vec[0])
-    out = np.empty((n, 3))
-    lo = np.zeros(n)
-    hi = np.maximum(a_mat[0] + a_mat[3] + a_mat[5], 1.0)
-    growing = np.flatnonzero(_radius(a_mat, b_vec, hi)[0] > 1.0)
-    while growing.size:
-        hi[growing] *= 4.0
-        if np.any(hi[growing] > _MU_LIMIT):
-            raise RuntimeError("boundary multiplier search diverged")
-        norm, _ = _radius(a_mat[:, growing], b_vec[:, growing], hi[growing])
-        growing = growing[norm > 1.0]
-
-    rows = np.arange(n)
-    a, b = a_mat, b_vec
-    for _ in range(_BATCH_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        norm, r = _radius(a, b, mid)
-        r = np.stack(r, axis=-1)
-        done = np.abs(norm - 1.0) < _RADIUS_TOL
-        out[rows[done]] = r[done]
-        above = norm > 1.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-        keep = ~done
-        rows, lo, hi = rows[keep], lo[keep], hi[keep]
-        a, b = a[:, keep], b[:, keep]
-        if not rows.size:
-            return out
-    for k in rows:
-        out[k] = _boundary_solution(a_mat[:, k].tolist(), b_vec[:, k].tolist())[0]
-    return out
-
-
-def mle_pauli(shots: Sequence[int], n_plus: np.ndarray) -> np.ndarray:
-    """Bloch vectors of ``mle`` on Pauli records, bit for bit, for a batch.
-
-    Row k of the (R, 3) array ``n_plus`` holds the +1 counts of one record
-    set on the x, y and z axes, which carry ``shots[0..2]`` samples (each at
-    least 1).  The scalar normal equations (in ``merge_records`` order z, y,
-    x), Cramer solve and boundary bisection are evaluated on arrays, so every
-    row is the Bloch vector from which ``mle`` builds its ``rho``.  Returns an
-    (R, 3) array.
-    """
-    merged = [(PAULI_AXES[k], shots[k], n_plus[:, k]) for k in (2, 1, 0)]
-    a_mat, b_vec = map(np.array, _normal_equations(merged))
-    norm, r = _radius(a_mat, b_vec, 0.0)
-    out = np.stack(r, axis=-1)
-    outside = np.flatnonzero(norm > 1.0)
-    if outside.size:
-        out[outside] = _boundary_bisection(a_mat[:, outside], b_vec[:, outside])
-    return out
 
 
 def _newton_boundary(a_mat, b_vec) -> np.ndarray:

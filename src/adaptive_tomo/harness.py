@@ -1,11 +1,10 @@
 """Monte Carlo campaigns, power-law fits, and the two sweep drivers.
 
 A campaign repeats a protocol R times at every sample size in a grid and
-aggregates mean infidelity with its standard error.  Per-run random streams
-are labelled by (campaign hash, grid index, repetition index); the R runs of
-a grid point are simulated together as arrays (``protocols.run_batch``),
-each from its own streams, so every count equals that of the scalar
-``run_protocol`` on the same labels.
+aggregates mean infidelity with its standard error.  The random streams of a
+grid point are labelled by (campaign hash, grid index); its R runs are
+simulated together as arrays (``protocols.run_batch``), which declares how
+they draw from those streams.
 """
 from __future__ import annotations
 

@@ -21,7 +21,6 @@ lives in one constant so the mapping can be varied in sensitivity studies.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 from typing import ClassVar, Optional, Sequence, Union
@@ -45,17 +44,6 @@ _ALIGN_STREAM = 1
 _COUNT_STREAM = 2
 
 _MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
-
-# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx): pool
-# size, the two hash-constant seeds and multipliers, and the mix multipliers.
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -77,97 +65,6 @@ class RngContext:
         entropy = [self.seed & _MASK64]
         entropy.extend(label & _MASK64 for label in self.labels)
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-def _entropy_words(value: int) -> list[int]:
-    # SeedSequence's coercion of one non-negative int: little-endian 32-bit
-    # words, at least one (so 0 is the single word 0).
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hashmix(value, const: int):
-    # One step of SeedSequence's hashmix; ``value`` is an int or a uint32
-    # array, ``const`` the running hash constant.  Returns (value, const).
-    value = value ^ const
-    const = (const * _MULT_A) & _MASK32
-    value = (value * const) & _MASK32
-    return value ^ (value >> 16), const
-
-
-def _mix(x, y):
-    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
-    return result ^ (result >> 16)
-
-
-def stream_states(rng: RngContext, suffixes: np.ndarray) -> np.ndarray:
-    """PCG64 seed words of ``rng.child(*row).generator()`` for every row.
-
-    Returns an (n, 4) uint64 array whose row k equals
-    ``SeedSequence(entropy_k).generate_state(4, np.uint64)``, the words PCG64
-    seeds itself from, for the labels of ``rng`` followed by row k of the
-    (n, m) array ``suffixes``.  The pool is mixed for all rows at once in
-    uint32 arithmetic, in SeedSequence's order; entries of ``suffixes`` must
-    lie in [0, 2**32) so that each is one entropy word, as it is there.
-    """
-    suffixes = np.asarray(suffixes, dtype=np.int64)
-    if suffixes.size and (suffixes.min() < 0 or suffixes.max() > _MASK32):
-        raise ValueError("stream suffix labels must lie in [0, 2**32)")
-    entropy: list = []
-    for value in (rng.seed,) + rng.labels:
-        entropy.extend(_entropy_words(value & _MASK64))
-    entropy.extend(suffixes[:, k].astype(np.uint32) for k in range(suffixes.shape[1]))
-
-    const = _INIT_A
-    pool = []
-    for k in range(_POOL_SIZE):
-        word, const = _hashmix(entropy[k] if k < len(entropy) else 0, const)
-        pool.append(word)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                word, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], word)
-    for src in range(_POOL_SIZE, len(entropy)):
-        for dst in range(_POOL_SIZE):
-            word, const = _hashmix(entropy[src], const)
-            pool[dst] = _mix(pool[dst], word)
-
-    out = np.empty((len(suffixes), 2 * _POOL_SIZE), dtype=np.uint32)
-    const = _INIT_B
-    for k in range(2 * _POOL_SIZE):
-        word = pool[k % _POOL_SIZE] ^ const
-        const = (const * _MULT_B) & _MASK32
-        word = (word * const) & _MASK32
-        out[:, k] = word ^ (word >> 16)
-    return out.view(np.uint64)
-
-
-@functools.cache
-def _preset_seed_class():
-    # Built on first use so that importing this module does not load
-    # numpy.random, which RngContext.generator also loads only when called.
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PresetSeed(ISeedSequence):
-        # Hands PCG64 the seed words computed by ``stream_states``.
-        __slots__ = ("state",)
-
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    return PresetSeed
-
-
-def _generator(state: np.ndarray) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_preset_seed_class()(state)))
 
 
 def _check_magnitude(magnitude: float) -> None:
@@ -409,64 +306,15 @@ def measure_setting(
 
 
 # Batched twins of the per-setting path above.  They act on arrays over the
-# repetitions of one grid point, repeat the scalar path's elementwise
-# operations in the same order, and draw every random number from the stream
-# the scalar path draws it from, so each count equals the scalar one.
+# repetitions of one grid point and repeat the scalar path's elementwise
+# operations; the random draws they consume come from the streams that
+# ``protocols.run_batch`` declares.
 
 
 def born_probabilities(axes: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``born_probability`` for a Bloch vector ``r`` on an (..., 3) array of axes."""
     dot = axes[..., 0] * r[0] + axes[..., 1] * r[1] + axes[..., 2] * r[2]
     return np.minimum(np.maximum(0.5 * (1.0 + dot), 0.0), 1.0)
-
-
-def draw_counts(states: np.ndarray, shots: Sequence[int], p: np.ndarray) -> np.ndarray:
-    """One Binomial(shots[k], p[k]) draw from the stream seeded by ``states[k]``.
-
-    ``states`` holds (n, 4) words from ``stream_states``; each generator is
-    built, drawn from once, and dropped, as ``sample_counts`` does.
-    """
-    out = np.empty(len(states), dtype=np.int64)
-    for k, (state, n, prob) in enumerate(zip(states, shots, p.tolist())):
-        out[k] = _generator(state).binomial(n, prob)
-    return out
-
-
-def _label_rows(*labels) -> np.ndarray:
-    # One row of stream labels per element of the broadcast label arrays.
-    return np.stack(np.broadcast_arrays(*labels), axis=-1).reshape(-1, len(labels))
-
-
-def _draw_misalignments(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The standard normal and the uniform angle in [0, 2 pi) that
-    # _realized_axis draws, in that order, from each stream of ``states``.
-    normal = np.empty(len(states))
-    chi = np.empty(len(states))
-    for k, state in enumerate(states):
-        gen = _generator(state)
-        normal[k] = gen.standard_normal()
-        chi[k] = gen.uniform(0.0, 2.0 * math.pi)
-    return normal, chi
-
-
-def misalignment_draws(
-    model: ErrorModel, rng: RngContext, reps: int, n_settings: int
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(normal, angle) draws of every setting of experiments ``rng.child(j)``.
-
-    Both arrays are (reps, n_settings).  Per-setting error reads stream
-    ``(j, align, 0, s)`` per setting; per-experiment error reads one stream
-    ``(j, align, 0)`` per experiment and shares it across settings.  Returns
-    None for models that draw nothing.
-    """
-    if model.magnitude == 0.0 or model.draws_per is None:
-        return None
-    labels = _label_rows(np.arange(reps)[:, None],
-                         *_align_labels(model, 0, np.arange(n_settings)[None, :]))
-    normal, chi = _draw_misalignments(stream_states(rng, labels))
-    shape = (reps, n_settings)
-    return (np.broadcast_to(normal.reshape(reps, -1), shape),
-            np.broadcast_to(chi.reshape(reps, -1), shape))
 
 
 def _rotate3(a, u, c, s):
@@ -484,8 +332,9 @@ def realized_axes(
 ) -> np.ndarray:
     """``_realized_axis`` on an (..., 3) array of intended axes.
 
-    ``draws`` are the matching (normal, angle) arrays from
-    ``misalignment_draws`` for the random models.
+    For the random models ``draws`` holds the standard normal and the angle
+    in [0, 2 pi) of every axis, as arrays that broadcast against
+    ``intended[..., 0]``.
     """
     if model.magnitude == 0.0:
         return intended
@@ -517,10 +366,3 @@ def realized_axes(
     angle = MOUNT_TO_BLOCH_ANGLE * delta
     return np.stack(_rotate3(a, u, np.cos(angle), np.sin(angle)), axis=-1)
 
-
-def count_streams(rng: RngContext, reps: int, n_settings: int) -> np.ndarray:
-    """Seed words (reps, n_settings, 4) of the count stream that
-    ``measure_setting`` reads for setting s of experiment ``rng.child(j)``."""
-    labels = _label_rows(np.arange(reps)[:, None], _COUNT_STREAM, 0,
-                         np.arange(n_settings)[None, :])
-    return stream_states(rng, labels).reshape(reps, n_settings, 4)

@@ -26,17 +26,16 @@ from typing import ClassVar, Optional, Union
 import numpy as np
 
 from .errors import BudgetError, InvalidStateError
-from .estimation import mle, mle_batch, mle_pauli
+from .estimation import mle, mle_batch
 from .measurement import (
+    _ALIGN_STREAM,
+    _COUNT_STREAM,
     PAULI_AXES,
     CountRecord,
     ErrorModel,
     RngContext,
     born_probabilities,
-    count_streams,
-    draw_counts,
     measure_setting,
-    misalignment_draws,
     realized_axes,
 )
 from .states import (
@@ -214,7 +213,9 @@ def run_protocol(
 
     Alignment errors apply to every setting of both phases; adaptation
     decisions are made from the estimator's view (intended axes only).
-    Deterministic: identical arguments give a bit-identical result.
+    Deterministic: identical arguments give a bit-identical result.  Every
+    setting reads streams of its own (``measure_setting``), not the
+    grid-point streams of ``run_batch``, so the two draw different counts.
     """
     check_density(rho_true)
     shots1, shots2 = _shot_plan(spec, n_total)
@@ -238,14 +239,21 @@ def run_protocol(
     )
 
 
+# Version of the random-stream layout declared in ``run_batch``; recorded in
+# provenance so that numbers from different layouts are not compared.
+STREAM_VERSION = 2
+
+
 @dataclass(frozen=True)
 class BatchResult:
     """Outcome of the experiments at one sample size, as arrays over reps.
 
-    ``n_plus`` holds the +1 counts of every setting, in ``run_protocol``'s
-    record order (preliminary phase first).
+    ``axes`` (reps, M, 3) holds the intended axis and ``n_plus`` (reps, M)
+    the +1 counts of every setting, in ``run_protocol``'s record order
+    (preliminary phase first).
     """
 
+    axes: np.ndarray
     bloch_hat: np.ndarray
     n_plus: np.ndarray
     infidelity: np.ndarray
@@ -259,37 +267,49 @@ def run_batch(
     rng: RngContext,
     reps: int,
 ) -> BatchResult:
-    """``run_protocol(spec, rho_true, n_total, error_model, rng.child(j))`` for
-    j = 0 .. reps - 1, simulated as one vectorised pass.
+    """``reps`` independent experiments of ``n_total`` samples, simulated as
+    one vectorised pass; the batched counterpart of ``run_protocol``.
 
-    Every count and misalignment is drawn from the stream the scalar run
-    reads, and the preliminary estimate is bit-identical to the scalar one,
-    so every count equals its ``n_plus``.  The adapted axes agree with the
-    scalar ones to about 1e-15 (``mub_axes``) and the final estimate with
-    ``mle`` to about 1e-11 (``mle_batch``).  Checks that do not depend on the
-    repetition (state, budget, budget leak) run once.
+    Random streams (layout ``STREAM_VERSION`` 2), all children of ``rng``:
+
+    * the counts of phase k (0 = first phase, 1 = adapted phase) are one call
+      ``rng.child(_COUNT_STREAM, k).generator().binomial(shots, p)``, with
+      ``p`` of shape (reps, settings of the phase), filled in C order;
+    * the misalignments of a random error model come from
+      ``rng.child(_ALIGN_STREAM).generator()``: one ``standard_normal((reps,
+      w))`` call, then one ``uniform(0, 2 pi, (reps, w))`` call, where w is
+      the number of settings of both phases under per-setting error and 1
+      (shared by every setting) under per-experiment error.
+
+    The preliminary estimate is ``mle_batch`` on the first-phase records and
+    the adapted triplet is ``mub_axes`` of it; the final estimate is
+    ``mle_batch`` on the records of both phases.  Checks that do not depend
+    on the repetition (state, budget, budget leak) run once.
     """
     r_true = density_to_bloch(rho_true)
     shots1, shots2 = _shot_plan(spec, n_total)
     shots = shots1 + shots2
-    axes1 = np.array(_first_phase_axes(spec, rho_true))
+    draws = None
+    if error_model.magnitude != 0.0 and error_model.draws_per is not None:
+        width = len(shots) if error_model.draws_per == "setting" else 1
+        gen = rng.child(_ALIGN_STREAM).generator()
+        draws = (gen.standard_normal((reps, width)),
+                 gen.uniform(0.0, 2.0 * math.pi, (reps, width)))
 
-    streams = count_streams(rng, reps, len(shots))
-    draws = misalignment_draws(error_model, rng, reps, len(shots))
-
-    def measure(intended: np.ndarray, first: int) -> np.ndarray:
-        settings = slice(first, first + intended.shape[1])
-        phase_draws = None if draws is None else (draws[0][:, settings], draws[1][:, settings])
+    def measure(intended: np.ndarray, phase: int, phase_shots: list[int]) -> np.ndarray:
+        phase_draws = draws
+        if draws is not None and error_model.draws_per == "setting":
+            settings = slice(3 * phase, 3 * phase + len(phase_shots))
+            phase_draws = (draws[0][:, settings], draws[1][:, settings])
         p = born_probabilities(realized_axes(intended, error_model, phase_draws), r_true)
-        counts = draw_counts(streams[:, settings].reshape(-1, 4),
-                             shots[settings] * reps, p.reshape(-1))
-        return counts.reshape(reps, -1)
+        return rng.child(_COUNT_STREAM, phase).generator().binomial(phase_shots, p)
 
-    axes = np.broadcast_to(axes1, (reps, 3, 3))
-    n_plus = measure(axes, 0)
+    axes = np.broadcast_to(np.array(_first_phase_axes(spec, rho_true)), (reps, 3, 3))
+    n_plus = measure(axes, 0, shots1)
     if shots2:
-        axes2 = mub_axes(mle_pauli(shots1, n_plus), probe=r_true)[:, :len(shots2)]
-        n_plus = np.concatenate([n_plus, measure(axes2, 3)], axis=1)
+        axes2 = mub_axes(mle_batch(axes, shots1, n_plus))[:, :len(shots2)]
+        n_plus = np.concatenate([n_plus, measure(axes2, 1, shots2)], axis=1)
         axes = np.concatenate([axes, axes2], axis=1)
     bloch_hat = mle_batch(axes, shots, n_plus)
-    return BatchResult(bloch_hat, n_plus, 1.0 - fidelity_bloch(bloch_hat, r_true))
+    return BatchResult(np.array(axes), bloch_hat, n_plus,
+                       1.0 - fidelity_bloch(bloch_hat, r_true))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,8 +39,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Where mub_axes hands a row to the scalar construction (see its docstring).
 _CLOSED_FORM_MIN_NORM = 1e-9
 _CLOSED_FORM_MIN_RHO = 1e-6
-_CLOSED_FORM_TIE = 1e-12
-_CLOSED_FORM_MIN_DOT = 1e-9
 
 
 def bloch_to_density(r: Sequence[float]) -> np.ndarray:
@@ -303,20 +301,16 @@ def mub_triplet(eig: EigenDecomposition) -> BasisTriplet:
     return BasisTriplet((axis1, axis2, axis3))
 
 
-def mub_axes(r: np.ndarray, probe: Optional[np.ndarray] = None) -> np.ndarray:
+def mub_axes(r: np.ndarray) -> np.ndarray:
     """Axes of ``mub_triplet(eigendecompose(bloch_to_density(r_k)))`` for each
     row r_k of an (R, 3) array, as an (R, 3, 3) array.
 
     With r_hat = r_k / |r_k| = (x, y, z) and rho = sqrt(x^2 + y^2) the triplet
     is (r_hat, (-z x/rho, -z y/rho, rho), (y/rho, -x/rho, 0)), which agrees with
-    the scalar construction to about 1e-15.  A row takes the scalar
-    construction where a last-ulp difference could flip a discrete choice
-    downstream: |r_k| <= 1e-9 (the degenerate branch of ``eigendecompose``),
-    rho < 1e-6 (the phase convention's branch at the poles), an axis within
-    1e-12 of a Pauli axis (``merge_records`` merges on exact equality), the two
-    smallest |components| of an axis within 1e-12 of each other (the tie rule
-    of the misalignment basis) and, when ``probe`` is given, an axis within
-    1e-9 of orthogonal to it (binomial sampling branches at p = 1/2).
+    the scalar construction to about 1e-15.  Where the closed form divides by
+    a vanishing quantity the row takes the scalar construction: |r_k| <= 1e-9
+    (the degenerate branch of ``eigendecompose``) and rho < 1e-6 (the phase
+    convention's branch at the poles).
     """
     r = np.asarray(r, dtype=float)
     norm = np.sqrt(np.sum(r * r, axis=1))
@@ -329,13 +323,6 @@ def mub_axes(r: np.ndarray, probe: Optional[np.ndarray] = None) -> np.ndarray:
             np.stack([y / rho, -x / rho, np.zeros_like(x)], axis=-1),
         ], axis=1)
     scalar = ~(norm > _CLOSED_FORM_MIN_NORM) | ~(rho >= _CLOSED_FORM_MIN_RHO)
-    near_pauli = np.all(np.abs(axes[:, :, None, :] - np.eye(3)) <= _CLOSED_FORM_TIE, axis=-1)
-    scalar |= np.any(near_pauli, axis=(1, 2))
-    smallest = np.sort(np.abs(axes), axis=-1)
-    scalar |= np.any(smallest[..., 1] - smallest[..., 0] <= _CLOSED_FORM_TIE, axis=1)
-    if probe is not None:
-        scalar |= np.any(np.abs(axes @ np.asarray(probe, dtype=float)) < _CLOSED_FORM_MIN_DOT,
-                         axis=1)
     for k in np.flatnonzero(scalar):
         axes[k] = mub_triplet(eigendecompose(bloch_to_density(r[k]))).axes
     return axes

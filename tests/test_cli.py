@@ -91,6 +91,18 @@ class TestParsing:
         assert main(["run", "--protocol", "adaptive", "--alpha", "1.5"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [[], ["run", "--bogus"], ["sweep-alpha", "--model", "1"]],
+                             ids=["no-command", "unknown-flag", "flag-of-another-command"])
+    def test_argparse_error_exit_code(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--protocol" in capsys.readouterr().out
+
 
 class TestFixturesCommand:
     def test_prints_sanity_values(self, capsys, tmp_path):
@@ -143,6 +155,7 @@ class TestRunCommand:
         assert main(argv) == 0
         payload = json.loads((tmp_path / "provenance.json").read_text())
         assert config_from_provenance(payload) == expected
+        assert payload["stream_version"] == 2
 
     def test_error_model_flags(self, tmp_path, capsys):
         assert main(["run", "--model", "3", "--e", "0.01",
@@ -233,10 +246,14 @@ class TestRuntimeFailureExitCodes:
     def test_diverged_boundary_search(self, tmp_path, capsys, monkeypatch):
         import adaptive_tomo.protocols as protocols
 
-        def diverging(shots, n_plus):
-            raise RuntimeError("boundary multiplier search diverged")
+        final_fit = protocols.mle_batch
 
-        monkeypatch.setattr(protocols, "mle_pauli", diverging)
+        def diverging_preliminary_fit(axes, shots, n_plus):
+            if len(shots) == 3:
+                raise RuntimeError("boundary multiplier search diverged")
+            return final_fit(axes, shots, n_plus)
+
+        monkeypatch.setattr(protocols, "mle_batch", diverging_preliminary_fit)
         self.run_failing(tmp_path, capsys, "RuntimeError: boundary multiplier search diverged")
 
     def test_newton_iteration_cap(self, tmp_path, capsys, monkeypatch):
