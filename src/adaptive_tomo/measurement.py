@@ -227,14 +227,6 @@ def _rotate(axis: np.ndarray, rot_axis, angle: float) -> np.ndarray:
     return np.array([ox / n, oy / n, oz / n])
 
 
-def _align_labels(model: ErrorModel, experiment_index, setting_index) -> tuple:
-    # Labels of the stream a random model draws a misalignment from, after
-    # those of the run's context; the indices may be label arrays.
-    if model.draws_per == "setting":
-        return (_ALIGN_STREAM, experiment_index, setting_index)
-    return (_ALIGN_STREAM, experiment_index)
-
-
 def _realized_axis(
     intended: np.ndarray,
     model: ErrorModel,
@@ -258,7 +250,9 @@ def _realized_axis(
             (px / norm, py / norm, pz / norm),
             MOUNT_TO_BLOCH_ANGLE * model.magnitude,
         )
-    gen = rng.child(*_align_labels(model, experiment_index, setting_index)).generator()
+    labels = (experiment_index, setting_index) if model.draws_per == "setting" else (
+        experiment_index,)
+    gen = rng.child(_ALIGN_STREAM, *labels).generator()
     delta = gen.standard_normal() * model.magnitude
     chi = gen.uniform(0.0, 2.0 * math.pi)
     e1, e2 = _perp_basis(intended)

@@ -311,5 +311,4 @@ def run_batch(
         n_plus = np.concatenate([n_plus, measure(axes2, 1, shots2)], axis=1)
         axes = np.concatenate([axes, axes2], axis=1)
     bloch_hat = mle_batch(axes, shots, n_plus)
-    return BatchResult(np.array(axes), bloch_hat, n_plus,
-                       1.0 - fidelity_bloch(bloch_hat, r_true))
+    return BatchResult(axes, bloch_hat, n_plus, 1.0 - fidelity_bloch(bloch_hat, r_true))
