@@ -250,9 +250,10 @@ def _realized_axis(
             (px / norm, py / norm, pz / norm),
             MOUNT_TO_BLOCH_ANGLE * model.magnitude,
         )
-    labels = (experiment_index, setting_index) if model.draws_per == "setting" else (
-        experiment_index,)
-    gen = rng.child(_ALIGN_STREAM, *labels).generator()
+    labels = (_ALIGN_STREAM, experiment_index)
+    if model.draws_per == "setting":
+        labels += (setting_index,)
+    gen = rng.child(*labels).generator()
     delta = gen.standard_normal() * model.magnitude
     chi = gen.uniform(0.0, 2.0 * math.pi)
     e1, e2 = _perp_basis(intended)
