@@ -25,6 +25,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import sys
 import tempfile
@@ -179,15 +180,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--exponent", help="preliminary exponent for adaptive-pow")
     p_run.add_argument("--n", help="single sample size")
     p_run.add_argument("--n-grid", dest="n_grid", help="comma list or start:stop:count")
-    p_run.add_argument("--model", help="error model: none, 1, 2 or 3")
-    p_run.add_argument("--e", dest="e_value", help="error magnitude in radians")
-    p_run.add_argument("--error-axis", dest="error_axis",
-                       help="fixed rotation axis for model 3 (x,y,z)")
 
     p_alpha = sub.add_parser("sweep-alpha", help="sweep the preliminary fraction")
     common(p_alpha)
     p_alpha.add_argument("--alpha-grid", dest="alphas", help="comma list of fractions")
     p_alpha.add_argument("--n-grid", dest="n_grid", help="comma list or start:stop:count")
+    for p in (p_run, p_alpha):
+        p.add_argument("--model", help="error model: none, 1, 2 or 3")
+        p.add_argument("--e", dest="e_value", help="error magnitude in radians")
+        p.add_argument("--error-axis", dest="error_axis",
+                       help="fixed rotation axis for model 3 (x,y,z)")
 
     p_noise = sub.add_parser("sweep-noise", help="noise-floor sweep over E")
     common(p_noise)
@@ -551,8 +553,11 @@ def execute(config: RunConfig) -> int:
     else:
         raise UsageError(f"unknown command {config.command!r}")
 
+    environment = {"python": platform.python_version(), "numpy": np.__version__,
+                   "platform": platform.platform(), "nproc": os.cpu_count()}
     files["provenance.json"] = _json({"artifact_version": __version__,
                                       "stream_version": STREAM_VERSION,
+                                      "environment": environment,
                                       "config": asdict(config)})
     for filename, data in files.items():
         _atomic_write(os.path.join(config.out_dir, filename), data)

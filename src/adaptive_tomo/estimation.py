@@ -280,34 +280,38 @@ def _newton_boundary(a_mat, b_vec) -> np.ndarray:
     raise RuntimeError("boundary Newton iteration did not converge")
 
 
-def mle_batch(axes: np.ndarray, shots: Sequence[int], n_plus: np.ndarray) -> np.ndarray:
+def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarray:
     """Bloch vectors of ``mle`` for a batch of record sets, as an (R, 3) array.
 
-    Record set k has ``n_plus[k, m]`` +1 counts out of ``shots[m]`` (at least
-    1) on axis m.  ``axes`` is (M, 3) when every set shares its axes, or
-    (R, M, 3).  Interior rows take the batched Cramer solve; rows whose
-    unconstrained optimum leaves the ball take Newton's method to
-    ||r| - 1| < 1e-13, so the result agrees with ``mle`` to about 1e-11 rather
-    than bit for bit.  Rows that repeat an axis (``mle`` merges such records)
-    or whose axes do not span Bloch space go through ``mle`` itself.
+    Record set k has ``n_plus[k, m]`` +1 counts on axis m out of ``shots[m]``
+    (an int shared by every set) or ``shots[m][k]`` (an (R,) array), at least
+    1 either way.  ``axes`` is (M, 3) when every set shares its axes, or
+    (R, M, 3).  Each row is fitted on its own, so a stacked call returns bit
+    for bit the rows of the separate calls.
+    Interior rows take the batched Cramer solve; rows whose unconstrained
+    optimum leaves the ball take Newton's method to ||r| - 1| < 1e-13, so the
+    result agrees with ``mle`` to about 1e-11 rather than bit for bit.  Rows
+    that repeat an axis (``mle`` merges such records) or whose axes do not
+    span Bloch space go through ``mle`` itself.
     Raises RuntimeError if Newton's method does not converge.
     """
     n_plus = np.asarray(n_plus)
     axes = np.broadcast_to(np.asarray(axes, dtype=float), n_plus.shape + (3,))
-    merged = [(axes[:, m, :].T, shots[m], n_plus[:, m]) for m in range(len(shots))]
+    shots = np.stack([np.broadcast_to(n, len(n_plus)) for n in shots], axis=1)
+    merged = [(axes[:, m, :].T, shots[:, m], n_plus[:, m]) for m in range(shots.shape[1])]
     same = np.all(axes[:, :, None, :] == axes[:, None, :, :], axis=-1)
-    scalar = (np.sum(same, axis=(1, 2)) > len(shots)) | ~(_span_det(merged) > _SPAN_TOL)
+    scalar = (np.sum(same, axis=(1, 2)) > shots.shape[1]) | ~(_span_det(merged) > _SPAN_TOL)
     out = np.empty((len(n_plus), 3))
     fast = np.flatnonzero(~scalar)
     a_mat, b_vec = map(np.array, _normal_equations(
-        [(axis[:, fast], n, plus[fast]) for axis, n, plus in merged]))
+        [(axis[:, fast], n[fast], plus[fast]) for axis, n, plus in merged]))
     norm, r = _radius(a_mat, b_vec, 0.0)
     out[fast] = np.stack(r, axis=-1)
     outside = np.flatnonzero(norm > 1.0)
     if outside.size:
         out[fast[outside]] = _newton_boundary(a_mat[:, outside], b_vec[:, outside])
     for k in np.flatnonzero(scalar):
-        records = [CountRecord(ax, ax, n, int(plus))
-                   for ax, n, plus in zip(axes[k], shots, n_plus[k])]
+        records = [CountRecord(ax, ax, int(n), int(plus))
+                   for ax, n, plus in zip(axes[k], shots[k], n_plus[k])]
         out[k] = density_to_bloch(mle(records).rho)
     return out

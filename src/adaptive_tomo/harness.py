@@ -2,9 +2,9 @@
 
 A campaign repeats a protocol R times at every sample size in a grid and
 aggregates mean infidelity with its standard error.  The random streams of a
-grid point are labelled by (campaign hash, grid index); its R runs are
-simulated together as arrays (``protocols.run_batch``), which declares how
-they draw from those streams.
+grid point are labelled by (campaign hash, grid index).  All R x grid runs
+are simulated together as arrays (``protocols.run_grid``); each grid point
+draws from its own streams as ``protocols.run_batch`` declares.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .measurement import ErrorModel, NoError, RngContext, error_model_name
-from .protocols import Adaptive, ProtocolSpec, protocol_name, run_batch
+from .protocols import Adaptive, ProtocolSpec, protocol_name, run_grid
 from .states import bloch_to_density
 
 
@@ -74,26 +74,22 @@ def campaign_hash(spec: CampaignSpec) -> str:
 def run_campaign(spec: CampaignSpec, threads: int = 1) -> CampaignResult:
     """Run reps x grid independent experiments and aggregate per grid point.
 
-    Each grid point is one vectorised pass over its repetitions.  ``threads``
-    is accepted for compatibility and no longer changes scheduling; results
-    never depended on it.
+    The whole grid is one vectorised pass (``protocols.run_grid``) in which
+    grid point i still draws from its own streams.  ``threads`` is accepted
+    for compatibility and no longer changes scheduling; results never
+    depended on it.
     """
     digest = campaign_hash(spec)
     label = int.from_bytes(bytes.fromhex(digest[:16]), "big")
-    rho_true = bloch_to_density(spec.state_bloch)
-    rows = []
-    for i, n in enumerate(spec.n_grid):
-        infidelities = run_batch(
-            spec.protocol, rho_true, n, spec.error_model,
-            RngContext(spec.seed, (label, i)), spec.reps,
-        ).infidelity
-        rows.append(CampaignRow(
-            n=n,
-            mean_infidelity=float(np.mean(infidelities)),
-            stderr=float(np.std(infidelities, ddof=1) / math.sqrt(spec.reps)),
-            reps=spec.reps,
-        ))
-    return CampaignResult(spec=spec, rows=tuple(rows), spec_hash=digest, seed=spec.seed)
+    rngs = [RngContext(spec.seed, (label, i)) for i in range(len(spec.n_grid))]
+    infidelities = run_grid(
+        spec.protocol, bloch_to_density(spec.state_bloch), spec.n_grid, spec.error_model,
+        rngs, spec.reps,
+    ).infidelity.reshape(len(spec.n_grid), spec.reps)
+    rows = tuple(CampaignRow(n, float(np.mean(block)),
+                             float(np.std(block, ddof=1) / math.sqrt(spec.reps)), spec.reps)
+                 for n, block in zip(spec.n_grid, infidelities))
+    return CampaignResult(spec=spec, rows=rows, spec_hash=digest, seed=spec.seed)
 
 
 @dataclass(frozen=True)

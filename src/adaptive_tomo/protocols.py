@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -250,7 +250,8 @@ class BatchResult:
 
     ``axes`` (reps, M, 3) holds the intended axis and ``n_plus`` (reps, M)
     the +1 counts of every setting, in ``run_protocol``'s record order
-    (preliminary phase first).
+    (preliminary phase first).  ``run_grid`` stacks the reps of its grid
+    points in grid order.
     """
 
     axes: np.ndarray
@@ -274,7 +275,8 @@ def run_batch(
 
     * the counts of phase k (0 = first phase, 1 = adapted phase) are one call
       ``rng.child(_COUNT_STREAM, k).generator().binomial(shots, p)``, with
-      ``p`` of shape (reps, settings of the phase), filled in C order;
+      ``shots`` the phase's per-setting list and ``p`` of shape (reps,
+      settings of the phase), filled in C order;
     * the misalignments of a random error model come from
       ``rng.child(_ALIGN_STREAM).generator()``: one ``standard_normal((reps,
       w))`` call, then one ``uniform(0, 2 pi, (reps, w))`` call, where w is
@@ -283,32 +285,47 @@ def run_batch(
 
     The preliminary estimate is ``mle_batch`` on the first-phase records and
     the adapted triplet is ``mub_axes`` of it; the final estimate is
-    ``mle_batch`` on the records of both phases.  Checks that do not depend
-    on the repetition (state, budget, budget leak) run once.
+    ``mle_batch`` on the records of both phases, each called with one (reps,)
+    array of shots per setting.  Checks that do not depend on the repetition
+    (state, budget, budget leak) run once.
+    """
+    return run_grid(spec, rho_true, (n_total,), error_model, (rng,), reps)
+
+
+def run_grid(spec: ProtocolSpec, rho_true: np.ndarray, n_grid: Sequence[int],
+             error_model: ErrorModel, rngs: Sequence[RngContext], reps: int) -> BatchResult:
+    """``run_batch`` at every ``n_grid[g]`` with stream ``rngs[g]``, as one
+    pass over the stacked reps: rows ``g * reps`` to ``(g + 1) * reps`` are
+    bit for bit that grid point's ``run_batch``.  Each grid point draws from
+    its own streams; the arithmetic between draws acts on each row alone.
+    Every shot plan is worked out first, so the first bad N raises.
     """
     r_true = density_to_bloch(rho_true)
-    shots1, shots2 = _shot_plan(spec, n_total)
-    shots = shots1 + shots2
+    plans = [_shot_plan(spec, n) for n in n_grid]
+    # Per-row shots of every setting, (rows, M).
+    shots = np.repeat([shots1 + shots2 for shots1, shots2 in plans], reps, axis=0)
     draws = None
     if error_model.magnitude != 0.0 and error_model.draws_per is not None:
-        width = len(shots) if error_model.draws_per == "setting" else 1
-        gen = rng.child(_ALIGN_STREAM).generator()
-        draws = (gen.standard_normal((reps, width)),
-                 gen.uniform(0.0, 2.0 * math.pi, (reps, width)))
+        width = shots.shape[1] if error_model.draws_per == "setting" else 1
+        gens = [rng.child(_ALIGN_STREAM).generator() for rng in rngs]
+        draws = (np.concatenate([gen.standard_normal((reps, width)) for gen in gens]),
+                 np.concatenate([gen.uniform(0.0, 2.0 * math.pi, (reps, width)) for gen in gens]))
 
-    def measure(intended: np.ndarray, phase: int, phase_shots: list[int]) -> np.ndarray:
+    def measure(intended: np.ndarray, phase: int) -> np.ndarray:
         phase_draws = draws
         if draws is not None and error_model.draws_per == "setting":
-            settings = slice(3 * phase, 3 * phase + len(phase_shots))
+            settings = slice(3 * phase, 3 * phase + intended.shape[1])
             phase_draws = (draws[0][:, settings], draws[1][:, settings])
         p = born_probabilities(realized_axes(intended, error_model, phase_draws), r_true)
-        return rng.child(_COUNT_STREAM, phase).generator().binomial(phase_shots, p)
+        return np.concatenate([
+            rng.child(_COUNT_STREAM, phase).generator().binomial(plan[phase], block)
+            for rng, plan, block in zip(rngs, plans, np.split(p, len(rngs)))])
 
-    axes = np.broadcast_to(np.array(_first_phase_axes(spec, rho_true)), (reps, 3, 3))
-    n_plus = measure(axes, 0, shots1)
-    if shots2:
-        axes2 = mub_axes(mle_batch(axes, shots1, n_plus))[:, :len(shots2)]
-        n_plus = np.concatenate([n_plus, measure(axes2, 1, shots2)], axis=1)
+    axes = np.broadcast_to(np.array(_first_phase_axes(spec, rho_true)), (len(shots), 3, 3))
+    n_plus = measure(axes, 0)
+    if spec.adapted_settings:
+        axes2 = mub_axes(mle_batch(axes, shots.T[:3], n_plus))[:, :spec.adapted_settings]
+        n_plus = np.concatenate([n_plus, measure(axes2, 1)], axis=1)
         axes = np.concatenate([axes, axes2], axis=1)
-    bloch_hat = mle_batch(axes, shots, n_plus)
+    bloch_hat = mle_batch(axes, shots.T, n_plus)
     return BatchResult(axes, bloch_hat, n_plus, 1.0 - fidelity_bloch(bloch_hat, r_true))

@@ -91,7 +91,8 @@ class TestParsing:
         assert main(["run", "--protocol", "adaptive", "--alpha", "1.5"]) == 2
         assert "alpha" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [[], ["run", "--bogus"], ["sweep-alpha", "--model", "1"]],
+    @pytest.mark.parametrize("argv", [[], ["run", "--bogus"],
+                                      ["sweep-alpha", "--protocols", "static"]],
                              ids=["no-command", "unknown-flag", "flag-of-another-command"])
     def test_argparse_error_exit_code(self, argv, capsys):
         assert main(argv) == 2
@@ -156,6 +157,7 @@ class TestRunCommand:
         payload = json.loads((tmp_path / "provenance.json").read_text())
         assert config_from_provenance(payload) == expected
         assert payload["stream_version"] == 2
+        assert set(payload["environment"]) == {"python", "numpy", "platform", "nproc"}
 
     def test_error_model_flags(self, tmp_path, capsys):
         assert main(["run", "--model", "3", "--e", "0.01",
@@ -192,6 +194,20 @@ class TestSweepCommands:
         assert [e["alpha"] for e in payload["alpha_sweep"]] == [0.3, 0.5]
         body = (tmp_path / "campaign.csv").read_text()
         assert "adaptive(alpha=0.3)" in body and "adaptive(alpha=0.5)" in body
+
+    def test_alpha_sweep_error_model_flags_match_config_file(self, tmp_path, capsys):
+        argv = ["sweep-alpha", "--alpha-grid", "0.3,0.5", "--n-grid", "60,120,240",
+                "--reps", "2", "--seed", "13"]
+        flags, from_file, aligned = tmp_path / "flags", tmp_path / "file", tmp_path / "none"
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("model = 3\ne = 0.05\nerror-axis = 0,1,0\n")
+        assert main(argv + ["--model", "3", "--e", "0.05", "--error-axis", "0,1,0",
+                            "--out", str(flags)]) == 0
+        assert main(argv + ["--config", str(cfg), "--out", str(from_file)]) == 0
+        assert main(argv + ["--out", str(aligned)]) == 0
+        for name in ("campaign.csv", "fit.json"):
+            assert (flags / name).read_bytes() == (from_file / name).read_bytes()
+        assert (flags / "campaign.csv").read_bytes() != (aligned / "campaign.csv").read_bytes()
 
     def test_alpha_sweep_writes_what_the_harness_returns(self, tmp_path, capsys):
         assert main(["sweep-alpha", "--alpha-grid", "0.3,0.5", "--n-grid", "60,120,240",

@@ -6,7 +6,9 @@ reference below redraws those numbers one scalar call at a time from the same
 streams, perturbs each axis with the scalar routines and requires identical
 counts; on those counts the scalar ``mle``, ``mub_triplet`` and ``fidelity``
 must reproduce the batch's adapted axes, estimates and infidelities up to
-the rounding of the batched fits.
+the rounding of the batched fits.  A campaign's grid pass
+(``protocols.run_grid``) must give, block by block, exactly the rows of
+``run_batch`` at each grid point.
 """
 import math
 import re
@@ -52,7 +54,7 @@ from adaptive_tomo.measurement import (
     _realized_axis,
     _rotate,
 )
-from adaptive_tomo.protocols import _shot_plan, run_batch
+from adaptive_tomo.protocols import _shot_plan, run_batch, run_grid
 from adaptive_tomo.states import fidelity_bloch, mub_axes
 
 SEED = 1729
@@ -152,6 +154,62 @@ def test_campaign_reduces_the_reference_runs():
         assert row.stderr == float(np.std(batch.infidelity, ddof=1) / math.sqrt(spec.reps))
 
 
+def batch_or_error(protocol, rho, n, model, rng):
+    try:
+        return run_batch(protocol, rho, n, model, rng, REPS)
+    except BudgetError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS, ids=repr)
+def test_grid_pass_matches_per_point_batches(protocol):
+    checked = 0
+    for model in MODELS:
+        for state in STATES:
+            rho = bloch_to_density(state)
+            for grid in GRIDS:
+                rngs = [RngContext(SEED, (LABEL, g)) for g in range(len(grid))]
+                points = [batch_or_error(protocol, rho, n, model, rng)
+                          for n, rng in zip(grid, rngs)]
+                errors = [point for point in points if isinstance(point, str)]
+                if errors:
+                    with pytest.raises(BudgetError, match=re.escape(errors[0])):
+                        run_grid(protocol, rho, grid, model, rngs, REPS)
+                # The grid points that do run, with the streams they own.
+                good = [g for g, point in enumerate(points) if not isinstance(point, str)]
+                if not good:
+                    continue
+                stacked = run_grid(protocol, rho, [grid[g] for g in good], model,
+                                   [rngs[g] for g in good], REPS)
+                for block, g in enumerate(good):
+                    rows = slice(block * REPS, (block + 1) * REPS)
+                    for field in ("axes", "n_plus", "bloch_hat", "infidelity"):
+                        assert np.array_equal(getattr(stacked, field)[rows],
+                                              getattr(points[g], field)), (
+                            f"{field} {model} {state} N={grid[g]}")
+                    checked += 1
+    assert checked > 0
+
+
+@settings(settings.get_profile("engine"))
+@given(n=st.integers(6, 10**6), alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       exponent=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_shot_plans_spend_the_budget_or_raise(n, alpha, exponent):
+    rho = bloch_to_density(EQ7_BLOCH)
+    for protocol in (Static(), Adaptive(alpha), AdaptivePow(exponent), ReducedAdaptive(alpha),
+                     KnownBasis()):
+        try:
+            shots1, shots2 = _shot_plan(protocol, n)
+        except BudgetError as exc:
+            # The grid pass checks every plan before it draws.
+            with pytest.raises(BudgetError, match=re.escape(str(exc))):
+                run_grid(protocol, rho, (n, 2 * n), NoError(), [RngContext(SEED)] * 2, REPS)
+            continue
+        assert sum(shots1) + sum(shots2) == n
+        assert len(shots1) == 3 and len(shots2) == protocol.adapted_settings
+        assert min(shots1 + shots2) >= 1
+
+
 @pytest.mark.parametrize("seed", [0, 1, SEED, 2**32 - 1, 2**32, 2**64 - 1, -5])
 @pytest.mark.parametrize("label", [0, 7, 2**32 - 1, 2**32, LABEL, 2**64 - 1])
 def test_stream_states_match_seed_sequence(seed, label):
@@ -213,8 +271,8 @@ def test_bloch_fidelity_matches_matrix_form():
 
 
 @st.composite
-def record_batches(draw):
-    n_axes = draw(st.integers(3, 6))
+def record_batches(draw, n_axes=None):
+    n_axes = n_axes or draw(st.integers(3, 6))
     rows = draw(st.integers(1, 3))
     unit = st.floats(-1.0, 1.0, allow_nan=False)
     axes = np.array(draw(st.lists(st.lists(st.tuples(unit, unit, unit), min_size=n_axes,
@@ -272,3 +330,37 @@ def test_final_fit_merges_repeated_axes_like_mle():
     want = density_to_bloch(mle(records).rho)
     assert np.max(np.abs(mle_batch(axes, shots, n_plus)[0] - want)) <= 1e-15
 
+
+
+@st.composite
+def stackable_batches(draw):
+    n_axes = draw(st.integers(3, 5))
+    batches = []
+    for _ in range(draw(st.integers(2, 3))):
+        axes, shots, n_plus = draw(record_batches(n_axes))
+        if draw(st.booleans()):
+            # A repeated axis sends the row through the scalar mle.
+            axes[0, 1] = axes[0, 0]
+        batches.append((axes, shots, n_plus))
+    return batches
+
+
+@settings(settings.get_profile("engine"))
+@given(stackable_batches())
+def test_per_row_shots_match_separate_fits(batches):
+    separate = []
+    for axes, shots, n_plus in batches:
+        try:
+            separate.append(mle_batch(axes, shots, n_plus))
+        except UnderdeterminedError as exc:
+            separate.append(exc)
+    axes = np.concatenate([axes for axes, _, _ in batches])
+    shots = np.concatenate([np.broadcast_to(shots, n_plus.shape)
+                            for _, shots, n_plus in batches]).T
+    n_plus = np.concatenate([n_plus for _, _, n_plus in batches])
+    failed = [result for result in separate if isinstance(result, Exception)]
+    if failed:
+        with pytest.raises(UnderdeterminedError, match=re.escape(str(failed[0]))):
+            mle_batch(axes, list(shots), n_plus)
+        return
+    assert np.array_equal(mle_batch(axes, list(shots), n_plus), np.concatenate(separate))
