@@ -82,7 +82,6 @@ class RunConfig:
     error_axis: tuple[float, float, float] = FixedError(0.0).rotation_axis
     seed: int = 0
     out_dir: str = ""
-    threads: int = 1
     alphas: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
     protocols: tuple[str, ...] = ("static", "adaptive")
     e_grid: tuple[float, ...] = ()
@@ -96,17 +95,22 @@ _FLOAT_WITH_EXP = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)[eE]([+-]?\d+\.?\d*)$
 
 
 def parse_float(text: str) -> float:
-    """Float parser that also accepts fractional exponents like 1e-1.5."""
+    """Finite-float parser that also accepts fractional exponents like 1e-1.5."""
     text = text.strip()
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    m = _FLOAT_WITH_EXP.match(text)
-    if not m:
-        raise UsageError(f"cannot parse number {text!r}")
-    mantissa = float(m.group(1)) if m.group(1) not in ("", "+", "-") else float(m.group(1) + "1")
-    return mantissa * 10.0 ** float(m.group(2))
+        m = _FLOAT_WITH_EXP.match(text)
+        if not m:
+            raise UsageError(f"cannot parse number {text!r}") from None
+        mantissa = float(m.group(1)) if m.group(1) not in ("", "+", "-") else float(m.group(1) + "1")
+        try:
+            value = mantissa * 10.0 ** float(m.group(2))
+        except OverflowError:
+            value = math.inf
+    if not math.isfinite(value):
+        raise UsageError(f"number {text!r} is not finite")
+    return value
 
 
 def parse_float_grid(text: str) -> tuple[float, ...]:
@@ -167,8 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument("--seed", help="master seed (default 0)")
         p.add_argument("--reps", help="repetitions per grid point (default 150)")
-        p.add_argument("--threads",
-                       help="accepted for compatibility; no longer changes scheduling")
         p.add_argument("--state", help="named state (eq7, eq10) or Bloch triple x,y,z")
         p.add_argument("--gnuplot", action="store_const", const="true",
                        help="also emit a gnuplot script for the CSV")
@@ -225,7 +227,6 @@ _KEY_PARSERS = {
     "error_axis": parse_axis,
     "seed": int,
     "out_dir": str,
-    "threads": int,
     "alphas": parse_float_grid,
     "protocols": lambda s: tuple(name.strip() for name in s.split(",") if name.strip()),
     "e_grid": parse_float_grid,
@@ -310,14 +311,15 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"exponent must be in (0, 1), got {config.exponent}")
     if config.reps < 2:
         raise UsageError(f"reps must be >= 2, got {config.reps}")
-    if config.threads < 1:
-        raise UsageError(f"threads must be >= 1, got {config.threads}")
     if config.model not in _ERROR_MODELS:
         raise UsageError(f"model must be none, 1, 2 or 3, got {config.model!r}")
     if config.e_value < 0:
         raise UsageError(f"error magnitude must be >= 0, got {config.e_value}")
     if any(n < 6 for n in config.n_grid):
         raise UsageError(f"sample sizes must be >= 6, got {config.n_grid}")
+    if config.command == "sweep-alpha" and len(config.n_grid) < 3:
+        raise UsageError(f"sweep-alpha fits a power law and needs >= 3 sample sizes, "
+                         f"got {config.n_grid}")
     if any(not 0.0 < a < 1.0 for a in config.alphas):
         raise UsageError(f"alpha grid values must be in (0, 1), got {config.alphas}")
     for name in config.protocols:
@@ -436,6 +438,8 @@ def _json(payload: dict) -> str:
 def config_from_provenance(data: dict) -> RunConfig:
     """Rebuild the resolved RunConfig from a provenance JSON payload."""
     raw = dict(data["config"])
+    # Provenance written before the no-op ``threads`` option was removed.
+    raw.pop("threads", None)
     for key in ("n_grid", "alphas", "protocols", "e_grid", "error_axis"):
         if key in raw and isinstance(raw[key], list):
             raw[key] = tuple(raw[key])
@@ -599,9 +603,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TomographyError, ValueError, RuntimeError, AssertionError) as exc:
+    except (TomographyError, ValueError, RuntimeError, AssertionError, OverflowError) as exc:
         # RuntimeError: a boundary solver did not converge; AssertionError: a
-        # protocol's budget leaked.  Both are runtime failures, not tracebacks.
+        # protocol's budget leaked; OverflowError: a sample size too large for
+        # the binomial sampler.  All are runtime failures, not tracebacks.
         print(
             f"error: {type(exc).__name__}: {exc} "
             f"(protocol={config.protocol}, n_grid={config.n_grid}, "

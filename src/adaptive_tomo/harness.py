@@ -71,13 +71,11 @@ def campaign_hash(spec: CampaignSpec) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_campaign(spec: CampaignSpec, threads: int = 1) -> CampaignResult:
+def run_campaign(spec: CampaignSpec) -> CampaignResult:
     """Run reps x grid independent experiments and aggregate per grid point.
 
     The whole grid is one vectorised pass (``protocols.run_grid``) in which
-    grid point i still draws from its own streams.  ``threads`` is accepted
-    for compatibility and no longer changes scheduling; results never
-    depended on it.
+    grid point i still draws from its own streams.
     """
     digest = campaign_hash(spec)
     label = int.from_bytes(bytes.fromhex(digest[:16]), "big")
@@ -148,7 +146,6 @@ def fit_campaign(result: CampaignResult, floor: Optional[float] = None) -> Scali
 def alpha_sweep(
     alphas: Sequence[float],
     base_spec: CampaignSpec,
-    threads: int = 1,
 ) -> list[tuple[float, CampaignResult, ScalingFit]]:
     """One campaign + power-law fit per preliminary-budget fraction alpha.
 
@@ -159,7 +156,7 @@ def alpha_sweep(
     """
     out = []
     for alpha in alphas:
-        result = run_campaign(replace(base_spec, protocol=Adaptive(alpha)), threads=threads)
+        result = run_campaign(replace(base_spec, protocol=Adaptive(alpha)))
         out.append((alpha, result, fit_campaign(result)))
     return out
 
@@ -193,7 +190,6 @@ def noise_floor_sweep(
     n_start: int = 1000,
     n_cap: int = 20_000_000,
     rel_tol: float = 0.1,
-    threads: int = 1,
 ) -> list[NoiseFloorResult]:
     """Locate the infidelity floor vs error magnitude and fit its slope.
 
@@ -228,7 +224,7 @@ def noise_floor_sweep(
                     error_model=model,
                     seed=seed,
                 )
-                ladder.append(run_campaign(spec, threads=threads).rows[0])
+                ladder.append(run_campaign(spec).rows[0])
                 last = ladder[-3:]
                 if len(last) == 3 and all(row.stderr > 0.0 for row in last):
                     x = np.log([row.n for row in last])

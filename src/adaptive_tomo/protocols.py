@@ -26,7 +26,7 @@ from typing import ClassVar, Optional, Sequence, Union
 import numpy as np
 
 from .errors import BudgetError, InvalidStateError
-from .estimation import mle, mle_batch
+from .estimation import mle_batch
 from .measurement import (
     _ALIGN_STREAM,
     _COUNT_STREAM,
@@ -35,14 +35,12 @@ from .measurement import (
     ErrorModel,
     RngContext,
     born_probabilities,
-    measure_setting,
     realized_axes,
 )
 from .states import (
-    check_density,
+    bloch_to_density,
     density_to_bloch,
     eigendecompose,
-    fidelity,
     fidelity_bloch,
     mub_axes,
     mub_triplet,
@@ -194,49 +192,23 @@ def _first_phase_axes(spec: ProtocolSpec, rho_true: np.ndarray):
     return mub_triplet(eigendecompose(rho_true)).axes if spec.true_basis else PAULI_AXES
 
 
-def _measure_batch(rho, axes, shots, model, rng, offset) -> list[CountRecord]:
-    return [
-        measure_setting(rho, axes[i], shots[i], model, rng,
-                        experiment_index=0, setting_index=offset + i)
-        for i in range(len(axes))
-    ]
-
-
-def run_protocol(
-    spec: ProtocolSpec,
-    rho_true: np.ndarray,
-    n_total: int,
-    error_model: ErrorModel,
-    rng: RngContext,
-) -> RunResult:
+def run_protocol(spec: ProtocolSpec, rho_true: np.ndarray, n_total: int,
+                 error_model: ErrorModel, rng: RngContext) -> RunResult:
     """Simulate one experiment of ``n_total`` samples and reconstruct a state.
 
-    Alignment errors apply to every setting of both phases; adaptation
-    decisions are made from the estimator's view (intended axes only).
-    Deterministic: identical arguments give a bit-identical result.  Every
-    setting reads streams of its own (``measure_setting``), not the
-    grid-point streams of ``run_batch``, so the two draw different counts.
+    This is ``run_batch`` with one repetition on the same ``rng``, so it
+    draws the counts that a campaign draws on that stream.  The records hold
+    the intended axes, realized axes, shots and counts of its settings;
+    ``rho_prelim`` is the preliminary fit that chose the adapted triplet
+    (None for one-phase protocols) and ``rho_hat`` the final fit.
     """
-    check_density(rho_true)
-    shots1, shots2 = _shot_plan(spec, n_total)
-    records = _measure_batch(rho_true, _first_phase_axes(spec, rho_true), shots1,
-                             error_model, rng, 0)
-    prelim = None
-    if shots2:
-        prelim = mle(records).rho
-        triplet = mub_triplet(eigendecompose(prelim))
-        records = records + _measure_batch(
-            rho_true, triplet.axes[:len(shots2)], shots2, error_model, rng, 3
-        )
-
-    est = mle(records)
-    return RunResult(
-        rho_hat=est.rho,
-        rho_prelim=prelim,
-        records=tuple(records),
-        infidelity=1.0 - fidelity(est.rho, rho_true),
-        total_shots=sum(rec.n_shots for rec in records),
-    )
+    batch = run_batch(spec, rho_true, n_total, error_model, rng, 1)
+    shots = sum(_shot_plan(spec, n_total), [])
+    records = tuple(map(CountRecord, batch.axes[0], batch.realized[0], shots,
+                        batch.n_plus[0].tolist()))
+    prelim = None if batch.bloch_prelim is None else bloch_to_density(batch.bloch_prelim[0])
+    return RunResult(rho_hat=bloch_to_density(batch.bloch_hat[0]), rho_prelim=prelim,
+                     records=records, infidelity=float(batch.infidelity[0]), total_shots=n_total)
 
 
 # Version of the random-stream layout declared in ``run_batch``; recorded in
@@ -248,13 +220,18 @@ STREAM_VERSION = 2
 class BatchResult:
     """Outcome of the experiments at one sample size, as arrays over reps.
 
-    ``axes`` (reps, M, 3) holds the intended axis and ``n_plus`` (reps, M)
-    the +1 counts of every setting, in ``run_protocol``'s record order
-    (preliminary phase first).  ``run_grid`` stacks the reps of its grid
-    points in grid order.
+    ``axes`` (reps, M, 3) holds the intended axis, ``realized`` (reps, M, 3)
+    the axis measured after alignment error and ``n_plus`` (reps, M) the +1
+    counts of every setting, in ``run_protocol``'s record order (preliminary
+    phase first).  ``bloch_prelim`` (reps, 3) is the preliminary estimate
+    that chose the adapted triplet, None for one-phase protocols, and
+    ``bloch_hat`` (reps, 3) the final one.  ``run_grid`` stacks the reps of
+    its grid points in grid order.
     """
 
     axes: np.ndarray
+    realized: np.ndarray
+    bloch_prelim: Optional[np.ndarray]
     bloch_hat: np.ndarray
     n_plus: np.ndarray
     infidelity: np.ndarray
@@ -269,7 +246,7 @@ def run_batch(
     reps: int,
 ) -> BatchResult:
     """``reps`` independent experiments of ``n_total`` samples, simulated as
-    one vectorised pass; the batched counterpart of ``run_protocol``.
+    one vectorised pass; ``run_protocol`` is its one-repetition case.
 
     Random streams (layout ``STREAM_VERSION`` 2), all children of ``rng``:
 
@@ -311,21 +288,27 @@ def run_grid(spec: ProtocolSpec, rho_true: np.ndarray, n_grid: Sequence[int],
         draws = (np.concatenate([gen.standard_normal((reps, width)) for gen in gens]),
                  np.concatenate([gen.uniform(0.0, 2.0 * math.pi, (reps, width)) for gen in gens]))
 
-    def measure(intended: np.ndarray, phase: int) -> np.ndarray:
+    def measure(intended: np.ndarray, phase: int) -> tuple[np.ndarray, np.ndarray]:
         phase_draws = draws
         if draws is not None and error_model.draws_per == "setting":
             settings = slice(3 * phase, 3 * phase + intended.shape[1])
             phase_draws = (draws[0][:, settings], draws[1][:, settings])
-        p = born_probabilities(realized_axes(intended, error_model, phase_draws), r_true)
-        return np.concatenate([
+        realized = realized_axes(intended, error_model, phase_draws)
+        p = born_probabilities(realized, r_true)
+        return realized, np.concatenate([
             rng.child(_COUNT_STREAM, phase).generator().binomial(plan[phase], block)
             for rng, plan, block in zip(rngs, plans, np.split(p, len(rngs)))])
 
     axes = np.broadcast_to(np.array(_first_phase_axes(spec, rho_true)), (len(shots), 3, 3))
-    n_plus = measure(axes, 0)
+    realized, n_plus = measure(axes, 0)
+    prelim = None
     if spec.adapted_settings:
-        axes2 = mub_axes(mle_batch(axes, shots.T[:3], n_plus))[:, :spec.adapted_settings]
-        n_plus = np.concatenate([n_plus, measure(axes2, 1)], axis=1)
+        prelim = mle_batch(axes, shots.T[:3], n_plus)
+        axes2 = mub_axes(prelim)[:, :spec.adapted_settings]
+        realized2, n_plus2 = measure(axes2, 1)
         axes = np.concatenate([axes, axes2], axis=1)
+        realized = np.concatenate([realized, realized2], axis=1)
+        n_plus = np.concatenate([n_plus, n_plus2], axis=1)
     bloch_hat = mle_batch(axes, shots.T, n_plus)
-    return BatchResult(axes, bloch_hat, n_plus, 1.0 - fidelity_bloch(bloch_hat, r_true))
+    return BatchResult(axes, realized, prelim, bloch_hat, n_plus,
+                       1.0 - fidelity_bloch(bloch_hat, r_true))

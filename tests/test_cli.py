@@ -98,6 +98,32 @@ class TestParsing:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, status", [
+        (["run", "--e", "nan", "--model", "1"], 2),
+        (["run", "--e", "inf", "--model", "1"], 2),
+        (["run", "--state", "0.5,0.5,nan"], 2),
+        (["run", "--error-axis", "nan,0,0", "--model", "3", "--e", "0.1"], 2),
+        (["sweep-noise", "--model", "1", "--e-grid", "0.01,nan"], 2),
+        (["run", "--n", "1e400"], 2),
+        (["run", "--n", "1e30", "--reps", "2"], 1),
+    ], ids=["e-nan", "e-inf", "state-nan", "axis-nan", "e-grid-nan", "n-overflow",
+            "n-beyond-sampler"])
+    def test_non_finite_or_overflowing_numbers(self, argv, status, tmp_path, capsys):
+        if status == 2:
+            # Rejected while parsing, before any campaign runs.
+            with pytest.raises(UsageError):
+                parse_config(argv)
+        assert main(argv + ["--out", str(tmp_path)]) == status
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_alpha_sweep_needs_three_sample_sizes(self, capsys):
+        argv = ["sweep-alpha", "--n-grid", "100,200", "--reps", "2"]
+        with pytest.raises(UsageError, match="needs >= 3 sample sizes"):
+            parse_config(argv)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--help"])
@@ -121,7 +147,7 @@ class TestRunCommand:
                 "--reps", "2", "--seed", "3"]
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(dir_a)]) == 0
-        assert main(args + ["--out", str(dir_b), "--threads", "4"]) == 0
+        assert main(args + ["--out", str(dir_b)]) == 0
         assert (dir_a / "campaign.csv").read_bytes() == (dir_b / "campaign.csv").read_bytes()
         assert (dir_a / "fit.json").read_bytes() == (dir_b / "fit.json").read_bytes()
 
@@ -158,6 +184,23 @@ class TestRunCommand:
         assert config_from_provenance(payload) == expected
         assert payload["stream_version"] == 2
         assert set(payload["environment"]) == {"python", "numpy", "platform", "nproc"}
+
+    def test_provenance_with_the_removed_threads_key_still_loads(self):
+        # The config section of a stream-v2 provenance.json written while
+        # RunConfig still had the no-op ``threads`` field.
+        config = {
+            "command": "run", "protocol": "adaptive-pow", "alpha": 0.5,
+            "exponent": 0.6666666666666666, "state": "eq7", "n_grid": [60, 120], "reps": 2,
+            "model": "none", "e_value": 0.0,
+            "error_axis": [0.8944271909999159, 0.4472135954999579, 0.0], "seed": 11,
+            "out_dir": "results", "threads": 1, "alphas": [0.1, 0.3, 0.5, 0.7, 0.9],
+            "protocols": ["static", "adaptive"], "e_grid": [], "n_start": 1000,
+            "n_cap": 20000000, "csv_path": "", "gnuplot": False,
+        }
+        payload = {"artifact_version": "0.1.0", "stream_version": 2, "config": config}
+        assert config_from_provenance(payload) == parse_config(
+            ["run", "--protocol", "adaptive-pow", "--n-grid", "60,120", "--reps", "2",
+             "--seed", "11", "--out", "results"])
 
     def test_error_model_flags(self, tmp_path, capsys):
         assert main(["run", "--model", "3", "--e", "0.01",

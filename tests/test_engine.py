@@ -8,7 +8,8 @@ counts; on those counts the scalar ``mle``, ``mub_triplet`` and ``fidelity``
 must reproduce the batch's adapted axes, estimates and infidelities up to
 the rounding of the batched fits.  A campaign's grid pass
 (``protocols.run_grid``) must give, block by block, exactly the rows of
-``run_batch`` at each grid point.
+``run_batch`` at each grid point, and ``run_protocol`` exactly its
+one-repetition batch.
 """
 import math
 import re
@@ -114,6 +115,7 @@ def check_against_reference(protocol, rho, n, model, rng, reps):
             for s in settings_:
                 counts[j, s] = gen.binomial(shots[s], born_probability(rho, realized[j][s]))
     where = f"{protocol} {model} {density_to_bloch(rho)} N={n}"
+    assert np.array_equal(batch.realized, np.array(realized)), where
     assert np.array_equal(batch.n_plus, counts), where
     for j in range(reps):
         records = [CountRecord(batch.axes[j, s], realized[j][s], shots[s], int(counts[j, s]))
@@ -152,6 +154,42 @@ def test_campaign_reduces_the_reference_runs():
                                         RngContext(SEED, (label, i)), spec.reps)
         assert row.mean_infidelity == float(np.mean(batch.infidelity))
         assert row.stderr == float(np.std(batch.infidelity, ddof=1) / math.sqrt(spec.reps))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS, ids=repr)
+def test_run_protocol_is_the_one_rep_batch(protocol):
+    checked = 0
+    for model in MODELS:
+        for state in STATES:
+            rho = bloch_to_density(state)
+            for i, n in enumerate((7, 300)):
+                rng = RngContext(SEED, (LABEL, i))
+                try:
+                    batch = run_batch(protocol, rho, n, model, rng, 1)
+                except BudgetError as exc:
+                    with pytest.raises(BudgetError, match=re.escape(str(exc))):
+                        run_protocol(protocol, rho, n, model, rng)
+                    continue
+                result = run_protocol(protocol, rho, n, model, rng)
+                where = f"{model} {state} N={n}"
+                shots = sum(_shot_plan(protocol, n), [])
+                assert [rec.n_shots for rec in result.records] == shots, where
+                for field, attr in (("axes", "intended_axis"), ("realized", "realized_axis"),
+                                    ("n_plus", "n_plus")):
+                    got = np.array([getattr(rec, attr) for rec in result.records])
+                    assert np.array_equal(got, getattr(batch, field)[0]), f"{field} {where}"
+                assert np.array_equal(result.rho_hat, bloch_to_density(batch.bloch_hat[0])), where
+                if protocol.adapted_settings:
+                    # The fit on the first phase's records chose the adapted triplet.
+                    prelim = mle_batch(batch.axes[:, :3], shots[:3], batch.n_plus[:, :3])
+                    assert np.array_equal(batch.bloch_prelim, prelim), where
+                    assert np.array_equal(result.rho_prelim, bloch_to_density(prelim[0])), where
+                else:
+                    assert result.rho_prelim is None and batch.bloch_prelim is None, where
+                assert result.infidelity == batch.infidelity[0], where
+                assert result.total_shots == n, where
+                checked += 1
+    assert checked > 0
 
 
 def batch_or_error(protocol, rho, n, model, rng):
@@ -254,6 +292,37 @@ def test_closed_form_triplets():
     r = np.array(list(triggers.values()))
     for name, got, want in zip(triggers, mub_axes(r), map(scalar_axes, r)):
         assert np.array_equal(got, want), name
+
+
+def _direction(v):
+    v = np.asarray(v, dtype=float)
+    norm = np.linalg.norm(v)
+    return v / norm if norm > 1e-3 else np.array([0.0, 0.0, 1.0])
+
+
+_DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(_direction)
+# Corners of mub_axes: |r| around the 1e-9 threshold of the degenerate
+# branch, the surface |r| = 1, directions whose transverse component
+# sqrt(x^2 + y^2) lies around the 1e-6 threshold of the pole branch, and the
+# points where the closed form divides by zero.
+_EXACT = st.sampled_from([(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -0.3)]).map(np.array)
+_NEAR_ZERO = st.tuples(_DIRECTIONS, st.floats(-10.0, -8.0)).map(lambda t: t[0] * 10.0 ** t[1])
+_NEAR_POLE = st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(-8.0, -4.0),
+                       st.sampled_from([1.0, -1.0]), st.floats(0.1, 1.0)).map(
+    lambda t: t[3] * np.array([10.0 ** t[1] * math.cos(t[0]), 10.0 ** t[1] * math.sin(t[0]),
+                               t[2] * math.sqrt(1.0 - 10.0 ** (2 * t[1]))]))
+
+
+@settings(settings.get_profile("engine"))
+@given(st.lists(st.one_of(_NEAR_ZERO, _DIRECTIONS, _NEAR_POLE, _EXACT), min_size=1, max_size=4))
+def test_mub_axes_orthonormal_at_the_corners(rows):
+    r = np.array(rows)
+    axes = mub_axes(r)
+    for row, frame in zip(r, axes):
+        assert np.max(np.abs(frame @ frame.T - np.eye(3))) <= 1e-12, row
+        norm = np.linalg.norm(row)
+        if norm > 1e-9:
+            assert np.max(np.abs(frame[0] - row / norm)) <= 1e-12, row
 
 
 def test_bloch_fidelity_matches_matrix_form():

@@ -92,14 +92,12 @@ class TestRunCampaign:
         assert all(row.mean_infidelity >= 0.0 for row in result.rows)
         assert [row.n for row in result.rows] == [60, 120, 240]
 
-    def test_reproducible_and_thread_invariant(self):
+    def test_reproducible_across_runs(self):
         spec = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (90, 300), reps=2, seed=5)
-        serial = run_campaign(spec, threads=1)
-        again = run_campaign(spec, threads=1)
-        threaded = run_campaign(spec, threads=8)
-        assert serial.rows == again.rows
-        assert serial.rows == threaded.rows
-        assert serial.spec_hash == threaded.spec_hash
+        first = run_campaign(spec)
+        again = run_campaign(spec)
+        assert first.rows == again.rows
+        assert first.spec_hash == again.spec_hash
 
     def test_stderr_shrinks_with_reps(self):
         # The stderr ratio at a single grid point leaves the window on about
