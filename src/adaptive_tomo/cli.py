@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -159,6 +160,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Built on first use, not at import, and then once per process: parsing
+# leaves the parser unchanged.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="adaptive-tomo",
@@ -598,6 +602,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:
+        # argparse exits after printing --help (usage errors raise UsageError).
+        return exc.code
     try:
         return execute(config)
     except UsageError as exc:

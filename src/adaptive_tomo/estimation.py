@@ -253,14 +253,12 @@ def _newton_boundary(a_mat, b_vec) -> np.ndarray:
     # so from mu = 0, where phi < 0, the iterates rise monotonically to the
     # root.  Where rounding puts |r(0)| just below 1 although the Cramer solve
     # put it above, the root lies just left of 0; a step that would leave the
-    # domain goes halfway to its edge instead.
-    axx, axy, axz, ayy, ayz, azz = a_mat
-    mats = np.stack([np.stack([axx, axy, axz], -1),
-                     np.stack([axy, ayy, ayz], -1),
-                     np.stack([axz, ayz, azz], -1)], -2)
-    lam, q = np.linalg.eigh(mats)
+    # domain goes halfway to its edge instead.  One gather builds the
+    # (n, 3, 3) matrices from A's six entries; converged rows keep their
+    # eigen-coordinates t, and one back-rotation by Q ends the solve.
+    lam, q = np.linalg.eigh(a_mat[[0, 1, 2, 1, 3, 4, 2, 4, 5]].T.reshape(-1, 3, 3))
     beta = np.einsum("nji,nj->ni", q, b_vec.T)
-    out = np.empty((len(lam), 3))
+    t_out = np.empty((len(lam), 3))
     rows = np.arange(len(lam))
     mu = np.zeros(len(lam))
     for _ in range(_NEWTON_MAX_ITER):
@@ -269,11 +267,11 @@ def _newton_boundary(a_mat, b_vec) -> np.ndarray:
         n2 = np.sum(t * t, axis=1)
         norm = np.sqrt(n2)
         done = np.abs(norm - 1.0) < _NEWTON_TOL
-        out[rows[done]] = np.einsum("nij,nj->ni", q[done], t[done])
+        t_out[rows[done]] = t[done]
         keep = ~done
         if not keep.any():
-            return out
-        rows, lam, q, beta, mu = rows[keep], lam[keep], q[keep], beta[keep], mu[keep]
+            return np.einsum("nij,nj->ni", q, t_out)
+        rows, lam, beta, mu = rows[keep], lam[keep], beta[keep], mu[keep]
         t, d, n2, norm = t[keep], d[keep], n2[keep], norm[keep]
         step = mu + n2 * (norm - 1.0) / np.sum(t * t / d, axis=1)
         mu = np.maximum(step, 0.5 * (mu - lam[:, 0]))
@@ -292,15 +290,20 @@ def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarr
     optimum leaves the ball take Newton's method to ||r| - 1| < 1e-13, so the
     result agrees with ``mle`` to about 1e-11 rather than bit for bit.  Rows
     that repeat an axis (``mle`` merges such records) or whose axes do not
-    span Bloch space go through ``mle`` itself.
+    span Bloch space go through ``mle`` itself.  Axes repeat when every
+    component is equal as a float, so a -0.0 component matches 0.0 as it
+    does in ``merge_records``.
     Raises RuntimeError if Newton's method does not converge.
     """
     n_plus = np.asarray(n_plus)
     axes = np.broadcast_to(np.asarray(axes, dtype=float), n_plus.shape + (3,))
     shots = np.stack([np.broadcast_to(n, len(n_plus)) for n in shots], axis=1)
     merged = [(axes[:, m, :].T, shots[:, m], n_plus[:, m]) for m in range(shots.shape[1])]
-    same = np.all(axes[:, :, None, :] == axes[:, None, :, :], axis=-1)
-    scalar = (np.sum(same, axis=(1, 2)) > shots.shape[1]) | ~(_span_det(merged) > _SPAN_TOL)
+    x, y, z = axes[..., 0], axes[..., 1], axes[..., 2]
+    same = ((x[:, :, None] == x[:, None, :]) & (y[:, :, None] == y[:, None, :])
+            & (z[:, :, None] == z[:, None, :]))
+    scalar = ((np.count_nonzero(same, axis=(1, 2)) > shots.shape[1])
+              | ~(_span_det(merged) > _SPAN_TOL))
     out = np.empty((len(n_plus), 3))
     fast = np.flatnonzero(~scalar)
     a_mat, b_vec = map(np.array, _normal_equations(

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from adaptive_tomo import Adaptive, CampaignSpec, alpha_sweep
+from adaptive_tomo import Adaptive, CampaignSpec, alpha_sweep, cli
 from adaptive_tomo.cli import (
     OUTPUT_DIR_ENV,
     config_from_provenance,
@@ -125,10 +125,36 @@ class TestParsing:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_help_exits_zero(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--help"])
-        assert exc.value.code == 0
-        assert "--protocol" in capsys.readouterr().out
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: adaptive-tomo")
+        assert main(["run", "-h"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: adaptive-tomo run") and "--protocol" in out
+
+    def test_parser_is_built_once_and_keeps_no_state(self):
+        assert cli._build_parser() is cli._build_parser()
+        # Flags shared by both commands (alpha, model, error axis) would show
+        # a value left behind by the previous parse.
+        argvs = (
+            ["run", "--protocol", "adaptive", "--bogus"],
+            ["run", "--protocol", "adaptive", "--alpha", "0.3", "--model", "3",
+             "--e", "0.1", "--error-axis", "0,0,1", "--n-grid", "100,200", "--reps", "4"],
+            ["sweep-noise", "--model", "1", "--e-grid", "0.01,0.02"],
+        )
+
+        def outcome(argv):
+            try:
+                return parse_config(argv)
+            except UsageError as exc:
+                return str(exc)
+
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert isinstance(fresh[0], str) and fresh[2].alpha == 0.5
+        for _ in range(2):
+            assert [outcome(argv) for argv in argvs] == fresh
 
 
 class TestFixturesCommand:

@@ -16,7 +16,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adaptive_tomo import (
@@ -361,20 +361,19 @@ def objective(r, axes, shots, n_plus):
     return float(np.sum(np.asarray(shots) * (0.5 * (1.0 + axes @ r) - f) ** 2 / (ft * (1.0 - ft))))
 
 
-@settings(settings.get_profile("engine"))
-@given(record_batches())
-def test_batched_final_fit_matches_mle(batch):
-    axes, shots, n_plus = batch
+def scalar_fits_or_error(axes, shots, n_plus):
+    """``mle`` on each row, or None where it raises UnderdeterminedError."""
     expected = []
     for k in range(len(n_plus)):
         records = [CountRecord(a, a, n, int(p)) for a, n, p in zip(axes[k], shots, n_plus[k])]
         try:
             expected.append(density_to_bloch(mle(records).rho))
         except UnderdeterminedError:
-            with pytest.raises(UnderdeterminedError):
-                mle_batch(axes, shots, n_plus)
-            return
-    got = mle_batch(axes, shots, n_plus)
+            return None
+    return expected
+
+
+def assert_fits_match_mle(got, expected, axes, shots, n_plus):
     for k, want in enumerate(expected):
         # The batched fit is feasible and at least as good as the scalar one.
         assert np.linalg.norm(got[k]) <= 1.0 + 1e-12
@@ -390,15 +389,61 @@ def test_batched_final_fit_matches_mle(batch):
             assert np.max(np.abs(got[k] - want)) <= 1e-8
 
 
-def test_final_fit_merges_repeated_axes_like_mle():
-    z = [0.0, 0.0, 1.0]
-    axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], z, z])
+@settings(settings.get_profile("engine"))
+@given(record_batches())
+def test_batched_final_fit_matches_mle(batch):
+    axes, shots, n_plus = batch
+    expected = scalar_fits_or_error(axes, shots, n_plus)
+    if expected is None:
+        with pytest.raises(UnderdeterminedError):
+            mle_batch(axes, shots, n_plus)
+        return
+    assert_fits_match_mle(mle_batch(axes, shots, n_plus), expected, axes, shots, n_plus)
+
+
+@st.composite
+def split_and_shuffled(draw):
+    """A batch, and the same batch with one setting split into two records
+    on its axis (n1 + n2 = n shots, p1 + p2 = p counts) and the settings
+    shuffled."""
+    axes, shots, n_plus = draw(record_batches())
+    m = draw(st.integers(0, len(shots) - 1))
+    assume(shots[m] >= 2)
+    n1 = draw(st.integers(1, shots[m] - 1))
+    p1 = np.array([draw(st.integers(max(0, p - (shots[m] - n1)), min(p, n1)))
+                   for p in n_plus[:, m]])
+    split_shots = shots[:m] + [n1] + shots[m + 1:] + [shots[m] - n1]
+    split_plus = np.column_stack([n_plus, n_plus[:, m] - p1])
+    split_plus[:, m] = p1
+    order = draw(st.permutations(range(len(split_shots))))
+    split_axes = np.concatenate([axes, axes[:, m:m + 1]], axis=1)[:, order]
+    return (axes, shots, n_plus), (split_axes, [split_shots[i] for i in order],
+                                   split_plus[:, order])
+
+
+@settings(settings.get_profile("engine"))
+@given(split_and_shuffled())
+def test_final_fit_is_merge_and_permutation_invariant(batches):
+    (axes, shots, n_plus), split = batches
+    expected = scalar_fits_or_error(axes, shots, n_plus)
+    if expected is None:
+        with pytest.raises(UnderdeterminedError):
+            mle_batch(*split)
+        return
+    assert_fits_match_mle(mle_batch(*split), expected, axes, shots, n_plus)
+
+
+@pytest.mark.parametrize("z_repeat", [(0.0, 0.0, 1.0), (-0.0, -0.0, 1.0)],
+                         ids=["same-bits", "signed-zero"])
+def test_final_fit_merges_repeated_axes_like_mle(z_repeat):
+    # An adapted triplet yields (-0.0, -0.0, 1.0) where the preliminary fit's
+    # transverse components are exactly 0; it repeats Pauli z as a float.
+    axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], z_repeat])
     shots, n_plus = [50, 50, 40, 60], np.array([[45, 20, 39, 58]])
     records = [CountRecord(np.array(a), np.array(a), n, int(p))
                for a, n, p in zip(axes, shots, n_plus[0])]
     want = density_to_bloch(mle(records).rho)
     assert np.max(np.abs(mle_batch(axes, shots, n_plus)[0] - want)) <= 1e-15
-
 
 
 @st.composite
