@@ -9,13 +9,15 @@ fit          re-fit a previously emitted campaign CSV
 fixtures     print the named reference states and their sanity-check values
 
 Every option can also be given in a flat ``key = value`` config file
-(``--config``); explicit flags override file values.  Numeric grids accept
+(``--config``); a key is the option's RunConfig field or its flag without the
+dashes, with ``-`` and ``_`` interchangeable, and explicit flags override file
+values.  ``--n`` is another spelling of ``--n-grid``.  Numeric grids accept
 either comma lists (``100,1000,10000``) or ``start:stop:count`` for
 log-spaced points; exponents may be fractional (``1e-1.5``).
 
 Outputs are written atomically into the output directory (``--out``, or the
 ``ADAPTIVE_TOMO_OUT`` environment variable, or the working directory).  Exit
-status is 0 on success, 1 on runtime failure, 2 on usage errors.
+status is 0 on success, 2 on usage errors and 1 on any other failure.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from typing import Optional, Sequence, get_args
 import numpy as np
 
 from . import __version__
-from .errors import TomographyError, UsageError
+from .errors import UsageError
 from .fixtures import NAMED_STATES, named_state
 from .harness import (
     CampaignResult,
@@ -153,6 +155,59 @@ def parse_axis(text: str) -> tuple[float, float, float]:
     return (parts[0] / norm, parts[1] / norm, parts[2] / norm)
 
 
+def _protocol_list(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _parse_bool(text: str) -> bool:
+    return text.strip().lower() in ("1", "true", "yes")
+
+
+_COMMANDS = {
+    "run": "run one campaign",
+    "sweep-alpha": "sweep the preliminary fraction",
+    "sweep-noise": "noise-floor sweep over E",
+    "fit": "re-fit an emitted campaign CSV",
+    "fixtures": "print the named reference states",
+}
+_ALL = tuple(_COMMANDS)
+_ERROR_COMMANDS = ("run", "sweep-alpha", "sweep-noise")
+
+# Every option, declared once: (RunConfig field, flag, value parser, commands
+# that take the flag, help).  The argparse tree, the parsers of flag and
+# config-file values and the accepted config-file keys all derive from it.
+_OPTIONS = (
+    ("out_dir", "--out", str, _ALL, "output directory"),
+    ("seed", "--seed", int, _ALL, "master seed (default 0)"),
+    ("reps", "--reps", int, _ALL, "repetitions per grid point (default 150)"),
+    ("state", "--state", str, _ALL, "named state (eq7, eq10) or Bloch triple x,y,z"),
+    ("gnuplot", "--gnuplot", _parse_bool, _ALL, "also emit a gnuplot script for the CSV"),
+    ("protocol", "--protocol", str, ("run",), "|".join(_PROTOCOLS)),
+    ("alpha", "--alpha", parse_float, ("run", "sweep-noise"),
+     "preliminary fraction for adaptive/reduced"),
+    ("exponent", "--exponent", parse_float, ("run",), "preliminary exponent for adaptive-pow"),
+    ("n_grid", "--n", parse_n_grid, ("run",), "another spelling of --n-grid"),
+    ("n_grid", "--n-grid", parse_n_grid, ("run", "sweep-alpha"),
+     "comma list or start:stop:count"),
+    ("alphas", "--alpha-grid", parse_float_grid, ("sweep-alpha",), "comma list of fractions"),
+    ("model", "--model", str, _ERROR_COMMANDS, "error model: none, 1, 2 or 3"),
+    ("e_value", "--e", parse_float, ("run", "sweep-alpha"), "error magnitude in radians"),
+    ("error_axis", "--error-axis", parse_axis, _ERROR_COMMANDS,
+     "fixed rotation axis for model 3 (x,y,z)"),
+    ("protocols", "--protocols", _protocol_list, ("sweep-noise",),
+     "comma list of " + "|".join(_PROTOCOLS)),
+    ("e_grid", "--e-grid", parse_float_grid, ("sweep-noise",), "comma list or start:stop:count"),
+    ("n_start", "--n-start", int, ("sweep-noise",), "floor-search ladder start"),
+    ("n_cap", "--n-cap", int, ("sweep-noise",), "floor-search sample cap"),
+    ("csv_path", "--csv", str, ("fit",), "campaign CSV to fit"),
+)
+_PARSERS = {field: parse for field, _, parse, _, _ in _OPTIONS}
+# A config-file key is a field name or a flag without its dashes; "-" and
+# "_" are interchangeable.
+_FILE_KEYS = {key: field for field, flag, *_ in _OPTIONS
+              for key in (field, flag.lstrip("-").replace("-", "_"))}
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with status 2 on a usage error; raising instead lets
     # ``main`` report it and return 2 to a caller that imported it.
@@ -169,92 +224,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate static and adaptive single-qubit tomography.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, command_help in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--seed", help="master seed (default 0)")
-        p.add_argument("--reps", help="repetitions per grid point (default 150)")
-        p.add_argument("--state", help="named state (eq7, eq10) or Bloch triple x,y,z")
-        p.add_argument("--gnuplot", action="store_const", const="true",
-                       help="also emit a gnuplot script for the CSV")
-
-    p_run = sub.add_parser("run", help="run one campaign")
-    common(p_run)
-    p_run.add_argument("--protocol", help="|".join(_PROTOCOLS))
-    p_run.add_argument("--alpha", help="preliminary fraction for adaptive/reduced")
-    p_run.add_argument("--exponent", help="preliminary exponent for adaptive-pow")
-    p_run.add_argument("--n", help="single sample size")
-    p_run.add_argument("--n-grid", dest="n_grid", help="comma list or start:stop:count")
-
-    p_alpha = sub.add_parser("sweep-alpha", help="sweep the preliminary fraction")
-    common(p_alpha)
-    p_alpha.add_argument("--alpha-grid", dest="alphas", help="comma list of fractions")
-    p_alpha.add_argument("--n-grid", dest="n_grid", help="comma list or start:stop:count")
-    for p in (p_run, p_alpha):
-        p.add_argument("--model", help="error model: none, 1, 2 or 3")
-        p.add_argument("--e", dest="e_value", help="error magnitude in radians")
-        p.add_argument("--error-axis", dest="error_axis",
-                       help="fixed rotation axis for model 3 (x,y,z)")
-
-    p_noise = sub.add_parser("sweep-noise", help="noise-floor sweep over E")
-    common(p_noise)
-    p_noise.add_argument("--model", help="error model: 1, 2 or 3")
-    p_noise.add_argument("--protocols", help="comma list of " + "|".join(_PROTOCOLS))
-    p_noise.add_argument("--e-grid", dest="e_grid", help="comma list or start:stop:count")
-    p_noise.add_argument("--error-axis", dest="error_axis",
-                         help="fixed rotation axis for model 3 (x,y,z)")
-    p_noise.add_argument("--alpha", help="preliminary fraction for adaptive/reduced")
-    p_noise.add_argument("--n-start", dest="n_start", help="floor-search ladder start")
-    p_noise.add_argument("--n-cap", dest="n_cap", help="floor-search sample cap")
-
-    p_fit = sub.add_parser("fit", help="re-fit an emitted campaign CSV")
-    common(p_fit)
-    p_fit.add_argument("--csv", dest="csv_path", help="campaign CSV to fit")
-
-    p_fixtures = sub.add_parser("fixtures", help="print the named reference states")
-    common(p_fixtures)
-
+        for field, flag, parse, commands, option_help in _OPTIONS:
+            if command in commands:
+                # A switch stores the text a config file would give it.
+                switch = {"action": "store_const", "const": "true"} if parse is _parse_bool else {}
+                p.add_argument(flag, dest=field, help=option_help, **switch)
     return parser
 
 
-_KEY_PARSERS = {
-    "protocol": str,
-    "alpha": parse_float,
-    "exponent": parse_float,
-    "state": str,
-    "n": parse_n_grid,
-    "n_grid": parse_n_grid,
-    "reps": int,
-    "model": str,
-    "e_value": parse_float,
-    "error_axis": parse_axis,
-    "seed": int,
-    "out_dir": str,
-    "alphas": parse_float_grid,
-    "protocols": lambda s: tuple(name.strip() for name in s.split(",") if name.strip()),
-    "e_grid": parse_float_grid,
-    "n_start": int,
-    "n_cap": int,
-    "csv_path": str,
-    "gnuplot": lambda s: s.strip().lower() in ("1", "true", "yes"),
-}
-
-# Flag spellings whose destination is not the flag with "-" read as "_".
-_FILE_KEY_ALIASES = {
-    "e": "e_value",
-    "alpha-grid": "alphas",
-    "e-grid": "e_grid",
-    "out": "out_dir",
-    "csv": "csv_path",
-}
-
-
-def _parse_value(key: str, text: str, where: str = ""):
+def _parse_value(field: str, text: str, where: str = ""):
     try:
-        return _KEY_PARSERS[key](text)
+        return _PARSERS[field](text)
     except (UsageError, ValueError) as exc:
-        raise UsageError(f"{where}bad value for {key}: {exc}") from None
+        raise UsageError(f"{where}bad value for {field}: {exc}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -273,30 +258,19 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        key = _FILE_KEY_ALIASES.get(key, key.replace("-", "_"))
-        if key not in _KEY_PARSERS:
+        field = _FILE_KEYS.get(key.replace("-", "_"))
+        if field is None:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, value, f"{path}:{lineno}: ")
+        values[field] = _parse_value(field, value, f"{path}:{lineno}: ")
     return values
 
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Resolve argv (and any --config file) into a validated RunConfig."""
     ns = _build_parser().parse_args(argv)
-    given = {key: _parse_value(key, value) for key, value in vars(ns).items()
-             if value is not None and key not in ("command", "config")}
-    from_file: dict = _read_config_file(ns.config) if ns.config else {}
-    merged: dict = {**from_file, **given}
-
-    # A single sample size and a grid are the same option; within each source
-    # the explicit single value wins, and flags beat the file as usual.
-    merged.pop("n", None)
-    for source in (from_file, given):
-        if "n" in source:
-            merged["n_grid"] = source["n"]
-        elif "n_grid" in source:
-            merged["n_grid"] = source["n_grid"]
-
+    given = {field: _parse_value(field, value) for field, value in vars(ns).items()
+             if value is not None and field not in ("command", "config")}
+    merged = {**(_read_config_file(ns.config) if ns.config else {}), **given}
     if not merged.get("out_dir"):
         merged["out_dir"] = os.environ.get(OUTPUT_DIR_ENV, ".")
     config = RunConfig(command=ns.command, **merged)
@@ -326,6 +300,8 @@ def _validate(config: RunConfig) -> None:
                          f"got {config.n_grid}")
     if any(not 0.0 < a < 1.0 for a in config.alphas):
         raise UsageError(f"alpha grid values must be in (0, 1), got {config.alphas}")
+    if not config.protocols:
+        raise UsageError("--protocols names no protocol")
     for name in config.protocols:
         if name not in _PROTOCOLS:
             raise UsageError(f"unknown protocol {name!r} in --protocols")
@@ -414,25 +390,14 @@ def _campaign_csv(results: Sequence[CampaignResult]) -> str:
 
 
 def _fit_entry(name: str, fit: ScalingFit) -> dict:
-    return {
-        "protocol": name,
-        "beta": fit.beta,
-        "p": fit.p,
-        "sigma_p": fit.sigma_p,
-        "sigma_beta": fit.sigma_beta,
-        "fit_range": [fit.fit_range[0], fit.fit_range[1]],
-    }
+    return {"protocol": name, **asdict(fit)}
 
 
 def _fits_from_rows(rows: Sequence[tuple[str, int, float]]) -> list[dict]:
-    order: list[str] = []
     grouped: dict[str, list[tuple[int, float]]] = {}
     for name, n, mean in rows:
-        if name not in grouped:
-            grouped[name] = []
-            order.append(name)
-        grouped[name].append((n, mean))
-    return [_fit_entry(name, fit_power_law(grouped[name])) for name in order]
+        grouped.setdefault(name, []).append((n, mean))
+    return [_fit_entry(name, fit_power_law(points)) for name, points in grouped.items()]
 
 
 def _json(payload: dict) -> str:
@@ -441,12 +406,11 @@ def _json(payload: dict) -> str:
 
 def config_from_provenance(data: dict) -> RunConfig:
     """Rebuild the resolved RunConfig from a provenance JSON payload."""
-    raw = dict(data["config"])
+    # JSON writes every tuple field as a list.
+    raw = {key: tuple(value) if isinstance(value, list) else value
+           for key, value in data["config"].items()}
     # Provenance written before the no-op ``threads`` option was removed.
     raw.pop("threads", None)
-    for key in ("n_grid", "alphas", "protocols", "e_grid", "error_axis"):
-        if key in raw and isinstance(raw[key], list):
-            raw[key] = tuple(raw[key])
     return RunConfig(**raw)
 
 
@@ -597,32 +561,25 @@ def _floors_csv(results: Sequence[NoiseFloorResult], config: RunConfig) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    config = None
     try:
         config = parse_config(argv)
+        return execute(config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
         # argparse exits after printing --help (usage errors raise UsageError).
         return exc.code
-    try:
-        return execute(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TomographyError, ValueError, RuntimeError, AssertionError, OverflowError) as exc:
-        # RuntimeError: a boundary solver did not converge; AssertionError: a
-        # protocol's budget leaked; OverflowError: a sample size too large for
-        # the binomial sampler.  All are runtime failures, not tracebacks.
-        print(
-            f"error: {type(exc).__name__}: {exc} "
-            f"(protocol={config.protocol}, n_grid={config.n_grid}, "
-            f"model={config.model}, E={config.e_value})",
-            file=sys.stderr,
-        )
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # Every other failure is a runtime failure, not a traceback: a boundary
+        # solver that did not converge (RuntimeError), a leaked budget
+        # (AssertionError), an N too large for the sampler (OverflowError), an
+        # unwritable output directory (OSError), ...
+        context = "" if config is None else (
+            f" (protocol={config.protocol}, n_grid={config.n_grid}, "
+            f"model={config.model}, E={config.e_value})")
+        print(f"error: {type(exc).__name__}: {exc}{context}", file=sys.stderr)
         return 1
 
 

@@ -160,7 +160,8 @@ def mle(records: Sequence[CountRecord]) -> Estimate:
 
     Solves the unconstrained weighted least-squares problem; if that solution
     is unphysical, finds the surface minimum by a monotone bisection on the
-    Lagrange multiplier mu in r(mu) = (A + mu I)^-1 b.
+    Lagrange multiplier mu in r(mu) = (A + mu I)^-1 b, scaled onto the
+    surface if rounding stops the bisection short of it.
     """
     # Plain floats keep the scalar arithmetic on Python floats.
     merged = [(axis.tolist(), shots, plus) for axis, shots, plus in merge_records(records)]
@@ -232,7 +233,11 @@ def _boundary_solution(a_mat, b_vec):
         else:
             hi = mid
             best = (norm, r)
-    return best[1], best[0]
+    # Rounding in an ill-conditioned Cramer solve can keep the radius from
+    # reaching 1 within _RADIUS_TOL; the last point inside, left as it was,
+    # could lie 6e-8 short of the surface, where the objective is steep.
+    norm, r = best
+    return (r[0] / norm, r[1] / norm, r[2] / norm), 1.0
 
 
 # Batched fits over the repetitions of one grid point.  A batch holds A as a

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -80,6 +81,59 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_config(["run", "--config", str(cfg)])
 
+    def test_empty_protocol_list_in_a_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("protocols = ,\n")
+        assert main(["sweep-noise", "--model", "1", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    FILE_KEYS = [
+        ("n = 60,120", "n_grid", (60, 120)),
+        ("n-grid = 60,120", "n_grid", (60, 120)),
+        ("alpha-grid = 0.2,0.4", "alphas", (0.2, 0.4)),
+        ("alpha_grid = 0.2,0.4", "alphas", (0.2, 0.4)),
+        ("alphas = 0.2,0.4", "alphas", (0.2, 0.4)),
+        ("e = 0.01", "e_value", 0.01),
+        ("e-value = 0.01", "e_value", 0.01),
+        ("out = results", "out_dir", "results"),
+        ("csv = a.csv", "csv_path", "a.csv"),
+        ("error-axis = 0,0,2", "error_axis", (0.0, 0.0, 1.0)),
+        ("gnuplot = yes", "gnuplot", True),
+    ]
+
+    @pytest.mark.parametrize("line, field, value", FILE_KEYS,
+                             ids=[line.split(" = ")[0] for line, _, _ in FILE_KEYS])
+    def test_config_file_key_is_a_field_or_a_flag(self, line, field, value, tmp_path):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(line + "\n")
+        assert getattr(parse_config(["run", "--config", str(cfg)]), field) == value
+
+    def test_n_is_another_spelling_of_n_grid(self, tmp_path):
+        assert parse_config(["run", "--n", "60", "--n-grid", "70,80"]).n_grid == (70, 80)
+        assert parse_config(["run", "--n-grid", "70,80", "--n", "60"]).n_grid == (60,)
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("n = 60\nn_grid = 70,80\n")
+        assert parse_config(["run", "--config", str(cfg)]).n_grid == (70, 80)
+        assert parse_config(["run", "--config", str(cfg), "--n", "90"]).n_grid == (90,)
+
+    def test_each_command_takes_its_flags(self):
+        common = {"--config", "--out", "--seed", "--reps", "--state", "--gnuplot", "-h",
+                  "--help"}
+        error_model = {"--model", "--e", "--error-axis"}
+        expected = {
+            "run": common | error_model | {"--protocol", "--alpha", "--exponent", "--n",
+                                           "--n-grid"},
+            "sweep-alpha": common | error_model | {"--alpha-grid", "--n-grid"},
+            "sweep-noise": common | {"--model", "--error-axis", "--protocols", "--e-grid",
+                                     "--alpha", "--n-start", "--n-cap"},
+            "fit": common | {"--csv"},
+            "fixtures": common,
+        }
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert {command: {flag for action in parser._actions for flag in action.option_strings}
+                for command, parser in sub.choices.items()} == expected
+
     def test_unreadable_config_file_is_a_usage_error(self, tmp_path, capsys):
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes("seed = 1  # caf\xe9\n".encode("latin-1"))
@@ -92,8 +146,10 @@ class TestParsing:
         assert "alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [[], ["run", "--bogus"],
-                                      ["sweep-alpha", "--protocols", "static"]],
-                             ids=["no-command", "unknown-flag", "flag-of-another-command"])
+                                      ["sweep-alpha", "--protocols", "static"],
+                                      ["sweep-noise", "--model", "1", "--protocols", ","]],
+                             ids=["no-command", "unknown-flag", "flag-of-another-command",
+                                  "empty-protocols"])
     def test_argparse_error_exit_code(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -201,12 +257,30 @@ class TestRunCommand:
                      "--out", str(fit_dir)]) == 0
         assert (run_dir / "fit.json").read_bytes() == (fit_dir / "fit.json").read_bytes()
 
-    def test_provenance_round_trip(self, tmp_path, capsys):
-        argv = ["run", "--protocol", "adaptive-pow", "--n-grid", "60,120", "--reps", "2",
-                "--seed", "11", "--out", str(tmp_path)]
+    @pytest.mark.parametrize("argv", [
+        ["run", "--protocol", "adaptive-pow", "--n-grid", "60,120", "--reps", "2",
+         "--seed", "11"],
+        ["sweep-alpha", "--alpha-grid", "0.3,0.6", "--n-grid", "60,120,240", "--reps", "2",
+         "--model", "3", "--e", "0.05", "--error-axis", "0,1,1"],
+        ["sweep-noise", "--model", "3", "--protocols", "known-basis,static",
+         "--e-grid", "0.05,0.1", "--error-axis", "1,0,1", "--reps", "4",
+         "--n-start", "100", "--n-cap", "400"],
+        ["fit", "--csv", "campaign.csv"],
+    ], ids=["run", "sweep-alpha", "sweep-noise", "fit"])
+    def test_provenance_round_trip(self, argv, tmp_path, capsys, monkeypatch):
+        # JSON turns every tuple field (n_grid, alphas, protocols, e_grid,
+        # error_axis) into a list; the rebuilt RunConfig must hold tuples again.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "campaign.csv").write_text(
+            "protocol,N,reps,mean_infidelity,stderr,seed\r\n"
+            "static,100,2,0.1,0.01,0\r\n"
+            "static,200,2,0.05,0.01,0\r\n"
+            "static,400,2,0.02,0.01,0\r\n"
+        )
+        argv = argv + ["--out", str(tmp_path / "out")]
         expected = parse_config(argv)
         assert main(argv) == 0
-        payload = json.loads((tmp_path / "provenance.json").read_text())
+        payload = json.loads((tmp_path / "out" / "provenance.json").read_text())
         assert config_from_provenance(payload) == expected
         assert payload["stream_version"] == 2
         assert set(payload["environment"]) == {"python", "numpy", "platform", "nproc"}
@@ -325,8 +399,23 @@ class TestRuntimeFailureExitCodes:
     def run_failing(self, tmp_path, capsys, error):
         assert main(self.ARGV + ["--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
         assert error in err
         assert "protocol=adaptive" in err and "n_grid=(1000,)" in err
+
+    def test_unanticipated_exception(self, tmp_path, capsys, monkeypatch):
+        def broken(spec):
+            raise KeyError("lost key")
+
+        monkeypatch.setattr(cli, "run_campaign", broken)
+        self.run_failing(tmp_path, capsys, "error: KeyError: 'lost key'")
+
+    def test_unwritable_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "a-file"
+        out.write_text("")
+        assert main(self.ARGV + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileExistsError: ") and "protocol=adaptive" in err
 
     def test_diverged_boundary_search(self, tmp_path, capsys, monkeypatch):
         import adaptive_tomo.protocols as protocols

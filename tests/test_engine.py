@@ -41,6 +41,7 @@ from adaptive_tomo import (
     density_to_bloch,
     eigendecompose,
     fidelity,
+    merge_records,
     mle,
     mub_triplet,
     run_campaign,
@@ -399,6 +400,50 @@ def test_batched_final_fit_matches_mle(batch):
             mle_batch(axes, shots, n_plus)
         return
     assert_fits_match_mle(mle_batch(axes, shots, n_plus), expected, axes, shots, n_plus)
+
+
+def local_grid_clipped_to_ball(center):
+    """``center`` and the points 1e-2, 1e-4 and 1e-6 away from it along the
+    26 grid directions, radially projected into the Bloch ball."""
+    steps = np.array(np.meshgrid(*[(-1.0, 0.0, 1.0)] * 3, indexing="ij")).reshape(3, -1).T
+    points = center + np.concatenate([h * steps for h in (1e-2, 1e-4, 1e-6)])
+    return points / np.maximum(1.0, np.linalg.norm(points, axis=1, keepdims=True))
+
+
+def merged_objective(points, axes, shots, n_plus):
+    """The hedged objective and its gradient at each of ``points``, and the
+    condition number of the normal equations, on the records with repeated
+    axes merged, as both fits define them."""
+    merged = merge_records(CountRecord(a, a, n, int(p)) for a, n, p in zip(axes, shots, n_plus))
+    axes = np.array([a for a, _, _ in merged])
+    shots, plus = np.array([[n, p] for _, n, p in merged], dtype=float).T
+    ft = (plus + 0.5) / (shots + 1.0)
+    weights = shots / (ft * (1.0 - ft))
+    residuals = 0.5 * (1.0 + points @ axes.T) - plus / shots
+    return (np.sum(weights * residuals**2, axis=1), (weights * residuals) @ axes,
+            np.linalg.cond((axes.T * weights) @ axes))
+
+
+@settings(settings.get_profile("engine"))
+@given(record_batches())
+def test_fits_stay_in_the_ball_and_beat_a_local_grid(batch):
+    axes, shots, n_plus = batch
+    scalar = scalar_fits_or_error(axes, shots, n_plus)
+    if scalar is None:
+        return
+    for k, fits in enumerate(zip(mle_batch(axes, shots, n_plus), scalar)):
+        for solver, r in zip(("mle_batch", "mle"), fits):
+            assert np.linalg.norm(r) <= 1.0 + 1e-12
+            values, gradients, cond = merged_objective(
+                np.vstack([r, local_grid_clipped_to_ball(r)]), axes[k], shots, n_plus[k])
+            if solver == "mle" and cond > 1e6:
+                # Beyond that the rounding of the scalar Cramer solve moves
+                # the fit by more than the slack allows (3e-8 seen at 3e6).
+                continue
+            # Both fits stop within 1e-12 of the surface, which costs up to
+            # |gradient| * 1e-12 where counts of 0 or N weight an axis by ~1e11.
+            slack = 1e-9 * (1.0 + values[0]) + 1e-12 * np.linalg.norm(gradients[0])
+            assert values[0] <= values[1:].min() + slack
 
 
 @st.composite

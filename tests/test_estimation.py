@@ -261,6 +261,16 @@ class TestMle:
         null = err.value.null_direction
         assert abs(abs(float(null[2])) - 1.0) < 1e-9
 
+    def test_surface_fit_reaches_the_surface_on_ill_conditioned_data(self):
+        # Weights of 3e9 on one axis beside single shots: the Cramer radius is
+        # noisy at 1e-11 near the root, so the bisection cannot meet 1e-12.
+        diagonal = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
+        records = [CountRecord(Z, Z, 3, 0), CountRecord(X, X, 1, 0),
+                   CountRecord(diagonal, diagonal, 37763, 0)]
+        est = mle(records)
+        assert est.on_boundary
+        assert abs(np.linalg.norm(density_to_bloch(est.rho)) - 1.0) <= 1e-12
+
     def test_duplicate_axes_merge_before_solving(self):
         split = [
             CountRecord(Z, Z, 10, 5),
