@@ -39,6 +39,7 @@ import numpy as np
 
 from . import __version__
 from .errors import UsageError
+from .estimation import ESTIMATOR_VERSION
 from .fixtures import NAMED_STATES, named_state
 from .harness import (
     CampaignResult,
@@ -529,6 +530,7 @@ def execute(config: RunConfig) -> int:
                    "platform": platform.platform(), "nproc": os.cpu_count()}
     files["provenance.json"] = _json({"artifact_version": __version__,
                                       "stream_version": STREAM_VERSION,
+                                      "estimator_version": ESTIMATOR_VERSION,
                                       "environment": environment,
                                       "config": asdict(config)})
     for filename, data in files.items():
@@ -575,10 +577,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Every other failure is a runtime failure, not a traceback: a boundary
         # solver that did not converge (RuntimeError), a leaked budget
         # (AssertionError), an N too large for the sampler (OverflowError), an
-        # unwritable output directory (OSError), ...
-        context = "" if config is None else (
-            f" (protocol={config.protocol}, n_grid={config.n_grid}, "
-            f"model={config.model}, E={config.e_value})")
+        # unwritable output directory (OSError), ...  The context names the
+        # options the command takes.
+        context = "" if config is None else " ({})".format(", ".join(
+            f"{field}={getattr(config, field)}"
+            for field in dict.fromkeys(field for field, _, _, commands, _ in _OPTIONS
+                                       if config.command in commands)))
         print(f"error: {type(exc).__name__}: {exc}{context}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,14 @@ where E_k is the +1 projector of record k's *intended* axis, f_k = n_k / N_k
 is the observed frequency, and ft_k = (n_k + 1/2) / (N_k + 1) is an add-half
 hedged frequency used in the denominator only, keeping weights finite at
 f_k in {0, 1}.  Estimators never see realized axes.
+
+There is one estimator, ``mle_batch``; ``mle`` is its one-row case.  With
+weights w_k = N_k / (ft_k (1 - ft_k)), the objective of a Bloch vector r is
+|D r - y|^2 / 4 for the weighted design D = sqrt(w) axes and data
+y = sqrt(w) (2 f - 1).  Counts of 0 or N give weights near 2 N^2, beside
+weights near 4 N for balanced counts, so the normal equations D^T D r =
+D^T y, whose condition number is the square of D's, lose about eps cond(D)^2
+at large N.  The estimator factors [D | y] instead.
 """
 from __future__ import annotations
 
@@ -22,11 +30,11 @@ from .errors import InsufficientDataError, UnderdeterminedError
 from .measurement import PAULI_AXES, CountRecord
 from .states import bloch_to_density, density_to_bloch
 
+# Version of the fitting arithmetic, recorded in provenance beside the stream
+# version: 1 solved the normal equations, 2 factors the weighted design by QR.
+ESTIMATOR_VERSION = 2
 BOUNDARY_TOL = 1e-9
-_RADIUS_TOL = 1e-12
 _SPAN_TOL = 1e-9
-# Multiplier beyond which the boundary search is declared diverged.
-_MU_LIMIT = 1e300
 # Newton's method on the secular equation, used by mle_batch.
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 100
@@ -103,166 +111,50 @@ def negative_loglikelihood(rho: np.ndarray, records: Sequence[CountRecord]) -> f
     total = 0.0
     for axis, shots, plus in merge_records(records):
         f = plus / shots
-        ft = hedged_frequency(plus, shots)
+        # 1 - ft is the hedged frequency of the -1 outcome, not a subtraction
+        # that loses its digits at counts of N.
+        hedge = hedged_frequency(plus, shots) * hedged_frequency(shots - plus, shots)
         predicted = 0.5 * (1.0 + float(np.dot(axis, r)))
-        total += shots * (predicted - f) ** 2 / (ft * (1.0 - ft))
+        total += shots * (predicted - f) ** 2 / hedge
     return total
-
-
-def _normal_equations(merged):
-    # l(r) = (1/4) sum_k w_k (a_k . r - c_k)^2  =>  A r = b at the minimum.
-    # A is symmetric 3x3, kept as its six independent entries.  Axis
-    # components and counts may be arrays over a batch of record sets; the
-    # arithmetic is elementwise and identical for scalars.
-    axx = axy = axz = ayy = ayz = azz = 0.0
-    bx = by = bz = 0.0
-    for axis, shots, plus in merged:
-        ax, ay, az = axis[0], axis[1], axis[2]
-        f = plus / shots
-        ft = hedged_frequency(plus, shots)
-        w = shots / (ft * (1.0 - ft))
-        wc = w * (2.0 * f - 1.0)
-        axx += w * ax * ax
-        axy += w * ax * ay
-        axz += w * ax * az
-        ayy += w * ay * ay
-        ayz += w * ay * az
-        azz += w * az * az
-        bx += wc * ax
-        by += wc * ay
-        bz += wc * az
-    return (axx, axy, axz, ayy, ayz, azz), (bx, by, bz)
-
-
-def _solve3_sym(a, b, shift: float = 0.0):
-    # Cramer solve of (A + shift*I) r = b for symmetric 3x3 A.
-    axx, axy, axz, ayy, ayz, azz = a
-    axx = axx + shift
-    ayy = ayy + shift
-    azz = azz + shift
-    c00 = ayy * azz - ayz * ayz
-    c01 = axz * ayz - axy * azz
-    c02 = axy * ayz - axz * ayy
-    det = axx * c00 + axy * c01 + axz * c02
-    c11 = axx * azz - axz * axz
-    c12 = axy * axz - axx * ayz
-    c22 = axx * ayy - axy * axy
-    bx, by, bz = b
-    return (
-        (c00 * bx + c01 * by + c02 * bz) / det,
-        (c01 * bx + c11 * by + c12 * bz) / det,
-        (c02 * bx + c12 * by + c22 * bz) / det,
-    )
 
 
 def mle(records: Sequence[CountRecord]) -> Estimate:
     """Global minimiser of the quadratic log-likelihood over the Bloch ball.
 
-    Solves the unconstrained weighted least-squares problem; if that solution
-    is unphysical, finds the surface minimum by a monotone bisection on the
-    Lagrange multiplier mu in r(mu) = (A + mu I)^-1 b, scaled onto the
-    surface if rounding stops the bisection short of it.
+    The records are merged (``merge_records``) and fitted as a one-row
+    ``mle_batch``.
     """
-    # Plain floats keep the scalar arithmetic on Python floats.
-    merged = [(axis.tolist(), shots, plus) for axis, shots, plus in merge_records(records)]
+    merged = merge_records(records)
     if not merged:
         raise InsufficientDataError("no records with shots")
-    _check_span(merged)
-    a_mat, b_vec = _normal_equations(merged)
-    r = _solve3_sym(a_mat, b_vec)
-    norm = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
-    if norm > 1.0:
-        r, norm = _boundary_solution(a_mat, b_vec)
+    axes, shots, plus = zip(*merged)
+    r = mle_batch(np.array(axes), shots, np.array([plus]))[0]
     rho = bloch_to_density(r)
     objective = negative_loglikelihood(rho, records)
-    return Estimate(rho, objective, abs(norm - 1.0) <= BOUNDARY_TOL)
+    return Estimate(rho, objective, abs(math.sqrt(r @ r) - 1.0) <= BOUNDARY_TOL)
 
 
-def _span_det(merged):
-    # Unweighted Gram determinant of the axis set; its square root is the
-    # volume spanned, so near-zero means a rank-deficient axis set.  Like
-    # _normal_equations, it also evaluates a batch elementwise.
-    gxx = gxy = gxz = gyy = gyz = gzz = 0.0
-    for axis, _, _ in merged:
-        ax, ay, az = axis[0], axis[1], axis[2]
-        gxx += ax * ax
-        gxy += ax * ay
-        gxz += ax * az
-        gyy += ay * ay
-        gyz += ay * az
-        gzz += az * az
-    return (
-        gxx * (gyy * gzz - gyz * gyz)
-        + gxy * (gxz * gyz - gxy * gzz)
-        + gxz * (gxy * gyz - gxz * gyy)
-    )
+def _sum_settings(terms):
+    # Sum over axis 0 (the settings) in setting order, so that a row's sum
+    # does not depend on the other rows of the batch.
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
-def _check_span(merged) -> None:
-    if _span_det(merged) > _SPAN_TOL:
-        return
-    axes = np.array([axis for axis, _, _ in merged])
-    _, _, vt = np.linalg.svd(axes)
-    null = vt[-1]
-    raise UnderdeterminedError(
-        f"measurement axes do not span Bloch space; "
-        f"unconstrained direction ~ ({null[0]:.6f}, {null[1]:.6f}, {null[2]:.6f})",
-        null,
-    )
-
-
-def _boundary_solution(a_mat, b_vec):
-    def radius(mu: float):
-        r = _solve3_sym(a_mat, b_vec, mu)
-        return math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]), r
-
-    lo = 0.0
-    hi = max(a_mat[0] + a_mat[3] + a_mat[5], 1.0)
-    while radius(hi)[0] > 1.0:
-        hi *= 4.0
-        if hi > _MU_LIMIT:
-            raise RuntimeError("boundary multiplier search diverged")
-    best = radius(hi)
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        norm, r = radius(mid)
-        if abs(norm - 1.0) < _RADIUS_TOL:
-            return r, norm
-        if norm > 1.0:
-            lo = mid
-        else:
-            hi = mid
-            best = (norm, r)
-    # Rounding in an ill-conditioned Cramer solve can keep the radius from
-    # reaching 1 within _RADIUS_TOL; the last point inside, left as it was,
-    # could lie 6e-8 short of the surface, where the objective is steep.
-    norm, r = best
-    return (r[0] / norm, r[1] / norm, r[2] / norm), 1.0
-
-
-# Batched fits over the repetitions of one grid point.  A batch holds A as a
-# (6, n) array of matrix entries and b as a (3, n) array, from
-# _normal_equations on array counts.
-
-
-def _radius(a_mat, b_vec, mu):
-    r = _solve3_sym(a_mat, b_vec, mu)
-    return np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]), r
-
-
-def _newton_boundary(a_mat, b_vec) -> np.ndarray:
-    # Surface minimum by Newton's method on phi(mu) = 1/|r(mu)| - 1, with
-    # r(mu) = (A + mu I)^-1 b worked in A's eigenbasis (the More-Sorensen
-    # trust-region step, SIAM J. Sci. Stat. Comput. 4:553, 1983).  A is
-    # positive definite and phi is increasing and concave on mu > -lambda_min,
-    # so from mu = 0, where phi < 0, the iterates rise monotonically to the
-    # root.  Where rounding puts |r(0)| just below 1 although the Cramer solve
-    # put it above, the root lies just left of 0; a step that would leave the
-    # domain goes halfway to its edge instead.  One gather builds the
-    # (n, 3, 3) matrices from A's six entries; converged rows keep their
-    # eigen-coordinates t, and one back-rotation by Q ends the solve.
-    lam, q = np.linalg.eigh(a_mat[[0, 1, 2, 1, 3, 4, 2, 4, 5]].T.reshape(-1, 3, 3))
-    beta = np.einsum("nji,nj->ni", q, b_vec.T)
+def _newton_boundary(lam, q, beta) -> np.ndarray:
+    # Surface minimum by Newton's method on phi(mu) = 1/|t(mu)| - 1, with
+    # t(mu) = beta / (lam + mu) the minimiser of |D r - y|^2 + mu |r|^2 in
+    # the eigenbasis q of D^T D, eigenvalues lam in descending order (the
+    # More-Sorensen trust-region step, SIAM J. Sci. Stat. Comput. 4:553,
+    # 1983).  phi is increasing and concave on mu > -lam_min, so from mu = 0,
+    # where phi < 0, the iterates rise monotonically to the root.  Where
+    # rounding puts |t(0)| just below 1 although the interior solve put it
+    # above, the root lies just left of 0; a step that would leave the domain
+    # goes halfway to its edge instead.  Converged rows keep their
+    # eigen-coordinates t, and one back-rotation by q ends the solve.
     t_out = np.empty((len(lam), 3))
     rows = np.arange(len(lam))
     mu = np.zeros(len(lam))
@@ -279,7 +171,7 @@ def _newton_boundary(a_mat, b_vec) -> np.ndarray:
         rows, lam, beta, mu = rows[keep], lam[keep], beta[keep], mu[keep]
         t, d, n2, norm = t[keep], d[keep], n2[keep], norm[keep]
         step = mu + n2 * (norm - 1.0) / np.sum(t * t / d, axis=1)
-        mu = np.maximum(step, 0.5 * (mu - lam[:, 0]))
+        mu = np.maximum(step, 0.5 * (mu - lam[:, 2]))
     raise RuntimeError("boundary Newton iteration did not converge")
 
 
@@ -291,35 +183,85 @@ def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarr
     1 either way.  ``axes`` is (M, 3) when every set shares its axes, or
     (R, M, 3).  Each row is fitted on its own, so a stacked call returns bit
     for bit the rows of the separate calls.
-    Interior rows take the batched Cramer solve; rows whose unconstrained
-    optimum leaves the ball take Newton's method to ||r| - 1| < 1e-13, so the
-    result agrees with ``mle`` to about 1e-11 rather than bit for bit.  Rows
-    that repeat an axis (``mle`` merges such records) or whose axes do not
-    span Bloch space go through ``mle`` itself.  Axes repeat when every
-    component is equal as a float, so a -0.0 component matches 0.0 as it
-    does in ``merge_records``.
-    Raises RuntimeError if Newton's method does not converge.
+
+    Settings of one row on the same axis are merged as ``merge_records``
+    merges them: the first holds the summed counts and the others carry no
+    weight.  Axes repeat when every component is equal as a float, so a -0.0
+    component matches 0.0.  Modified Gram-Schmidt on [D | y], vectorised
+    over the rows, gives D = Q R and c = Q^T y; it is backward stable for
+    least squares (Bjorck, BIT 7:1, 1967).  Interior rows solve R r = c.
+    Rows whose solution leaves the ball take Newton's method on the secular
+    equation in the singular basis of R, to ||r| - 1| < 1e-13.
+    Raises UnderdeterminedError if a row's axes do not span Bloch space
+    (the first such row), RuntimeError if Newton's method does not converge.
     """
     n_plus = np.asarray(n_plus)
-    axes = np.broadcast_to(np.asarray(axes, dtype=float), n_plus.shape + (3,))
-    shots = np.stack([np.broadcast_to(n, len(n_plus)) for n in shots], axis=1)
-    merged = [(axes[:, m, :].T, shots[:, m], n_plus[:, m]) for m in range(shots.shape[1])]
-    x, y, z = axes[..., 0], axes[..., 1], axes[..., 2]
-    same = ((x[:, :, None] == x[:, None, :]) & (y[:, :, None] == y[:, None, :])
-            & (z[:, :, None] == z[:, None, :]))
-    scalar = ((np.count_nonzero(same, axis=(1, 2)) > shots.shape[1])
-              | ~(_span_det(merged) > _SPAN_TOL))
-    out = np.empty((len(n_plus), 3))
-    fast = np.flatnonzero(~scalar)
-    a_mat, b_vec = map(np.array, _normal_equations(
-        [(axis[:, fast], n[fast], plus[fast]) for axis, n, plus in merged]))
-    norm, r = _radius(a_mat, b_vec, 0.0)
-    out[fast] = np.stack(r, axis=-1)
-    outside = np.flatnonzero(norm > 1.0)
+    n_rows, n_settings = n_plus.shape
+    # Settings-major arrays: (M, R) per quantity, (M, 3, R) for the axes.
+    comps = np.ascontiguousarray(np.broadcast_to(
+        np.asarray(axes, dtype=float), n_plus.shape + (3,)).transpose(1, 2, 0))
+    shots = np.stack([np.broadcast_to(n, n_rows) for n in shots])
+    plus = n_plus.T.copy()
+    x, y, z = comps.transpose(1, 0, 2)
+    same = (x[:, None] == x) & (y[:, None] == y) & (z[:, None] == z)
+    kept = np.ones(shots.shape)
+    repeats = np.flatnonzero(np.count_nonzero(same, axis=(0, 1)) > n_settings)
+    for k in repeats:
+        owner = np.argmax(same[:, :, k], axis=1)
+        first = owner == np.arange(n_settings)
+        shots[first, k] = np.bincount(owner, shots[:, k], n_settings)[first]
+        plus[first, k] = np.bincount(owner, plus[:, k], n_settings)[first]
+        kept[~first, k] = 0.0
+    if repeats.size:
+        comps = comps * kept[:, None]
+    _check_span(comps, kept)
+    f = plus / shots
+    # ft (1 - ft), with 1 - ft the hedged frequency of the -1 outcome.
+    sqrt_w = kept * np.sqrt(
+        shots / (hedged_frequency(plus, shots) * hedged_frequency(shots - plus, shots)))
+    work = np.concatenate([comps, (2.0 * f - 1.0)[:, None]], axis=1) * sqrt_w[:, None]
+    # Modified Gram-Schmidt on the columns of [D | y], (M, 4, R): row k of
+    # upper holds R[k, k+1:] and c[k].
+    diag, upper = [], []
+    for k in range(3):
+        col = work[:, k]
+        norm = np.sqrt(_sum_settings(col * col))
+        q = col / norm
+        dots = _sum_settings(q[:, None] * work[:, k + 1:])
+        work[:, k + 1:] -= dots * q[:, None]
+        diag.append(norm)
+        upper.append(dots)
+    (r01, r02, c0), (r12, c1), (c2,) = upper
+    r2 = c2 / diag[2]
+    r1 = (c1 - r12 * r2) / diag[1]
+    r0 = (c0 - r01 * r1 - r02 * r2) / diag[0]
+    out = np.stack([r0, r1, r2], axis=-1)
+    outside = np.flatnonzero(np.sqrt(r0 * r0 + r1 * r1 + r2 * r2) > 1.0)
     if outside.size:
-        out[fast[outside]] = _newton_boundary(a_mat[:, outside], b_vec[:, outside])
-    for k in np.flatnonzero(scalar):
-        records = [CountRecord(ax, ax, int(n), int(plus))
-                   for ax, n, plus in zip(axes[k], shots[k], n_plus[k])]
-        out[k] = density_to_bloch(mle(records).rho)
+        r_mat = np.zeros((outside.size, 3, 3))
+        r_mat[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]] = np.stack(
+            [diag[0], r01, r02, diag[1], r12, diag[2]], axis=-1)[outside]
+        c = np.stack([c0, c1, c2], axis=-1)[outside]
+        u, s, vt = np.linalg.svd(r_mat)
+        beta = s * np.einsum("nji,nj->ni", u, c)
+        out[outside] = _newton_boundary(s * s, vt.transpose(0, 2, 1), beta)
     return out
+
+
+def _check_span(comps, kept) -> None:
+    # Unweighted Gram determinant of each row's axes; its square root is the
+    # volume spanned, so near-zero means a rank-deficient axis set.  The
+    # first such row raises, with the null direction of its kept axes.
+    (gxx, gxy, gxz), (_, gyy, gyz), (_, _, gzz) = _sum_settings(comps[:, :, None] * comps[:, None])
+    det = (gxx * (gyy * gzz - gyz * gyz) + gxy * (gxz * gyz - gxy * gzz)
+           + gxz * (gxy * gyz - gxz * gyy))
+    bad = np.flatnonzero(~(det > _SPAN_TOL))
+    if not bad.size:
+        return
+    _, _, vt = np.linalg.svd(comps[kept[:, bad[0]] > 0.0, :, bad[0]])
+    null = vt[-1]
+    raise UnderdeterminedError(
+        f"measurement axes do not span Bloch space; "
+        f"unconstrained direction ~ ({null[0]:.6f}, {null[1]:.6f}, {null[2]:.6f})",
+        null,
+    )

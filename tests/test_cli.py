@@ -283,6 +283,7 @@ class TestRunCommand:
         payload = json.loads((tmp_path / "out" / "provenance.json").read_text())
         assert config_from_provenance(payload) == expected
         assert payload["stream_version"] == 2
+        assert payload["estimator_version"] == 2
         assert set(payload["environment"]) == {"python", "numpy", "platform", "nproc"}
 
     def test_provenance_with_the_removed_threads_key_still_loads(self):
@@ -390,6 +391,12 @@ class TestSweepCommands:
         assert main(["sweep-noise", "--protocols", "static",
                      "--out", str(tmp_path)]) == 2
 
+    def test_noise_sweep_reaches_the_default_cap(self, tmp_path, capsys):
+        # The ladders run up to N = 2e7, where the adapted axis of a nearly
+        # pure state carries counts of 0 or N.
+        assert main(["sweep-noise", "--model", "1", "--protocols", "reduced-adaptive",
+                     "--e-grid", "1e-4,3e-4,1e-3,3e-3", "--out", str(tmp_path)]) == 0
+
 
 class TestRuntimeFailureExitCodes:
     """Solver and budget failures exit with status 1 and the config context."""
@@ -409,6 +416,21 @@ class TestRuntimeFailureExitCodes:
 
         monkeypatch.setattr(cli, "run_campaign", broken)
         self.run_failing(tmp_path, capsys, "error: KeyError: 'lost key'")
+
+    def test_sweep_failure_names_the_sweep_options(self, tmp_path, capsys, monkeypatch):
+        import adaptive_tomo.estimation as estimation
+
+        monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
+        assert main(["sweep-noise", "--model", "1", "--protocols", "static",
+                     "--e-grid", "0.05", "--reps", "4", "--n-start", "100", "--n-cap", "400",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: RuntimeError: boundary Newton iteration")
+        assert "Traceback" not in err
+        assert "protocols=('static',)" in err and "e_grid=(0.05,)" in err
+        assert "n_cap=400" in err
+        # run's options, which the sweep ignores, are not named.
+        assert "n_grid" not in err and "protocol=" not in err
 
     def test_unwritable_output_directory(self, tmp_path, capsys):
         out = tmp_path / "a-file"

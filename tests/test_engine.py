@@ -1,19 +1,23 @@
-"""The batched campaign engine against the scalar reference path.
+"""The batched campaign engine against the scalar reference path, and its
+fits against a high-precision solve.
 
 ``protocols.run_batch`` simulates all repetitions of a grid point as arrays,
 drawing every random number from the streams its docstring declares.  The
 reference below redraws those numbers one scalar call at a time from the same
 streams, perturbs each axis with the scalar routines and requires identical
-counts; on those counts the scalar ``mle``, ``mub_triplet`` and ``fidelity``
-must reproduce the batch's adapted axes, estimates and infidelities up to
-the rounding of the batched fits.  A campaign's grid pass
+counts; on those counts the one-record-set fit ``mle``, ``mub_triplet`` and
+``fidelity`` must reproduce the batch's adapted axes, estimates and
+infidelities up to the rounding of the batched fits.  A campaign's grid pass
 (``protocols.run_grid``) must give, block by block, exactly the rows of
 ``run_batch`` at each grid point, and ``run_protocol`` exactly its
-one-repetition batch.
+one-repetition batch.  The fits themselves are held to the same hedged
+objective solved in 50-digit arithmetic (``reference_fit``) and to a local
+grid of the objective around each fit.
 """
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -349,57 +353,125 @@ def record_batches(draw, n_axes=None):
                                            max_size=n_axes), min_size=rows, max_size=rows)))
     norms = np.linalg.norm(axes, axis=-1, keepdims=True)
     axes = np.where(norms > 1e-3, axes / np.where(norms > 0, norms, 1.0), [0.0, 0.0, 1.0])
-    shots = draw(st.lists(st.integers(1, 10**6), min_size=n_axes, max_size=n_axes))
-    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=rows * n_axes,
-                              max_size=rows * n_axes))
+    # Shots up to 1e10, and settings whose counts are 0 or N: the hedged
+    # weight of such a setting is about 2 N^2, so a batch can mix weights
+    # from 4 to 2e20.
+    shots = draw(st.lists(st.one_of(st.integers(1, 10**6), st.integers(1, 10**10)),
+                          min_size=n_axes, max_size=n_axes))
+    fractions = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+                              min_size=rows * n_axes, max_size=rows * n_axes))
     n_plus = np.array([round(f * n) for f, n in zip(fractions, shots * rows)]).reshape(rows, -1)
     return axes, shots, n_plus
 
 
-def objective(r, axes, shots, n_plus):
-    f = n_plus / np.asarray(shots)
-    ft = (n_plus + 0.5) / (np.asarray(shots) + 1.0)
-    return float(np.sum(np.asarray(shots) * (0.5 * (1.0 + axes @ r) - f) ** 2 / (ft * (1.0 - ft))))
+def merged_weights(axes, shots, n_plus):
+    """Axes, shots, +1 counts and hedged weights N / (ft (1 - ft)) of the
+    records with repeated axes merged, as the fits define them.  1 - ft is
+    formed from the counts, so that weights near 2 N^2 keep their digits."""
+    merged = merge_records(CountRecord(a, a, n, int(p)) for a, n, p in zip(axes, shots, n_plus))
+    axes = np.array([a for a, _, _ in merged])
+    shots, plus = np.array([[n, p] for _, n, p in merged], dtype=float).T
+    return axes, shots, plus, shots * (shots + 1.0) ** 2 / ((plus + 0.5) * (shots - plus + 0.5))
 
 
-def scalar_fits_or_error(axes, shots, n_plus):
-    """``mle`` on each row, or None where it raises UnderdeterminedError."""
-    expected = []
-    for k in range(len(n_plus)):
-        records = [CountRecord(a, a, n, int(p)) for a, n, p in zip(axes[k], shots, n_plus[k])]
-        try:
-            expected.append(density_to_bloch(mle(records).rho))
-        except UnderdeterminedError:
+def merged_objective(points, axes, shots, n_plus):
+    """The hedged objective and its gradient at each of ``points``, and the
+    condition number of the weighted design sqrt(w) axes."""
+    axes, shots, plus, weights = merged_weights(axes, shots, n_plus)
+    residuals = 0.5 * (1.0 + points @ axes.T) - plus / shots
+    return (np.sum(weights * residuals**2, axis=1), (weights * residuals) @ axes,
+            np.linalg.cond(np.sqrt(weights)[:, None] * axes))
+
+
+def reference_fit(axes, shots, n_plus):
+    """The minimiser of one record set's hedged objective over the Bloch
+    ball, computed in 50-digit arithmetic from the merged records; None
+    where their axes do not span Bloch space (unweighted Gram determinant at
+    most 1e-9, the estimator's own limit).
+
+    The normal equations A r = b are solved in the eigenbasis of A, where
+    (A + mu I) r = b has coordinates beta_i / (lam_i + mu).  A solution
+    outside the ball moves to the surface by bisection on mu: the radius
+    falls as mu grows, and is at most 1 once mu >= |beta|.
+    """
+    merged = merge_records(CountRecord(a, a, n, int(p)) for a, n, p in zip(axes, shots, n_plus))
+    with mpmath.workdps(50):
+        a_mat, b_vec, gram = mpmath.zeros(3, 3), mpmath.zeros(3, 1), mpmath.zeros(3, 3)
+        for axis, n, p in merged:
+            a = [mpmath.mpf(x) for x in axis]
+            n, p = mpmath.mpf(int(n)), mpmath.mpf(int(p))
+            w = n * (n + 1) ** 2 / ((p + 0.5) * (n - p + 0.5))
+            a_mat += mpmath.matrix([[w * x * y for y in a] for x in a])
+            b_vec += mpmath.matrix([w * (2 * p - n) / n * x for x in a])
+            gram += mpmath.matrix([[x * y for y in a] for x in a])
+        if mpmath.det(gram) <= 1e-9:
             return None
-    return expected
+        lam, q = mpmath.eigsy(a_mat)
+        lam, beta = list(lam), list(q.T * b_vec)
+
+        def outside(mu):
+            return sum(b * b / ((x + mu) * (x + mu)) for x, b in zip(lam, beta)) > 1
+
+        mu = 0
+        if outside(mu):
+            # |beta_i| / (lam_i + mu) <= 1 at the root, for every i.
+            lo = max(0, max(abs(b) - x for x, b in zip(lam, beta)))
+            hi = lo + mpmath.norm(beta)
+            while hi - lo > 1e-40 * hi:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if outside(mid) else (lo, mid)
+            mu = hi
+        t = mpmath.matrix([b / (x + mu) for x, b in zip(lam, beta)])
+        return np.array([float(x) for x in q * t])
 
 
-def assert_fits_match_mle(got, expected, axes, shots, n_plus):
+def reference_fits_or_error(axes, shots, n_plus):
+    """``reference_fit`` of each row, or None where a row's axes do not span."""
+    fits = [reference_fit(axes[k], shots, n_plus[k]) for k in range(len(n_plus))]
+    return None if any(fit is None for fit in fits) else fits
+
+
+def assert_fits_match_reference(got, expected, axes, shots, n_plus):
     for k, want in enumerate(expected):
-        # The batched fit is feasible and at least as good as the scalar one.
+        values, _, cond = merged_objective(np.array([got[k], want]), axes[k], shots, n_plus[k])
+        # The batched fit is feasible and as good as the optimum.
         assert np.linalg.norm(got[k]) <= 1.0 + 1e-12
-        best = objective(want, axes[k], shots, n_plus[k])
-        assert objective(got[k], axes[k], shots, n_plus[k]) <= best + 1e-9 * (1.0 + best)
-        # Where the normal equations are well conditioned, both solvers'
-        # rounding is small and the two fits agree.  Beyond that the scalar
-        # bisection on a Cramer solve carries about cond(A) * 1e-16 of error.
-        weights = np.asarray(shots) / (((n_plus[k] + 0.5) / (np.asarray(shots) + 1.0))
-                                       * (1.0 - (n_plus[k] + 0.5) / (np.asarray(shots) + 1.0)))
-        gram = (axes[k].T * weights) @ axes[k]
-        if np.linalg.cond(gram) <= 1e6:
-            assert np.max(np.abs(got[k] - want)) <= 1e-8
+        assert values[0] <= values[1] + 1e-9 * (1.0 + values[1])
+        # The fits are accurate to about eps * cond(D) for the weighted
+        # design D (at most 37 eps cond(D) on 800 random sets with up to
+        # 1e10 shots): 1e-8 up to cond(D) = 1.8e5, 256 eps cond(D) beyond.
+        tolerance = max(1e-8, 256 * np.finfo(float).eps * cond)
+        assert np.max(np.abs(got[k] - want)) <= tolerance, (k, cond)
 
 
 @settings(settings.get_profile("engine"))
 @given(record_batches())
 def test_batched_final_fit_matches_mle(batch):
+    # The maximum-likelihood estimate, computed to 50 digits.
     axes, shots, n_plus = batch
-    expected = scalar_fits_or_error(axes, shots, n_plus)
+    expected = reference_fits_or_error(axes, shots, n_plus)
     if expected is None:
         with pytest.raises(UnderdeterminedError):
             mle_batch(axes, shots, n_plus)
         return
-    assert_fits_match_mle(mle_batch(axes, shots, n_plus), expected, axes, shots, n_plus)
+    assert_fits_match_reference(mle_batch(axes, shots, n_plus), expected, axes, shots, n_plus)
+
+
+def test_reduced_adaptive_at_the_default_cap_fits_every_row():
+    # At N = 2e7, the default n_cap of sweep-noise, the adapted axis carries
+    # counts of 0 or N and hedged weights near 8e14.
+    batch = run_batch(ReducedAdaptive(0.5), bloch_to_density(EQ7_BLOCH), 2 * 10**7, NoError(),
+                      RngContext(0), 4000)
+    assert np.all(np.linalg.norm(batch.bloch_hat, axis=1) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("protocol", [Adaptive(0.5), ReducedAdaptive(0.5)], ids=repr)
+@pytest.mark.parametrize("n, tolerance", [(2 * 10**7, 1e-8), (2 * 10**9, 1e-6)])
+def test_large_n_fits_match_the_reference(protocol, n, tolerance):
+    batch = run_batch(protocol, bloch_to_density(EQ7_BLOCH), n, NoError(), RngContext(0), 40)
+    shots = sum(_shot_plan(protocol, n), [])
+    for axes, counts, fit in zip(batch.axes, batch.n_plus, batch.bloch_hat):
+        assert np.max(np.abs(fit - reference_fit(axes, shots, counts))) <= tolerance
 
 
 def local_grid_clipped_to_ball(center):
@@ -410,38 +482,26 @@ def local_grid_clipped_to_ball(center):
     return points / np.maximum(1.0, np.linalg.norm(points, axis=1, keepdims=True))
 
 
-def merged_objective(points, axes, shots, n_plus):
-    """The hedged objective and its gradient at each of ``points``, and the
-    condition number of the normal equations, on the records with repeated
-    axes merged, as both fits define them."""
-    merged = merge_records(CountRecord(a, a, n, int(p)) for a, n, p in zip(axes, shots, n_plus))
-    axes = np.array([a for a, _, _ in merged])
-    shots, plus = np.array([[n, p] for _, n, p in merged], dtype=float).T
-    ft = (plus + 0.5) / (shots + 1.0)
-    weights = shots / (ft * (1.0 - ft))
-    residuals = 0.5 * (1.0 + points @ axes.T) - plus / shots
-    return (np.sum(weights * residuals**2, axis=1), (weights * residuals) @ axes,
-            np.linalg.cond((axes.T * weights) @ axes))
-
-
 @settings(settings.get_profile("engine"))
 @given(record_batches())
 def test_fits_stay_in_the_ball_and_beat_a_local_grid(batch):
+    # Both the batch and ``mle`` on each row's records, which fits them
+    # merged and in canonical order.
     axes, shots, n_plus = batch
-    scalar = scalar_fits_or_error(axes, shots, n_plus)
-    if scalar is None:
+    try:
+        scalar = [density_to_bloch(mle([CountRecord(a, a, n, int(p)) for a, n, p
+                                        in zip(axes[k], shots, n_plus[k])]).rho)
+                  for k in range(len(n_plus))]
+    except UnderdeterminedError:
         return
     for k, fits in enumerate(zip(mle_batch(axes, shots, n_plus), scalar)):
-        for solver, r in zip(("mle_batch", "mle"), fits):
+        for r in fits:
             assert np.linalg.norm(r) <= 1.0 + 1e-12
-            values, gradients, cond = merged_objective(
+            values, gradients, _ = merged_objective(
                 np.vstack([r, local_grid_clipped_to_ball(r)]), axes[k], shots, n_plus[k])
-            if solver == "mle" and cond > 1e6:
-                # Beyond that the rounding of the scalar Cramer solve moves
-                # the fit by more than the slack allows (3e-8 seen at 3e6).
-                continue
-            # Both fits stop within 1e-12 of the surface, which costs up to
-            # |gradient| * 1e-12 where counts of 0 or N weight an axis by ~1e11.
+            # Both fits stop within 1e-13 of the surface, which costs up to
+            # |gradient| * 1e-13 where counts of 0 or N weight an axis by up
+            # to 2e20.
             slack = 1e-9 * (1.0 + values[0]) + 1e-12 * np.linalg.norm(gradients[0])
             assert values[0] <= values[1:].min() + slack
 
@@ -470,12 +530,12 @@ def split_and_shuffled(draw):
 @given(split_and_shuffled())
 def test_final_fit_is_merge_and_permutation_invariant(batches):
     (axes, shots, n_plus), split = batches
-    expected = scalar_fits_or_error(axes, shots, n_plus)
+    expected = reference_fits_or_error(axes, shots, n_plus)
     if expected is None:
         with pytest.raises(UnderdeterminedError):
             mle_batch(*split)
         return
-    assert_fits_match_mle(mle_batch(*split), expected, axes, shots, n_plus)
+    assert_fits_match_reference(mle_batch(*split), expected, axes, shots, n_plus)
 
 
 @pytest.mark.parametrize("z_repeat", [(0.0, 0.0, 1.0), (-0.0, -0.0, 1.0)],
@@ -498,7 +558,7 @@ def stackable_batches(draw):
     for _ in range(draw(st.integers(2, 3))):
         axes, shots, n_plus = draw(record_batches(n_axes))
         if draw(st.booleans()):
-            # A repeated axis sends the row through the scalar mle.
+            # A repeated axis: the row merges the two settings.
             axes[0, 1] = axes[0, 0]
         batches.append((axes, shots, n_plus))
     return batches

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,6 +144,15 @@ class TestNegativeLoglikelihood:
         ratio = negative_loglikelihood(rho, big) / negative_loglikelihood(rho, small)
         assert ratio == pytest.approx(2.0, rel=1e-5)
 
+    def test_weights_keep_their_digits_at_counts_of_n(self):
+        # At n = N = 5.1e9 the hedge 1 - ft is 1/(2N + 2); formed as a
+        # subtraction it lost 1.5e-7 of the term.
+        n = 5_142_785_454
+        value = negative_loglikelihood(np.eye(2, dtype=complex) / 2, [CountRecord(Z, Z, n, n)])
+        ft = Fraction(2 * n + 1, 2 * n + 2)
+        expected = n * (Fraction(1, 2) - 1) ** 2 / (ft * (1 - ft))
+        assert value == pytest.approx(float(expected), rel=1e-14)
+
     def test_hedged_frequency(self):
         assert hedged_frequency(0, 100) == pytest.approx(0.5 / 101.0)
         assert hedged_frequency(100, 100) == pytest.approx(100.5 / 101.0)
@@ -262,8 +272,8 @@ class TestMle:
         assert abs(abs(float(null[2])) - 1.0) < 1e-9
 
     def test_surface_fit_reaches_the_surface_on_ill_conditioned_data(self):
-        # Weights of 3e9 on one axis beside single shots: the Cramer radius is
-        # noisy at 1e-11 near the root, so the bisection cannot meet 1e-12.
+        # Weights of 3e9 on one axis beside single shots, where a solve of the
+        # normal equations puts the radius only within about 1e-11 of 1.
         diagonal = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
         records = [CountRecord(Z, Z, 3, 0), CountRecord(X, X, 1, 0),
                    CountRecord(diagonal, diagonal, 37763, 0)]
