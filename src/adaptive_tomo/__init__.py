@@ -42,9 +42,6 @@ from .measurement import (
     PerSettingError,
     RngContext,
     born_probability,
-    measure_setting,
-    perturb_axes,
-    sample_counts,
 )
 from .protocols import (
     Adaptive,
@@ -63,6 +60,7 @@ from .states import (
     bloch_of_ket,
     bloch_to_density,
     chernoff_exponent,
+    check_bloch,
     check_density,
     density_to_bloch,
     eigendecompose,

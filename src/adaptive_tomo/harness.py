@@ -4,7 +4,9 @@ A campaign repeats a protocol R times at every sample size in a grid and
 aggregates mean infidelity with its standard error.  The random streams of a
 grid point are labelled by (campaign hash, grid index).  All R x grid runs
 are simulated together as arrays (``protocols.run_grid``); each grid point
-draws from its own streams as ``protocols.run_batch`` declares.
+draws from its own streams as ``protocols.run_batch`` declares.  The true
+state goes in as the campaign's Bloch vector, and no density matrix is built
+on the way to the infidelities.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ import numpy as np
 from .errors import InvalidStateError
 from .measurement import ErrorModel, NoError, RngContext, error_model_name
 from .protocols import Adaptive, ProtocolSpec, protocol_name, run_grid
-from .states import bloch_to_density
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,16 @@ def campaign_hash(spec: CampaignSpec) -> str:
 def run_campaign(spec: CampaignSpec) -> CampaignResult:
     """Run reps x grid independent experiments and aggregate per grid point.
 
-    The whole grid is one vectorised pass (``protocols.run_grid``) in which
-    grid point i still draws from its own streams.
+    The whole grid is one vectorised pass (``protocols.run_grid``) on the
+    Bloch vector ``spec.state_bloch``, in which grid point i still draws from
+    its own streams.  A state outside the Bloch ball, or not finite, raises
+    InvalidStateError before anything is drawn.
     """
     digest = campaign_hash(spec)
     label = int.from_bytes(bytes.fromhex(digest[:16]), "big")
     rngs = [RngContext(spec.seed, (label, i)) for i in range(len(spec.n_grid))]
     infidelities = run_grid(
-        spec.protocol, bloch_to_density(spec.state_bloch), spec.n_grid, spec.error_model,
-        rngs, spec.reps,
+        spec.protocol, spec.state_bloch, spec.n_grid, spec.error_model, rngs, spec.reps,
     ).infidelity.reshape(len(spec.n_grid), spec.reps)
     rows = tuple(CampaignRow(n, float(np.mean(block)),
                              float(np.std(block, ddof=1) / math.sqrt(spec.reps)), spec.reps)

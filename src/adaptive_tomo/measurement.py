@@ -1,5 +1,6 @@
-"""Projective qubit measurements: Born probabilities, binomial photon
-counting, and the alignment-error models that perturb measurement axes.
+"""Projective qubit measurements: Born probabilities, the random streams
+that photon counts and misalignments are drawn from, and the alignment-error
+models that perturb measurement axes.
 
 An *experiment* is one simulated run of a tomography protocol; a *setting* is
 one measurement axis within it, applied to a batch of identically prepared
@@ -184,16 +185,6 @@ def born_probability(rho: np.ndarray, axis: Sequence[float]) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def sample_counts(p: float, n: int, rng: RngContext) -> int:
-    """Exact Binomial(n, p) draw from the given stream."""
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise InvalidStateError(f"probability {p} outside [0, 1]")
-    if n < 0:
-        raise InvalidStateError(f"shot count {n} negative")
-    p = min(max(p, 0.0), 1.0)
-    return int(rng.generator().binomial(n, p))
-
-
 def _perp_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Deterministic orthonormal basis of the plane perpendicular to axis.
     ax, ay, az = float(axis[0]), float(axis[1]), float(axis[2])
@@ -227,13 +218,10 @@ def _rotate(axis: np.ndarray, rot_axis, angle: float) -> np.ndarray:
     return np.array([ox / n, oy / n, oz / n])
 
 
-def _realized_axis(
-    intended: np.ndarray,
-    model: ErrorModel,
-    experiment_index: int,
-    setting_index: int,
-    rng: RngContext,
-) -> np.ndarray:
+def _realized_axis(intended: np.ndarray, model: ErrorModel, normal: float = 0.0,
+                   chi: float = 0.0) -> np.ndarray:
+    # Scalar reference of ``realized_axes`` for one axis; a random model
+    # takes its standard normal draw and its angle in [0, 2 pi) as arguments.
     if model.magnitude == 0.0:
         return intended
     if model.draws_per is None:
@@ -250,59 +238,15 @@ def _realized_axis(
             (px / norm, py / norm, pz / norm),
             MOUNT_TO_BLOCH_ANGLE * model.magnitude,
         )
-    labels = (_ALIGN_STREAM, experiment_index)
-    if model.draws_per == "setting":
-        labels += (setting_index,)
-    gen = rng.child(*labels).generator()
-    delta = gen.standard_normal() * model.magnitude
-    chi = gen.uniform(0.0, 2.0 * math.pi)
+    delta = normal * model.magnitude
     e1, e2 = _perp_basis(intended)
     rot_axis = e1 * math.cos(chi) + e2 * math.sin(chi)
     return _rotate(intended, rot_axis, MOUNT_TO_BLOCH_ANGLE * delta)
 
 
-def perturb_axes(
-    intended: Sequence[np.ndarray],
-    model: ErrorModel,
-    experiment_index: int,
-    rng: RngContext,
-    setting_offset: int = 0,
-) -> list[np.ndarray]:
-    """Realized measurement axes for a batch of intended axes.
-
-    ``setting_offset`` numbers the settings globally within an experiment so
-    that, e.g., the second phase of an adaptive run draws fresh per-setting
-    errors rather than replaying the first phase's.
-    """
-    return [
-        _realized_axis(np.asarray(a, dtype=float), model, experiment_index,
-                       setting_offset + i, rng)
-        for i, a in enumerate(intended)
-    ]
-
-
-def measure_setting(
-    rho: np.ndarray,
-    intended: np.ndarray,
-    n_shots: int,
-    model: ErrorModel,
-    rng: RngContext,
-    experiment_index: int = 0,
-    setting_index: int = 0,
-) -> CountRecord:
-    """Simulate one measurement setting: perturb the axis, then count photons."""
-    intended = np.asarray(intended, dtype=float)
-    realized = _realized_axis(intended, model, experiment_index, setting_index, rng)
-    p = born_probability(rho, realized)
-    n_plus = sample_counts(
-        p, n_shots, rng.child(_COUNT_STREAM, experiment_index, setting_index)
-    )
-    return CountRecord(intended, realized, n_shots, n_plus)
-
-
-# Batched twins of the per-setting path above.  They act on arrays over the
-# repetitions of one grid point and repeat the scalar path's elementwise
-# operations; the random draws they consume come from the streams that
+# The engine's measurement: it acts on arrays over the repetitions of a
+# grid point and repeats the elementwise operations of the scalar references
+# above; the random draws it consumes come from the streams that
 # ``protocols.run_batch`` declares.
 
 

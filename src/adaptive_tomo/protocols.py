@@ -37,14 +37,7 @@ from .measurement import (
     born_probabilities,
     realized_axes,
 )
-from .states import (
-    bloch_to_density,
-    density_to_bloch,
-    eigendecompose,
-    fidelity_bloch,
-    mub_axes,
-    mub_triplet,
-)
+from .states import bloch_to_density, check_bloch, density_to_bloch, fidelity_bloch, mub_axes
 
 
 def _check_open_unit(name: str, value: float) -> None:
@@ -188,21 +181,19 @@ def _shot_plan(spec: ProtocolSpec, n_total: int) -> tuple[list[int], list[int]]:
     return shots1, shots2
 
 
-def _first_phase_axes(spec: ProtocolSpec, rho_true: np.ndarray):
-    return mub_triplet(eigendecompose(rho_true)).axes if spec.true_basis else PAULI_AXES
-
-
 def run_protocol(spec: ProtocolSpec, rho_true: np.ndarray, n_total: int,
                  error_model: ErrorModel, rng: RngContext) -> RunResult:
     """Simulate one experiment of ``n_total`` samples and reconstruct a state.
 
-    This is ``run_batch`` with one repetition on the same ``rng``, so it
-    draws the counts that a campaign draws on that stream.  The records hold
-    the intended axes, realized axes, shots and counts of its settings;
+    This is ``run_batch`` on ``density_to_bloch(rho_true)`` with one
+    repetition on the same ``rng``, so it draws the counts that a campaign
+    on that Bloch vector draws on that stream; it is where the engine meets
+    density matrices, on the way in and for the ``RunResult``.  The records
+    hold the intended axes, realized axes, shots and counts of its settings;
     ``rho_prelim`` is the preliminary fit that chose the adapted triplet
     (None for one-phase protocols) and ``rho_hat`` the final fit.
     """
-    batch = run_batch(spec, rho_true, n_total, error_model, rng, 1)
+    batch = run_batch(spec, density_to_bloch(rho_true), n_total, error_model, rng, 1)
     shots = sum(_shot_plan(spec, n_total), [])
     records = tuple(map(CountRecord, batch.axes[0], batch.realized[0], shots,
                         batch.n_plus[0].tolist()))
@@ -239,14 +230,15 @@ class BatchResult:
 
 def run_batch(
     spec: ProtocolSpec,
-    rho_true: np.ndarray,
+    r_true: Sequence[float],
     n_total: int,
     error_model: ErrorModel,
     rng: RngContext,
     reps: int,
 ) -> BatchResult:
-    """``reps`` independent experiments of ``n_total`` samples, simulated as
-    one vectorised pass; ``run_protocol`` is its one-repetition case.
+    """``reps`` independent experiments of ``n_total`` samples on the true
+    state with Bloch vector ``r_true``, simulated as one vectorised pass;
+    ``run_protocol`` is its one-repetition case.
 
     Random streams (layout ``STREAM_VERSION`` 2), all children of ``rng``:
 
@@ -260,24 +252,29 @@ def run_batch(
       the number of settings of both phases under per-setting error and 1
       (shared by every setting) under per-experiment error.
 
-    The preliminary estimate is ``mle_batch`` on the first-phase records and
-    the adapted triplet is ``mub_axes`` of it; the final estimate is
-    ``mle_batch`` on the records of both phases, each called with one (reps,)
-    array of shots per setting.  Checks that do not depend on the repetition
+    The first phase measures the Pauli frame, or under ``KnownBasis`` the
+    triplet ``mub_axes`` of ``r_true``.  The preliminary estimate is
+    ``mle_batch`` on the first-phase records and the adapted triplet is
+    ``mub_axes`` of it; the final estimate is ``mle_batch`` on the records of
+    both phases, each called with one (reps,) array of shots per setting.
+    The state is a Bloch vector throughout, and the infidelity is
+    ``fidelity_bloch``'s.  Checks that do not depend on the repetition
     (state, budget, budget leak) run once.
     """
-    return run_grid(spec, rho_true, (n_total,), error_model, (rng,), reps)
+    return run_grid(spec, r_true, (n_total,), error_model, (rng,), reps)
 
 
-def run_grid(spec: ProtocolSpec, rho_true: np.ndarray, n_grid: Sequence[int],
+def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
              error_model: ErrorModel, rngs: Sequence[RngContext], reps: int) -> BatchResult:
     """``run_batch`` at every ``n_grid[g]`` with stream ``rngs[g]``, as one
     pass over the stacked reps: rows ``g * reps`` to ``(g + 1) * reps`` are
     bit for bit that grid point's ``run_batch``.  Each grid point draws from
     its own streams; the arithmetic between draws acts on each row alone.
-    Every shot plan is worked out first, so the first bad N raises.
+    ``r_true`` is checked (``check_bloch``) and every shot plan is worked out
+    before anything is drawn, so a bad state or the first bad N raises.
     """
-    r_true = density_to_bloch(rho_true)
+    check_bloch(r_true)
+    r_true = np.asarray(r_true, dtype=float)
     plans = [_shot_plan(spec, n) for n in n_grid]
     # Per-row shots of every setting, (rows, M).
     shots = np.repeat([shots1 + shots2 for shots1, shots2 in plans], reps, axis=0)
@@ -299,7 +296,8 @@ def run_grid(spec: ProtocolSpec, rho_true: np.ndarray, n_grid: Sequence[int],
             rng.child(_COUNT_STREAM, phase).generator().binomial(plan[phase], block)
             for rng, plan, block in zip(rngs, plans, np.split(p, len(rngs)))])
 
-    axes = np.broadcast_to(np.array(_first_phase_axes(spec, rho_true)), (len(shots), 3, 3))
+    first = mub_axes(r_true[None])[0] if spec.true_basis else np.array(PAULI_AXES)
+    axes = np.broadcast_to(first, (len(shots), 3, 3))
     realized, n_plus = measure(axes, 0)
     prelim = None
     if spec.adapted_settings:

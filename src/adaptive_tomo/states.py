@@ -1,9 +1,12 @@
 """Exact single-qubit state algebra.
 
-States are represented either as Bloch 3-vectors (expectation values of the
-three Pauli operators) or as 2x2 complex density matrices.  All operations
-here are pure functions on immutable values and are safe to call from any
-number of threads.
+The simulation engine works on Bloch 3-vectors (expectation values of the
+three Pauli operators) alone: ``check_bloch``, ``mub_axes`` and
+``fidelity_bloch`` are all that a campaign calls here.  The 2x2 complex
+density matrices, and the functions on them, serve the public API
+(``protocols.run_protocol``, the estimators' ``Estimate``, the fixtures) and
+the tests' scalar references.  All operations here are pure functions on
+immutable values and are safe to call from any number of threads.
 """
 from __future__ import annotations
 
@@ -36,20 +39,30 @@ POSITIVITY_TOL = 1e-8
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Where mub_axes hands a row to the scalar construction (see its docstring).
-_CLOSED_FORM_MIN_NORM = 1e-9
-_CLOSED_FORM_MIN_RHO = 1e-6
+# At or below this norm mub_axes returns the computational frame, like the
+# degenerate branch of eigendecompose.
+_DEGENERATE_NORM = 1e-9
+
+
+def check_bloch(r: Sequence[float]) -> None:
+    """Raise InvalidStateError unless r is a finite Bloch 3-vector with
+    |r| <= 1 within BLOCH_NORM_ATOL."""
+    if np.shape(r) != (3,):
+        raise InvalidStateError(f"expected a Bloch 3-vector, got shape {np.shape(r)}")
+    x, y, z = float(r[0]), float(r[1]), float(r[2])
+    norm = math.sqrt(x * x + y * y + z * z)
+    # Written so that a NaN norm fails it too.
+    if not norm <= 1.0 + BLOCH_NORM_ATOL:
+        raise InvalidStateError(f"Bloch vector norm {norm} is not at most 1")
 
 
 def bloch_to_density(r: Sequence[float]) -> np.ndarray:
     """Build the density matrix (1 + r . sigma)/2 from a Bloch vector.
 
-    Raises InvalidStateError if |r| exceeds 1 beyond tolerance.
+    Raises InvalidStateError unless ``check_bloch`` accepts r.
     """
+    check_bloch(r)
     x, y, z = float(r[0]), float(r[1]), float(r[2])
-    norm = math.sqrt(x * x + y * y + z * z)
-    if norm > 1.0 + BLOCH_NORM_ATOL:
-        raise InvalidStateError(f"Bloch vector norm {norm} exceeds 1")
     return np.array(
         [
             [0.5 * (1.0 + z), 0.5 * (x - 1j * y)],
@@ -302,15 +315,18 @@ def mub_triplet(eig: EigenDecomposition) -> BasisTriplet:
 
 
 def mub_axes(r: np.ndarray) -> np.ndarray:
-    """Axes of ``mub_triplet(eigendecompose(bloch_to_density(r_k)))`` for each
-    row r_k of an (R, 3) array, as an (R, 3, 3) array.
+    """The axes of ``mub_triplet(eigendecompose(bloch_to_density(r_k)))`` for
+    each row r_k of an (R, 3) array, as an (R, 3, 3) array, in closed form.
 
     With r_hat = r_k / |r_k| = (x, y, z) and rho = sqrt(x^2 + y^2) the triplet
-    is (r_hat, (-z x/rho, -z y/rho, rho), (y/rho, -x/rho, 0)), which agrees with
-    the scalar construction to about 1e-15.  Where the closed form divides by
-    a vanishing quantity the row takes the scalar construction: |r_k| <= 1e-9
-    (the degenerate branch of ``eigendecompose``) and rho < 1e-6 (the phase
-    convention's branch at the poles).
+    is (r_hat, (-z x/rho, -z y/rho, rho), (y/rho, -x/rho, 0)).  Where that
+    divides by zero the row takes the scalar construction's frame there: the
+    computational frame (z, x, y) at |r_k| <= 1e-9, and (sign(z) z, x,
+    sign(z) y) on the z axis (rho = 0).  Elsewhere it agrees with the scalar
+    construction to about 1e-15, except in two thin shells where the two
+    switch frames at different places: the scalar degenerate branch starts
+    only at |r_k| <= 1e-10, and the scalar phase convention takes the pole
+    frame already for rho below about 1e-12.
     """
     r = np.asarray(r, dtype=float)
     norm = np.sqrt(np.sum(r * r, axis=1))
@@ -322,9 +338,13 @@ def mub_axes(r: np.ndarray) -> np.ndarray:
             np.stack([-z * x / rho, -z * y / rho, rho], axis=-1),
             np.stack([y / rho, -x / rho, np.zeros_like(x)], axis=-1),
         ], axis=1)
-    scalar = ~(norm > _CLOSED_FORM_MIN_NORM) | ~(rho >= _CLOSED_FORM_MIN_RHO)
-    for k in np.flatnonzero(scalar):
-        axes[k] = mub_triplet(eigendecompose(bloch_to_density(r[k]))).axes
+    # Rows where the closed form divides by a vanishing |r_k| or rho.
+    special = ~(norm > _DEGENERATE_NORM) | ~(rho > 0.0)
+    sign = np.where((norm > _DEGENERATE_NORM) & (z < 0.0), -1.0, 1.0)[special]
+    axes[special] = 0.0
+    axes[special, 0, 2] = sign
+    axes[special, 1, 0] = 1.0
+    axes[special, 2, 1] = sign
     return axes
 
 

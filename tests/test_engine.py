@@ -1,14 +1,16 @@
 """The batched campaign engine against the scalar reference path, and its
 fits against a high-precision solve.
 
-``protocols.run_batch`` simulates all repetitions of a grid point as arrays,
-drawing every random number from the streams its docstring declares.  The
-reference below redraws those numbers one scalar call at a time from the same
-streams, perturbs each axis with the scalar routines and requires identical
-counts; on those counts the one-record-set fit ``mle``, ``mub_triplet`` and
-``fidelity`` must reproduce the batch's adapted axes, estimates and
-infidelities up to the rounding of the batched fits.  A campaign's grid pass
-(``protocols.run_grid``) must give, block by block, exactly the rows of
+``protocols.run_batch`` simulates all repetitions of a grid point as arrays
+on the true state's Bloch vector, drawing every random number from the
+streams its docstring declares.  The reference below redraws those numbers
+one scalar call at a time from the same streams, perturbs each axis with the
+scalar ``_realized_axis`` and requires identical counts; on those counts the
+density-matrix routines (the one-record-set fit ``mle``, ``mub_triplet`` and
+``fidelity``) must reproduce the batch's first-phase and adapted axes,
+estimates and infidelities up to the rounding of the batched fits, and a
+campaign must complete with those routines disabled.  A campaign's grid
+pass (``protocols.run_grid``) must give, block by block, exactly the rows of
 ``run_batch`` at each grid point, and ``run_protocol`` exactly its
 one-repetition batch.  The fits themselves are held to the same hedged
 objective solved in 50-digit arithmetic (``reference_fit``) and to a local
@@ -16,6 +18,7 @@ grid of the objective around each fit.
 """
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -24,7 +27,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adaptive_tomo import (
-    MOUNT_TO_BLOCH_ANGLE,
     Adaptive,
     AdaptivePow,
     BudgetError,
@@ -51,15 +53,10 @@ from adaptive_tomo import (
     run_campaign,
     run_protocol,
 )
+from adaptive_tomo import states
 from adaptive_tomo.estimation import mle_batch
 from adaptive_tomo.fixtures import EQ7_BLOCH
-from adaptive_tomo.measurement import (
-    _ALIGN_STREAM,
-    _COUNT_STREAM,
-    _perp_basis,
-    _realized_axis,
-    _rotate,
-)
+from adaptive_tomo.measurement import _ALIGN_STREAM, _COUNT_STREAM, _realized_axis
 from adaptive_tomo.protocols import _shot_plan, run_batch, run_grid
 from adaptive_tomo.states import fidelity_bloch, mub_axes
 
@@ -82,35 +79,31 @@ def reference_realized_axes(model, rng, axes):
     """Realized axes of ``axes`` (reps, M, 3), with every misalignment drawn
     by a scalar call from the declared stream, in C order."""
     reps, m = axes.shape[:2]
-    if model.magnitude == 0.0 or model.draws_per is None:
-        return [[_realized_axis(axes[j, s], model, j, s, rng) for s in range(m)]
-                for j in range(reps)]
-    width = m if model.draws_per == "setting" else 1
-    gen = rng.child(_ALIGN_STREAM).generator()
-    normal = [[gen.standard_normal() for _ in range(width)] for _ in range(reps)]
-    chi = [[gen.uniform(0.0, 2.0 * math.pi) for _ in range(width)] for _ in range(reps)]
-    out = []
-    for j in range(reps):
-        row = []
-        for s in range(m):
-            k = s if width > 1 else 0
-            e1, e2 = _perp_basis(axes[j, s])
-            rot_axis = e1 * math.cos(chi[j][k]) + e2 * math.sin(chi[j][k])
-            delta = normal[j][k] * model.magnitude
-            row.append(_rotate(axes[j, s], rot_axis, MOUNT_TO_BLOCH_ANGLE * delta))
-        out.append(row)
-    return out
+    normal = chi = np.zeros((reps, m))
+    if model.magnitude != 0.0 and model.draws_per is not None:
+        width = m if model.draws_per == "setting" else 1
+        gen = rng.child(_ALIGN_STREAM).generator()
+        normal = [[gen.standard_normal() for _ in range(width)] for _ in range(reps)]
+        chi = [[gen.uniform(0.0, 2.0 * math.pi) for _ in range(width)] for _ in range(reps)]
+        if width == 1:
+            normal, chi = ([row * m for row in draws] for draws in (normal, chi))
+    return [[_realized_axis(axes[j, s], model, normal[j][s], chi[j][s]) for s in range(m)]
+            for j in range(reps)]
 
 
 def check_against_reference(protocol, rho, n, model, rng, reps):
-    """Run one grid point and check it against the scalar reference; returns
-    the batch, or None where both paths raise the same BudgetError."""
+    """Run one grid point on the Bloch vector of ``rho`` and check it against
+    the scalar reference on ``rho``; returns the batch, or None where both
+    paths raise the same BudgetError."""
     try:
-        batch = run_batch(protocol, rho, n, model, rng, reps)
+        batch = run_batch(protocol, density_to_bloch(rho), n, model, rng, reps)
     except BudgetError as exc:
         with pytest.raises(BudgetError, match=re.escape(str(exc))):
             run_protocol(protocol, rho, n, model, rng.child(0))
         return None
+    if protocol.true_basis:
+        triplet = mub_triplet(eigendecompose(rho)).axes
+        assert np.max(np.abs(batch.axes[:, :3] - triplet)) <= 1e-14, density_to_bloch(rho)
     shots = sum(_shot_plan(protocol, n), [])
     realized = reference_realized_axes(model, rng, batch.axes)
     counts = np.empty((reps, len(shots)), dtype=np.int64)
@@ -161,6 +154,34 @@ def test_campaign_reduces_the_reference_runs():
         assert row.stderr == float(np.std(batch.infidelity, ddof=1) / math.sqrt(spec.reps))
 
 
+def test_campaigns_build_no_density_matrix(monkeypatch):
+    # The campaign path holds Bloch vectors only: every protocol and error
+    # model completes with the density-matrix routines disabled in every
+    # module namespace that binds them.
+    def disabled(*args, **kwargs):
+        raise AssertionError("density-matrix routine called by a campaign")
+
+    originals = [getattr(states, name) for name in ("bloch_to_density", "density_to_bloch",
+                                                    "check_density", "eigendecompose",
+                                                    "mub_triplet")]
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "adaptive_tomo":
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in originals):
+                    monkeypatch.setattr(module, attr, disabled)
+    with pytest.raises(AssertionError, match="density-matrix"):
+        states.bloch_to_density(EQ7_BLOCH)
+    # The corners of mub_axes, which a campaign reaches only by chance.
+    states.mub_axes(np.array([[0.0, 0.0, 0.0], [1e-10, 0.0, 0.0], [0.0, 0.0, -0.3],
+                              [1e-8, 0.0, 0.9]]))
+    for protocol in PROTOCOLS:
+        for model in MODELS:
+            for state in STATES:
+                result = run_campaign(CampaignSpec(protocol, state, (30, 300, 5000), reps=REPS,
+                                                   error_model=model, seed=SEED))
+                assert all(math.isfinite(row.mean_infidelity) for row in result.rows)
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS, ids=repr)
 def test_run_protocol_is_the_one_rep_batch(protocol):
     checked = 0
@@ -170,7 +191,7 @@ def test_run_protocol_is_the_one_rep_batch(protocol):
             for i, n in enumerate((7, 300)):
                 rng = RngContext(SEED, (LABEL, i))
                 try:
-                    batch = run_batch(protocol, rho, n, model, rng, 1)
+                    batch = run_batch(protocol, density_to_bloch(rho), n, model, rng, 1)
                 except BudgetError as exc:
                     with pytest.raises(BudgetError, match=re.escape(str(exc))):
                         run_protocol(protocol, rho, n, model, rng)
@@ -197,9 +218,9 @@ def test_run_protocol_is_the_one_rep_batch(protocol):
     assert checked > 0
 
 
-def batch_or_error(protocol, rho, n, model, rng):
+def batch_or_error(protocol, state, n, model, rng):
     try:
-        return run_batch(protocol, rho, n, model, rng, REPS)
+        return run_batch(protocol, state, n, model, rng, REPS)
     except BudgetError as exc:
         return str(exc)
 
@@ -209,20 +230,19 @@ def test_grid_pass_matches_per_point_batches(protocol):
     checked = 0
     for model in MODELS:
         for state in STATES:
-            rho = bloch_to_density(state)
             for grid in GRIDS:
                 rngs = [RngContext(SEED, (LABEL, g)) for g in range(len(grid))]
-                points = [batch_or_error(protocol, rho, n, model, rng)
+                points = [batch_or_error(protocol, state, n, model, rng)
                           for n, rng in zip(grid, rngs)]
                 errors = [point for point in points if isinstance(point, str)]
                 if errors:
                     with pytest.raises(BudgetError, match=re.escape(errors[0])):
-                        run_grid(protocol, rho, grid, model, rngs, REPS)
+                        run_grid(protocol, state, grid, model, rngs, REPS)
                 # The grid points that do run, with the streams they own.
                 good = [g for g, point in enumerate(points) if not isinstance(point, str)]
                 if not good:
                     continue
-                stacked = run_grid(protocol, rho, [grid[g] for g in good], model,
+                stacked = run_grid(protocol, state, [grid[g] for g in good], model,
                                    [rngs[g] for g in good], REPS)
                 for block, g in enumerate(good):
                     rows = slice(block * REPS, (block + 1) * REPS)
@@ -238,7 +258,6 @@ def test_grid_pass_matches_per_point_batches(protocol):
 @given(n=st.integers(6, 10**6), alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        exponent=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 def test_shot_plans_spend_the_budget_or_raise(n, alpha, exponent):
-    rho = bloch_to_density(EQ7_BLOCH)
     for protocol in (Static(), Adaptive(alpha), AdaptivePow(exponent), ReducedAdaptive(alpha),
                      KnownBasis()):
         try:
@@ -246,7 +265,8 @@ def test_shot_plans_spend_the_budget_or_raise(n, alpha, exponent):
         except BudgetError as exc:
             # The grid pass checks every plan before it draws.
             with pytest.raises(BudgetError, match=re.escape(str(exc))):
-                run_grid(protocol, rho, (n, 2 * n), NoError(), [RngContext(SEED)] * 2, REPS)
+                run_grid(protocol, EQ7_BLOCH, (n, 2 * n), NoError(), [RngContext(SEED)] * 2,
+                         REPS)
             continue
         assert sum(shots1) + sum(shots2) == n
         assert len(shots1) == 3 and len(shots2) == protocol.adapted_settings
@@ -290,13 +310,25 @@ def test_closed_form_triplets():
     for r, got in zip(ties, mub_axes(ties)):
         assert np.max(np.abs(got - scalar_axes(r))) <= 1e-14
 
-    triggers = {
-        "degenerate": [1e-10, 0.0, 0.0],
-        "pole": [1e-8, 0.0, 0.9],
+    # Near a pole the closed form itself still holds.
+    near_pole = np.array([[1e-8, 0.0, 0.9], [0.0, -3e-11, -0.4]])
+    for r, got in zip(near_pole, mub_axes(near_pole)):
+        assert np.max(np.abs(got - scalar_axes(r))) <= 1e-14
+
+    # Where it divides by zero the row takes a fixed frame: the computational
+    # frame (z, x, y) at |r| <= 1e-9, and (sign(z) z, x, sign(z) y) on the z
+    # axis, the frames that the scalar construction gives there.
+    z, x, y = [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    frames = {
+        "degenerate": ([1e-10, 0.0, 0.0], [z, x, y]),
+        "origin": ([0.0, 0.0, 0.0], [z, x, y]),
+        "north pole": ([0.0, 0.0, 0.9], [z, x, y]),
+        "south pole": ([0.0, 0.0, -0.3], [[0.0, 0.0, -1.0], x, [0.0, -1.0, 0.0]]),
     }
-    r = np.array(list(triggers.values()))
-    for name, got, want in zip(triggers, mub_axes(r), map(scalar_axes, r)):
-        assert np.array_equal(got, want), name
+    r = np.array([row for row, _ in frames.values()])
+    for name, got, row in zip(frames, mub_axes(r), r):
+        assert np.array_equal(got, frames[name][1]), name
+        assert np.max(np.abs(got - scalar_axes(row))) <= 1e-14, name
 
 
 def _direction(v):
@@ -308,8 +340,8 @@ def _direction(v):
 _DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(_direction)
 # Corners of mub_axes: |r| around the 1e-9 threshold of the degenerate
 # branch, the surface |r| = 1, directions whose transverse component
-# sqrt(x^2 + y^2) lies around the 1e-6 threshold of the pole branch, and the
-# points where the closed form divides by zero.
+# sqrt(x^2 + y^2) is small (1e-8 to 1e-4) next to the poles, and the points
+# where the closed form divides by zero.
 _EXACT = st.sampled_from([(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -0.3)]).map(np.array)
 _NEAR_ZERO = st.tuples(_DIRECTIONS, st.floats(-10.0, -8.0)).map(lambda t: t[0] * 10.0 ** t[1])
 _NEAR_POLE = st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(-8.0, -4.0),
@@ -460,15 +492,15 @@ def test_batched_final_fit_matches_mle(batch):
 def test_reduced_adaptive_at_the_default_cap_fits_every_row():
     # At N = 2e7, the default n_cap of sweep-noise, the adapted axis carries
     # counts of 0 or N and hedged weights near 8e14.
-    batch = run_batch(ReducedAdaptive(0.5), bloch_to_density(EQ7_BLOCH), 2 * 10**7, NoError(),
-                      RngContext(0), 4000)
+    batch = run_batch(ReducedAdaptive(0.5), EQ7_BLOCH, 2 * 10**7, NoError(), RngContext(0),
+                      4000)
     assert np.all(np.linalg.norm(batch.bloch_hat, axis=1) <= 1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("protocol", [Adaptive(0.5), ReducedAdaptive(0.5)], ids=repr)
 @pytest.mark.parametrize("n, tolerance", [(2 * 10**7, 1e-8), (2 * 10**9, 1e-6)])
 def test_large_n_fits_match_the_reference(protocol, n, tolerance):
-    batch = run_batch(protocol, bloch_to_density(EQ7_BLOCH), n, NoError(), RngContext(0), 40)
+    batch = run_batch(protocol, EQ7_BLOCH, n, NoError(), RngContext(0), 40)
     shots = sum(_shot_plan(protocol, n), [])
     for axes, counts, fit in zip(batch.axes, batch.n_plus, batch.bloch_hat):
         assert np.max(np.abs(fit - reference_fit(axes, shots, counts))) <= tolerance

@@ -9,16 +9,17 @@ from adaptive_tomo import (
     InsufficientDataError,
     NoError,
     RngContext,
+    Static,
     UnderdeterminedError,
     bloch_to_density,
     density_to_bloch,
     fidelity,
     linear_inversion,
-    measure_setting,
     merge_records,
     mle,
     named_state,
     negative_loglikelihood,
+    run_protocol,
 )
 from adaptive_tomo.estimation import hedged_frequency
 from adaptive_tomo.measurement import PAULI_AXES
@@ -221,11 +222,8 @@ class TestMle:
         def mean_infidelity(shots, reps):
             vals = []
             for rep in range(reps):
-                records = [
-                    measure_setting(rho, ax, shots, NoError(),
-                                    RngContext(99, (rep,)), setting_index=k)
-                    for k, ax in enumerate(PAULI_AXES)
-                ]
+                records = run_protocol(Static(), rho, 3 * shots, NoError(),
+                                       RngContext(99, (rep,))).records
                 vals.append(1.0 - fidelity(mle(records).rho, rho))
             return float(np.mean(vals)), float(np.median(vals))
 

@@ -18,7 +18,6 @@ from adaptive_tomo import (
     RngContext,
     Static,
     alpha_sweep,
-    bloch_to_density,
     campaign_hash,
     fit_campaign,
     fit_power_law,
@@ -92,6 +91,12 @@ class TestRunCampaign:
         assert all(row.mean_infidelity >= 0.0 for row in result.rows)
         assert [row.n for row in result.rows] == [60, 120, 240]
 
+    def test_non_finite_state_rejected(self):
+        # The state is checked once, before any draw.
+        for state in ((math.nan, 0.0, 0.0), (0.0, -math.inf, 0.0), (0.8, 0.8, 0.0)):
+            with pytest.raises(InvalidStateError):
+                run_campaign(CampaignSpec(Static(), state, (100, 200, 300), reps=3))
+
     def test_reproducible_across_runs(self):
         spec = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (90, 300), reps=2, seed=5)
         first = run_campaign(spec)
@@ -107,8 +112,8 @@ class TestRunCampaign:
         few = run_campaign(CampaignSpec(Static(), EQ7_BLOCH, grid, reps=50, seed=9))
         many = run_campaign(CampaignSpec(Static(), EQ7_BLOCH, grid, reps=200, seed=9))
         label = int(few.spec_hash[:16], 16)
-        infidelity = run_batch(Static(), bloch_to_density(EQ7_BLOCH), grid[0], NoError(),
-                               RngContext(9, (label, 0)), 50).infidelity
+        infidelity = run_batch(Static(), EQ7_BLOCH, grid[0], NoError(), RngContext(9, (label, 0)),
+                               50).infidelity
         assert few.rows[0].stderr == float(np.std(infidelity, ddof=1) / math.sqrt(50))
         ratios = [a.stderr / b.stderr for a, b in zip(few.rows, many.rows)]
         ratio = math.exp(np.mean(np.log(ratios)))

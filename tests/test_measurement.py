@@ -6,6 +6,7 @@ import pytest
 from adaptive_tomo import (
     MOUNT_TO_BLOCH_ANGLE,
     PAULI_AXES,
+    Adaptive,
     CountRecord,
     FixedError,
     InvalidStateError,
@@ -13,20 +14,23 @@ from adaptive_tomo import (
     PerExperimentError,
     PerSettingError,
     RngContext,
+    Static,
     bloch_to_density,
     born_probability,
-    measure_setting,
     named_state,
-    perturb_axes,
-    sample_counts,
+    run_protocol,
 )
+from adaptive_tomo.fixtures import EQ7_BLOCH
+from adaptive_tomo.measurement import realized_axes
+from adaptive_tomo.protocols import run_batch
 
 I2 = np.eye(2, dtype=complex) / 2
 X, Y, Z = PAULI_AXES
 
 
 def angle_between(a, b):
-    return math.acos(min(max(float(np.dot(a, b)), -1.0), 1.0))
+    """Angles between the axes of two (..., 3) arrays."""
+    return np.arccos(np.clip(np.sum(a * b, axis=-1), -1.0, 1.0))
 
 
 class TestRngContext:
@@ -68,15 +72,18 @@ class TestBornProbability:
 
 
 class TestSampleCounts:
+    """Binomial photon counts: drawn by ``run_batch`` from the streams of
+    ``RngContext``, whose distinct labels give independent streams."""
+
     def test_certain_outcomes(self):
-        rng = RngContext(1).child(0)
-        assert sample_counts(1.0, 1234, rng) == 1234
-        assert sample_counts(0.0, 1234, rng) == 0
+        for z, expected in ((1.0, 100), (-1.0, 0)):
+            batch = run_batch(Static(), (0.0, 0.0, z), 300, NoError(), RngContext(1), 50)
+            assert np.all(batch.n_plus[:, 2] == expected)
 
     def test_binomial_moments(self):
         n, p = 10**6, 0.75
         draws = np.array(
-            [sample_counts(p, n, RngContext(2).child(i)) for i in range(1000)]
+            [RngContext(2).child(i).generator().binomial(n, p) for i in range(1000)]
         )
         freq = draws / n
         assert abs(freq.mean() - p) < 4.0 * math.sqrt(p * (1 - p) / n)
@@ -85,99 +92,94 @@ class TestSampleCounts:
 
     def test_bit_reproducible(self):
         rng = RngContext(3).child(9, 9)
-        assert sample_counts(0.4, 1000, rng) == sample_counts(0.4, 1000, rng)
+        first = run_batch(Adaptive(0.5), (0.3, 0.4, 0.2), 1000, PerSettingError(0.01), rng, 20)
+        again = run_batch(Adaptive(0.5), (0.3, 0.4, 0.2), 1000, PerSettingError(0.01), rng, 20)
+        assert np.array_equal(first.realized, again.realized)
+        assert np.array_equal(first.n_plus, again.n_plus)
 
     def test_lag_one_correlation_across_labels(self):
         n, p = 1000, 0.3
         draws = np.array(
-            [sample_counts(p, n, RngContext(4).child(i)) for i in range(10_000)],
+            [RngContext(4).child(i).generator().binomial(n, p) for i in range(10_000)],
             dtype=float,
         )
         std = (draws - n * p) / math.sqrt(n * p * (1 - p))
         corr = np.corrcoef(std[:-1], std[1:])[0, 1]
         assert abs(corr) < 0.05
 
-    def test_invalid_inputs(self):
-        with pytest.raises(InvalidStateError):
-            sample_counts(1.5, 10, RngContext(0))
-        with pytest.raises(InvalidStateError):
-            sample_counts(0.5, -1, RngContext(0))
+
+def standard_draws(seed, shape):
+    """A standard normal and an angle in [0, 2 pi) per axis, as the engine
+    draws them."""
+    gen = np.random.default_rng(seed)
+    return gen.standard_normal(shape), gen.uniform(0.0, 2.0 * math.pi, shape)
 
 
 class TestPerturbAxes:
+    """Alignment errors: ``realized_axes`` on given draws, and the draws
+    that ``run_batch`` gives it."""
+
     def test_zero_magnitude_is_identity(self):
-        rng = RngContext(5)
+        axes = np.array(PAULI_AXES)
         for model in (NoError(), PerSettingError(0.0), PerExperimentError(0.0),
                       FixedError(0.0)):
-            out = perturb_axes(list(PAULI_AXES), model, 0, rng)
-            for a, b in zip(PAULI_AXES, out):
-                assert np.array_equal(a, b)
+            assert np.array_equal(realized_axes(axes, model, standard_draws(5, 3)), axes)
 
     def test_outputs_are_unit(self):
-        rng = RngContext(6)
-        for model in (PerSettingError(0.3), PerExperimentError(0.3),
-                      FixedError(0.3)):
-            for exp in range(50):
-                for axis in perturb_axes(list(PAULI_AXES), model, exp, rng):
-                    assert abs(np.linalg.norm(axis) - 1.0) < 1e-10
+        axes = np.broadcast_to(np.array(PAULI_AXES), (50, 3, 3))
+        for model, width in ((PerSettingError(0.3), 3), (PerExperimentError(0.3), 1),
+                             (FixedError(0.3), 1)):
+            out = realized_axes(axes, model, standard_draws(6, (50, width)))
+            assert np.max(np.abs(np.linalg.norm(out, axis=-1) - 1.0)) < 1e-10
 
     def test_fixed_model_geometry(self):
         # A y-axis rotation applied to z tilts it toward +x in the x-z plane
         # by the Bloch angle MOUNT_TO_BLOCH_ANGLE * E.
         e = 0.01
-        out = perturb_axes([Z], FixedError(e, (0.0, 1.0, 0.0)), 0, RngContext(7))[0]
+        out = realized_axes(Z[None], FixedError(e, (0.0, 1.0, 0.0)))[0]
         phi = MOUNT_TO_BLOCH_ANGLE * e
         assert np.allclose(out, (math.sin(phi), 0.0, math.cos(phi)), atol=1e-12)
 
     def test_fixed_model_identical_across_experiments(self):
-        model = FixedError(0.02)
-        rng = RngContext(8)
-        a = perturb_axes(list(PAULI_AXES), model, 0, rng)
-        b = perturb_axes(list(PAULI_AXES), model, 123, rng)
-        for u, v in zip(a, b):
-            assert np.array_equal(u, v)
+        batch = run_batch(Adaptive(0.5), EQ7_BLOCH, 600, FixedError(0.02), RngContext(8), 50)
+        first_phase = batch.realized[:, :3]
+        assert np.array_equal(first_phase, np.broadcast_to(first_phase[0], first_phase.shape))
+        assert np.array_equal(batch.realized, realized_axes(batch.axes, FixedError(0.02)))
 
     def test_fixed_model_skips_parallel_axis(self):
-        out = perturb_axes([Y], FixedError(0.3, (0.0, 1.0, 0.0)), 0, RngContext(9))[0]
+        out = realized_axes(Y[None], FixedError(0.3, (0.0, 1.0, 0.0)))[0]
         assert np.array_equal(out, Y)
 
     def test_per_setting_angle_statistics(self):
         # Mount errors are Normal(0, E^2), so the root-mean-square tilt over
         # many settings approaches MOUNT_TO_BLOCH_ANGLE * E.
         e = math.radians(0.5)
-        model = PerSettingError(e)
-        rng = RngContext(10)
-        angles = []
-        for exp in range(1000):
-            out = perturb_axes([Z], model, exp, rng)[0]
-            angles.append(angle_between(Z, out))
+        batch = run_batch(Static(), EQ7_BLOCH, 30, PerSettingError(e), RngContext(10), 1000)
+        angles = angle_between(batch.axes, batch.realized)
         rms = math.sqrt(np.mean(np.square(angles)))
         assert 0.9 * MOUNT_TO_BLOCH_ANGLE * e < rms < 1.1 * MOUNT_TO_BLOCH_ANGLE * e
 
     def test_per_setting_draws_independent_per_setting(self):
-        model = PerSettingError(0.05)
-        rng = RngContext(11)
-        a, b, c = perturb_axes(list(PAULI_AXES), model, 0, rng)
-        assert angle_between(X, a) != pytest.approx(angle_between(Y, b), abs=1e-12)
-        # Same experiment, different setting offset: fresh draws.
-        shifted = perturb_axes([X], model, 0, rng, setting_offset=3)[0]
-        assert not np.array_equal(shifted, a)
+        # Every setting of both phases tilts by its own angle.
+        batch = run_batch(Adaptive(0.5), EQ7_BLOCH, 600, PerSettingError(0.05),
+                          RngContext(11), 3)
+        tilts = angle_between(batch.axes, batch.realized)
+        assert len(set(tilts.ravel().tolist())) == tilts.size
 
     def test_per_experiment_shares_one_draw(self):
         model = PerExperimentError(0.05)
-        rng = RngContext(12)
-        out = perturb_axes(list(PAULI_AXES), model, 4, rng)
-        tilts = [angle_between(a, b) for a, b in zip(PAULI_AXES, out)]
+        batch = run_batch(Adaptive(0.5), EQ7_BLOCH, 600, model, RngContext(12), 3)
+        tilts = angle_between(batch.axes, batch.realized)
         # One (angle, plane-parameter) draw for the whole experiment: every
-        # setting is tilted by the same angle.
-        assert tilts[0] == pytest.approx(tilts[1], abs=1e-12)
-        assert tilts[0] == pytest.approx(tilts[2], abs=1e-12)
-        # Batch composition does not change the realized axis.
-        alone = perturb_axes([Y], model, 4, rng, setting_offset=1)[0]
-        assert np.array_equal(alone, out[1])
+        # setting of both phases is tilted by the same angle.
+        assert np.allclose(tilts, tilts[:, :1], rtol=0.0, atol=1e-12)
         # A different experiment draws a different misalignment.
-        other = perturb_axes(list(PAULI_AXES), model, 5, rng)
-        assert angle_between(PAULI_AXES[0], other[0]) != pytest.approx(tilts[0], abs=1e-12)
+        assert tilts[0, 0] != pytest.approx(tilts[1, 0], abs=1e-12)
+        # Batch composition does not change the realized axis.
+        draws = standard_draws(12, (4, 1))
+        axes = np.broadcast_to(np.array(PAULI_AXES), (4, 3, 3))
+        alone = realized_axes(axes[:, 1], model, (draws[0][:, 0], draws[1][:, 0]))
+        assert np.array_equal(alone, realized_axes(axes, model, draws)[:, 1])
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -187,16 +189,19 @@ class TestPerturbAxes:
 
 
 class TestMeasureSetting:
+    """The records of one experiment, as ``run_protocol`` returns them."""
+
     def test_certain_counts_without_error(self):
-        rec = measure_setting(
-            bloch_to_density((0, 0, 1)), Z, 5000, NoError(), RngContext(13)
-        )
+        result = run_protocol(Static(), bloch_to_density((0, 0, 1)), 15000, NoError(),
+                              RngContext(13))
+        rec = result.records[2]
         assert rec.n_plus == rec.n_shots == 5000
         assert np.array_equal(rec.intended_axis, Z)
         assert np.array_equal(rec.realized_axis, Z)
 
     def test_mixed_state_frequency(self):
-        rec = measure_setting(I2, X, 10**6, NoError(), RngContext(14))
+        rec = run_protocol(Static(), I2, 3 * 10**6, NoError(), RngContext(14)).records[0]
+        assert np.array_equal(rec.intended_axis, X)
         assert abs(rec.frequency - 0.5) < 5.0 * 0.5 / 1000.0
 
     def test_fixed_error_shifts_probability(self):
@@ -205,9 +210,9 @@ class TestMeasureSetting:
         e = 0.05
         rho = bloch_to_density((0, 0, 1))
         expected = 0.5 * (1.0 + math.cos(MOUNT_TO_BLOCH_ANGLE * e))
-        rec = measure_setting(
-            rho, Z, 10**6, FixedError(e, (0.0, 1.0, 0.0)), RngContext(15)
-        )
+        result = run_protocol(Static(), rho, 3 * 10**6, FixedError(e, (0.0, 1.0, 0.0)),
+                              RngContext(15))
+        rec = result.records[2]
         assert born_probability(rho, rec.realized_axis) == pytest.approx(expected, abs=1e-12)
         assert abs(rec.frequency - expected) < 5.0 * math.sqrt(expected * (1 - expected) / 10**6)
         assert np.array_equal(rec.intended_axis, Z)

@@ -10,6 +10,7 @@ from adaptive_tomo import (
     bloch_of_ket,
     bloch_to_density,
     chernoff_exponent,
+    check_bloch,
     density_to_bloch,
     eigendecompose,
     fidelity,
@@ -54,6 +55,17 @@ class TestBlochDensityConversion:
     def test_out_of_ball_rejected(self):
         with pytest.raises(InvalidStateError):
             bloch_to_density((1.0, 1.0, 1.0))
+
+    def test_non_finite_rejected(self):
+        for r in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)):
+            with pytest.raises(InvalidStateError):
+                bloch_to_density(r)
+
+    def test_check_bloch_needs_three_components(self):
+        check_bloch(np.array([0.0, 0.6, -0.8]))
+        for r in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4), [[0.1, 0.2, 0.3]]):
+            with pytest.raises(InvalidStateError):
+                check_bloch(r)
 
     def test_bloch_of_identity_over_two(self):
         assert np.allclose(density_to_bloch(I2 / 2), np.zeros(3), atol=1e-15)
