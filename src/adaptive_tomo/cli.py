@@ -38,7 +38,7 @@ from typing import Optional, Sequence, get_args
 import numpy as np
 
 from . import __version__
-from .errors import UsageError
+from .errors import InvalidStateError, UsageError
 from .estimation import ESTIMATOR_VERSION
 from .fixtures import NAMED_STATES, named_state
 from .harness import (
@@ -47,14 +47,13 @@ from .harness import (
     NoiseFloorResult,
     ScalingFit,
     alpha_sweep,
-    fit_campaign,
     fit_power_law,
     noise_floor_sweep,
     run_campaign,
 )
 from .measurement import ErrorModel, FixedError, NoError, PerExperimentError, PerSettingError
 from .protocols import STREAM_VERSION, ProtocolSpec, protocol_name
-from .states import density_to_bloch, fidelity, purity
+from .states import check_bloch, density_to_bloch, fidelity, purity
 
 OUTPUT_DIR_ENV = "ADAPTIVE_TOMO_OUT"
 
@@ -301,6 +300,8 @@ def _validate(config: RunConfig) -> None:
                          f"got {config.n_grid}")
     if any(not 0.0 < a < 1.0 for a in config.alphas):
         raise UsageError(f"alpha grid values must be in (0, 1), got {config.alphas}")
+    if config.command == "sweep-noise" and config.model == "none":
+        raise UsageError("sweep-noise requires --model 1, 2 or 3")
     if not config.protocols:
         raise UsageError("--protocols names no protocol")
     for name in config.protocols:
@@ -331,8 +332,10 @@ def _resolve_state(text: str) -> tuple[float, float, float]:
             f"nor a Bloch triple x,y,z"
         )
     bloch = tuple(parse_float(p) for p in parts)
-    if math.sqrt(sum(x * x for x in bloch)) > 1.0 + 1e-9:
-        raise UsageError(f"Bloch vector {bloch} lies outside the unit ball")
+    try:
+        check_bloch(bloch)
+    except InvalidStateError as exc:
+        raise UsageError(f"state {text!r}: {exc}") from None
     return bloch
 
 
@@ -395,10 +398,23 @@ def _fit_entry(name: str, fit: ScalingFit) -> dict:
 
 
 def _fits_from_rows(rows: Sequence[tuple[str, int, float]]) -> list[dict]:
+    # A protocol with fewer than 3 rows has no power-law fit and no entry.
     grouped: dict[str, list[tuple[int, float]]] = {}
     for name, n, mean in rows:
         grouped.setdefault(name, []).append((n, mean))
-    return [_fit_entry(name, fit_power_law(points)) for name, points in grouped.items()]
+    return [_fit_entry(name, fit_power_law(points)) for name, points in grouped.items()
+            if len(points) >= 3]
+
+
+def _read_campaign_rows(path: str) -> list[tuple[str, int, float]]:
+    """(protocol, N, mean infidelity) of every row of a campaign CSV."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        required = {"protocol", "N", "mean_infidelity"}
+        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+            raise UsageError(f"{path} is not a campaign CSV (needs columns {sorted(required)})")
+        return [(row["protocol"], int(row["N"]), float(row["mean_infidelity"]))
+                for row in reader]
 
 
 def _json(payload: dict) -> str:
@@ -425,8 +441,6 @@ plot 'campaign.csv' every ::1 using 2:4 with linespoints title 'campaign'
 
 def execute(config: RunConfig) -> int:
     """Run the resolved command, write its files, and return an exit status."""
-    os.makedirs(config.out_dir, exist_ok=True)
-
     if config.command == "fixtures":
         eq7 = named_state("eq7")
         eq10 = named_state("eq10")
@@ -440,19 +454,12 @@ def execute(config: RunConfig) -> int:
         print(f"F(eq10, eq7) = {fidelity(eq10, eq7):.4f}")
         return 0
 
+    # fit's input is read before the output directory is made, so that a CSV
+    # which is not a campaign CSV (a usage error) leaves no directory behind.
+    rows = _read_campaign_rows(config.csv_path) if config.command == "fit" else None
+    os.makedirs(config.out_dir, exist_ok=True)
+
     if config.command == "fit":
-        with open(config.csv_path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            required = {"protocol", "N", "mean_infidelity"}
-            if reader.fieldnames is None or not required <= set(reader.fieldnames):
-                raise UsageError(
-                    f"{config.csv_path} is not a campaign CSV "
-                    f"(needs columns {sorted(required)})"
-                )
-            rows = [
-                (row["protocol"], int(row["N"]), float(row["mean_infidelity"]))
-                for row in reader
-            ]
         fits = _fits_from_rows(rows)
         files = {"fit.json": _json({"fits": fits})}
         print(f"fitted {len(fits)} protocol(s) from {config.csv_path}")
@@ -465,7 +472,7 @@ def execute(config: RunConfig) -> int:
                 f"{name} N={row.n} reps={row.reps} "
                 f"mean={row.mean_infidelity:.6e} stderr={row.stderr:.6e}"
             )
-        fits = [_fit_entry(name, fit_campaign(result))] if len(result.rows) >= 3 else []
+        fits = _fits_from_rows([(name, row.n, row.mean_infidelity) for row in result.rows])
         files = {"campaign.csv": _campaign_csv([result]), "fit.json": _json({"fits": fits})}
         if config.gnuplot:
             files["campaign.gp"] = _GNUPLOT
@@ -482,8 +489,6 @@ def execute(config: RunConfig) -> int:
                  "fit.json": _json({"alpha_sweep": entries})}
 
     elif config.command == "sweep-noise":
-        if config.model == "none":
-            raise UsageError("sweep-noise requires --model 1, 2 or 3")
         e_grid = config.e_grid or tuple(float(x) for x in np.geomspace(1e-3, 3e-2, 5))
         results = noise_floor_sweep(
             lambda e: _error_model(config, e),

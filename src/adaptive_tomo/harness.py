@@ -4,7 +4,7 @@ A campaign repeats a protocol R times at every sample size in a grid and
 aggregates mean infidelity with its standard error.  The random streams of a
 grid point are labelled by (campaign hash, grid index).  All R x grid runs
 are simulated together as arrays (``protocols.run_grid``); each grid point
-draws from its own streams as ``protocols.run_batch`` declares.  The true
+draws from its own streams as ``protocols.run_grid`` declares.  The true
 state goes in as the campaign's Bloch vector, and no density matrix is built
 on the way to the infidelities.
 """
@@ -134,15 +134,9 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     )
 
 
-def fit_campaign(result: CampaignResult, floor: Optional[float] = None) -> ScalingFit:
-    """Fit mean infidelity vs N, optionally excluding rows within 3 standard
-    errors of a detected noise floor (fits target the scaling region)."""
-    rows = result.rows
-    if floor is not None:
-        rows = tuple(
-            row for row in rows if abs(row.mean_infidelity - floor) > 3.0 * row.stderr
-        )
-    return fit_power_law([(row.n, row.mean_infidelity) for row in rows])
+def fit_campaign(result: CampaignResult) -> ScalingFit:
+    """Fit mean infidelity vs N over every row of the campaign."""
+    return fit_power_law([(row.n, row.mean_infidelity) for row in result.rows])
 
 
 def alpha_sweep(
@@ -181,6 +175,11 @@ class NoiseFloorResult:
     slope_fit: Optional[ScalingFit]
 
 
+# Largest |slope| of ln(mean) against ln(N) that counts as flat: a mean that
+# moves by less than 10% per doubling of N.
+_FLAT_SLOPE = math.log(1.1) / math.log(2.0)
+
+
 def noise_floor_sweep(
     model_factory: Callable[[float], ErrorModel],
     e_grid: Sequence[float],
@@ -191,7 +190,6 @@ def noise_floor_sweep(
     seed: int = 0,
     n_start: int = 1000,
     n_cap: int = 20_000_000,
-    rel_tol: float = 0.1,
 ) -> list[NoiseFloorResult]:
     """Locate the infidelity floor vs error magnitude and fit its slope.
 
@@ -200,15 +198,14 @@ def noise_floor_sweep(
     exceeded (reported as not converged; E = 0 never converges).  Flat means
     that the weighted least-squares slope s of ln(mean) against ln(N) over
     those three points, with weights (mean/stderr)^2, satisfies
-    |s| < ln(1 + rel_tol)/ln 2 (the mean moves by less than ``rel_tol`` per
-    doubling) and s > -0.5 + 3 sigma_s, so that the points cannot still be
-    falling at -0.5, the scaling slope of static tomography.  The floor is
-    the mean of the three points, with their standard errors pooled, and
-    ``n_at_floor`` is the largest N of the three.  Per protocol, the slope of
-    log(floor) vs log(E) is fitted over the converged magnitudes;
-    ``slope_fit`` is None when fewer than three are available.
+    |s| < ln(1.1)/ln 2 (the mean moves by less than 10% per doubling) and
+    s > -0.5 + 3 sigma_s, so that the points cannot still be falling at
+    -0.5, the scaling slope of static tomography.  The floor is the mean of
+    the three points, with their standard errors pooled, and ``n_at_floor``
+    is the largest N of the three.  Per protocol, the slope of log(floor) vs
+    log(E) is fitted over the converged magnitudes; ``slope_fit`` is None
+    when fewer than three are available.
     """
-    flat = math.log(1.0 + rel_tol) / math.log(2.0)
     results = []
     for protocol in protocols:
         points = []
@@ -235,7 +232,7 @@ def noise_floor_sweep(
                     dx = x - np.sum(w * x) / np.sum(w)
                     sxx = float(np.sum(w * dx * dx))
                     s = float(np.sum(w * dx * y)) / sxx
-                    if abs(s) < flat and s > -0.5 + 3.0 / math.sqrt(sxx):
+                    if abs(s) < _FLAT_SLOPE and s > -0.5 + 3.0 / math.sqrt(sxx):
                         point = FloorPoint(
                             float(e_value), True,
                             sum(row.mean_infidelity for row in last) / 3.0, n,

@@ -40,10 +40,6 @@ PAULI_AXES = (
     np.array([0.0, 0.0, 1.0]),
 )
 
-# Leading stream labels, so alignment draws and photon counts never collide.
-_ALIGN_STREAM = 1
-_COUNT_STREAM = 2
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -247,7 +243,7 @@ def _realized_axis(intended: np.ndarray, model: ErrorModel, normal: float = 0.0,
 # The engine's measurement: it acts on arrays over the repetitions of a
 # grid point and repeats the elementwise operations of the scalar references
 # above; the random draws it consumes come from the streams that
-# ``protocols.run_batch`` declares.
+# ``protocols.run_grid`` declares.
 
 
 def born_probabilities(axes: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -28,8 +28,6 @@ import numpy as np
 from .errors import BudgetError, InvalidStateError
 from .estimation import mle_batch
 from .measurement import (
-    _ALIGN_STREAM,
-    _COUNT_STREAM,
     PAULI_AXES,
     CountRecord,
     ErrorModel,
@@ -185,15 +183,16 @@ def run_protocol(spec: ProtocolSpec, rho_true: np.ndarray, n_total: int,
                  error_model: ErrorModel, rng: RngContext) -> RunResult:
     """Simulate one experiment of ``n_total`` samples and reconstruct a state.
 
-    This is ``run_batch`` on ``density_to_bloch(rho_true)`` with one
-    repetition on the same ``rng``, so it draws the counts that a campaign
-    on that Bloch vector draws on that stream; it is where the engine meets
-    density matrices, on the way in and for the ``RunResult``.  The records
-    hold the intended axes, realized axes, shots and counts of its settings;
-    ``rho_prelim`` is the preliminary fit that chose the adapted triplet
-    (None for one-phase protocols) and ``rho_hat`` the final fit.
+    This is ``run_grid`` on ``density_to_bloch(rho_true)`` with the one-point
+    grid ``(n_total,)``, the one stream ``rng`` and one repetition, so it
+    draws the counts that a campaign on that Bloch vector draws on that
+    stream; it is where the engine meets density matrices, on the way in and
+    for the ``RunResult``.  The records hold the intended axes, realized axes,
+    shots and counts of its settings; ``rho_prelim`` is the preliminary fit
+    that chose the adapted triplet (None for one-phase protocols) and
+    ``rho_hat`` the final fit.
     """
-    batch = run_batch(spec, density_to_bloch(rho_true), n_total, error_model, rng, 1)
+    batch = run_grid(spec, density_to_bloch(rho_true), (n_total,), error_model, (rng,), 1)
     shots = sum(_shot_plan(spec, n_total), [])
     records = tuple(map(CountRecord, batch.axes[0], batch.realized[0], shots,
                         batch.n_plus[0].tolist()))
@@ -202,21 +201,25 @@ def run_protocol(spec: ProtocolSpec, rho_true: np.ndarray, n_total: int,
                      records=records, infidelity=float(batch.infidelity[0]), total_shots=n_total)
 
 
-# Version of the random-stream layout declared in ``run_batch``; recorded in
+# Version of the random-stream layout declared in ``run_grid``; recorded in
 # provenance so that numbers from different layouts are not compared.
 STREAM_VERSION = 2
+
+# Leading stream labels, so alignment draws and photon counts never collide.
+_ALIGN_STREAM = 1
+_COUNT_STREAM = 2
 
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Outcome of the experiments at one sample size, as arrays over reps.
+    """Outcome of the experiments of a sample-size grid, as arrays over rows.
 
-    ``axes`` (reps, M, 3) holds the intended axis, ``realized`` (reps, M, 3)
-    the axis measured after alignment error and ``n_plus`` (reps, M) the +1
+    ``axes`` (rows, M, 3) holds the intended axis, ``realized`` (rows, M, 3)
+    the axis measured after alignment error and ``n_plus`` (rows, M) the +1
     counts of every setting, in ``run_protocol``'s record order (preliminary
-    phase first).  ``bloch_prelim`` (reps, 3) is the preliminary estimate
+    phase first).  ``bloch_prelim`` (rows, 3) is the preliminary estimate
     that chose the adapted triplet, None for one-phase protocols, and
-    ``bloch_hat`` (reps, 3) the final one.  ``run_grid`` stacks the reps of
+    ``bloch_hat`` (rows, 3) the final one.  ``run_grid`` stacks the reps of
     its grid points in grid order.
     """
 
@@ -228,19 +231,17 @@ class BatchResult:
     infidelity: np.ndarray
 
 
-def run_batch(
-    spec: ProtocolSpec,
-    r_true: Sequence[float],
-    n_total: int,
-    error_model: ErrorModel,
-    rng: RngContext,
-    reps: int,
-) -> BatchResult:
-    """``reps`` independent experiments of ``n_total`` samples on the true
-    state with Bloch vector ``r_true``, simulated as one vectorised pass;
-    ``run_protocol`` is its one-repetition case.
+def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
+             error_model: ErrorModel, rngs: Sequence[RngContext], reps: int) -> BatchResult:
+    """``reps`` independent experiments of ``n_grid[g]`` samples at every grid
+    point g, with stream ``rngs[g]``, on the true state with Bloch vector
+    ``r_true``, simulated as one vectorised pass over the stacked rows: rows
+    ``g * reps`` to ``(g + 1) * reps`` are grid point g's and depend only on
+    ``n_grid[g]``, ``rngs[g]`` and the shared arguments.  ``run_protocol`` is
+    its one-point, one-repetition case.
 
-    Random streams (layout ``STREAM_VERSION`` 2), all children of ``rng``:
+    Random streams (layout ``STREAM_VERSION`` 2), all children of grid point
+    g's ``rng = rngs[g]``:
 
     * the counts of phase k (0 = first phase, 1 = adapted phase) are one call
       ``rng.child(_COUNT_STREAM, k).generator().binomial(shots, p)``, with
@@ -256,22 +257,12 @@ def run_batch(
     triplet ``mub_axes`` of ``r_true``.  The preliminary estimate is
     ``mle_batch`` on the first-phase records and the adapted triplet is
     ``mub_axes`` of it; the final estimate is ``mle_batch`` on the records of
-    both phases, each called with one (reps,) array of shots per setting.
+    both phases, each called with one (rows,) array of shots per setting.
     The state is a Bloch vector throughout, and the infidelity is
-    ``fidelity_bloch``'s.  Checks that do not depend on the repetition
-    (state, budget, budget leak) run once.
-    """
-    return run_grid(spec, r_true, (n_total,), error_model, (rng,), reps)
-
-
-def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
-             error_model: ErrorModel, rngs: Sequence[RngContext], reps: int) -> BatchResult:
-    """``run_batch`` at every ``n_grid[g]`` with stream ``rngs[g]``, as one
-    pass over the stacked reps: rows ``g * reps`` to ``(g + 1) * reps`` are
-    bit for bit that grid point's ``run_batch``.  Each grid point draws from
-    its own streams; the arithmetic between draws acts on each row alone.
-    ``r_true`` is checked (``check_bloch``) and every shot plan is worked out
-    before anything is drawn, so a bad state or the first bad N raises.
+    ``fidelity_bloch``'s; the arithmetic between draws acts on each row
+    alone.  ``r_true`` is checked (``check_bloch``) and every shot plan is
+    worked out before anything is drawn, so a bad state or the first bad N
+    raises.
     """
     check_bloch(r_true)
     r_true = np.asarray(r_true, dtype=float)

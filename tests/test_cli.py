@@ -173,6 +173,52 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    USAGE_ERRORS = [
+        ("protocol", ["run", "--protocol", "bogus"], "protocol must be one of"),
+        ("exponent", ["run", "--exponent", "1.5"], "exponent must be in (0, 1)"),
+        ("reps", ["run", "--reps", "1"], "reps must be >= 2"),
+        ("model", ["run", "--model", "4"], "model must be none, 1, 2 or 3"),
+        ("negative-e", ["run", "--e=-0.1"], "error magnitude must be >= 0"),
+        ("n-below-6", ["run", "--n-grid", "5,100"], "sample sizes must be >= 6"),
+        ("alpha-grid", ["sweep-alpha", "--alpha-grid", "0.5,1.0"],
+         "alpha grid values must be in (0, 1)"),
+        ("protocols-name", ["sweep-noise", "--model", "1", "--protocols", "static,bogus"],
+         "unknown protocol 'bogus' in --protocols"),
+        ("e-grid-zero", ["sweep-noise", "--model", "1", "--e-grid", "0,0.01"],
+         "e-grid values must be positive"),
+        ("e-grid-order", ["sweep-noise", "--model", "1", "--e-grid", "0.02,0.01"],
+         "e-grid must be strictly increasing"),
+        ("n-start", ["sweep-noise", "--model", "1", "--n-start", "5"], "n-start must be >= 6"),
+        ("n-cap", ["sweep-noise", "--model", "1", "--n-start", "1000", "--n-cap", "500"],
+         "n-cap must be >= n-start"),
+        ("fit-csv", ["fit"], "fit requires --csv"),
+        ("sweep-noise-model", ["sweep-noise", "--protocols", "static"],
+         "sweep-noise requires --model 1, 2 or 3"),
+        ("grid-two-parts", ["run", "--n-grid", "100:1000"], "must be start:stop:count"),
+        ("grid-count", ["run", "--n-grid", "100:1000:x"], "is not an integer"),
+        ("grid-bounds", ["run", "--n-grid", "1000:100:3"],
+         "needs 0 < start < stop and count >= 2"),
+        ("n-grid-order", ["run", "--n-grid", "200,100"], "is not increasing"),
+        ("axis-length", ["run", "--error-axis", "1,0"], "must be three comma-separated"),
+        ("axis-zero", ["run", "--error-axis", "0,0,0"], "axis must be nonzero"),
+        ("config-missing", ["run", "--config", "{tmp}/missing.txt"], "not found"),
+        ("config-line", ["run", "--config", "{tmp}/no-equals.txt"], "expected 'key = value'"),
+        ("csv-columns", ["fit", "--csv", "{tmp}/columns.csv"], "is not a campaign CSV"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", [case[1:] for case in USAGE_ERRORS],
+                             ids=[case[0] for case in USAGE_ERRORS])
+    def test_usage_errors(self, argv, message, tmp_path, capsys):
+        (tmp_path / "no-equals.txt").write_text("seed 3\n")
+        (tmp_path / "columns.csv").write_text("protocol,n\r\nstatic,100\r\n")
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        assert main(argv + ["--out", str(tmp_path / "out" / "deep")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert message in err
+        # A usage error creates no output directory.
+        assert not (tmp_path / "out").exists()
+
     def test_alpha_sweep_needs_three_sample_sizes(self, capsys):
         argv = ["sweep-alpha", "--n-grid", "100,200", "--reps", "2"]
         with pytest.raises(UsageError, match="needs >= 3 sample sizes"):
@@ -215,7 +261,9 @@ class TestParsing:
 
 class TestFixturesCommand:
     def test_prints_sanity_values(self, capsys, tmp_path):
-        assert main(["fixtures", "--out", str(tmp_path)]) == 0
+        # fixtures writes no file, so it creates no output directory.
+        assert main(["fixtures", "--out", str(tmp_path / "out")]) == 0
+        assert not (tmp_path / "out").exists()
         out = capsys.readouterr().out
         purity_line = [l for l in out.splitlines() if l.startswith("purity(eq10)")][0]
         fid_line = [l for l in out.splitlines() if l.startswith("F(eq10, eq7)")][0]
@@ -253,6 +301,16 @@ class TestRunCommand:
         run_dir, fit_dir = tmp_path / "run", tmp_path / "fit"
         assert main(["run", "--protocol", "reduced-adaptive", "--n-grid", "90,300,900",
                      "--reps", "3", "--seed", "5", "--out", str(run_dir)]) == 0
+        assert main(["fit", "--csv", str(run_dir / "campaign.csv"),
+                     "--out", str(fit_dir)]) == 0
+        assert (run_dir / "fit.json").read_bytes() == (fit_dir / "fit.json").read_bytes()
+
+    @pytest.mark.parametrize("grid", ["100,200", "100,200,400"],
+                             ids=["2-points", "3-points"])
+    def test_fit_reproduces_run_on_any_grid(self, grid, tmp_path, capsys):
+        # With fewer than 3 points run writes no fit, and neither does fit.
+        run_dir, fit_dir = tmp_path / "run", tmp_path / "fit"
+        assert main(["run", "--n-grid", grid, "--reps", "3", "--out", str(run_dir)]) == 0
         assert main(["fit", "--csv", str(run_dir / "campaign.csv"),
                      "--out", str(fit_dir)]) == 0
         assert (run_dir / "fit.json").read_bytes() == (fit_dir / "fit.json").read_bytes()
@@ -319,12 +377,13 @@ class TestRunCommand:
         assert (tmp_path / "envout" / "campaign.csv").exists()
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
-        # Two grid points cannot be power-law fitted inside the fit command.
-        csv_path = tmp_path / "short.csv"
+        # A zero mean infidelity cannot be power-law fitted inside the fit command.
+        csv_path = tmp_path / "zero.csv"
         csv_path.write_text(
             "protocol,N,reps,mean_infidelity,stderr,seed\r\n"
             "static,100,2,0.1,0.01,0\r\n"
             "static,200,2,0.05,0.01,0\r\n"
+            "static,400,2,0.0,0.0,0\r\n"
         )
         assert main(["fit", "--csv", str(csv_path), "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """The batched campaign engine against the scalar reference path, and its
 fits against a high-precision solve.
 
-``protocols.run_batch`` simulates all repetitions of a grid point as arrays
+``protocols.run_grid`` simulates all repetitions of a grid point as arrays
 on the true state's Bloch vector, drawing every random number from the
 streams its docstring declares.  The reference below redraws those numbers
 one scalar call at a time from the same streams, perturbs each axis with the
@@ -9,9 +9,9 @@ scalar ``_realized_axis`` and requires identical counts; on those counts the
 density-matrix routines (the one-record-set fit ``mle``, ``mub_triplet`` and
 ``fidelity``) must reproduce the batch's first-phase and adapted axes,
 estimates and infidelities up to the rounding of the batched fits, and a
-campaign must complete with those routines disabled.  A campaign's grid
-pass (``protocols.run_grid``) must give, block by block, exactly the rows of
-``run_batch`` at each grid point, and ``run_protocol`` exactly its
+campaign must complete with those routines disabled.  A grid pass over
+several sample sizes must give, block by block, exactly the rows of the
+one-point ``run_grid`` at each grid point, and ``run_protocol`` exactly its
 one-repetition batch.  The fits themselves are held to the same hedged
 objective solved in 50-digit arithmetic (``reference_fit``) and to a local
 grid of the objective around each fit.
@@ -56,8 +56,8 @@ from adaptive_tomo import (
 from adaptive_tomo import states
 from adaptive_tomo.estimation import mle_batch
 from adaptive_tomo.fixtures import EQ7_BLOCH
-from adaptive_tomo.measurement import _ALIGN_STREAM, _COUNT_STREAM, _realized_axis
-from adaptive_tomo.protocols import _shot_plan, run_batch, run_grid
+from adaptive_tomo.measurement import _realized_axis
+from adaptive_tomo.protocols import _ALIGN_STREAM, _COUNT_STREAM, _shot_plan, run_grid
 from adaptive_tomo.states import fidelity_bloch, mub_axes
 
 SEED = 1729
@@ -96,7 +96,7 @@ def check_against_reference(protocol, rho, n, model, rng, reps):
     the scalar reference on ``rho``; returns the batch, or None where both
     paths raise the same BudgetError."""
     try:
-        batch = run_batch(protocol, density_to_bloch(rho), n, model, rng, reps)
+        batch = run_grid(protocol, density_to_bloch(rho), (n,), model, (rng,), reps)
     except BudgetError as exc:
         with pytest.raises(BudgetError, match=re.escape(str(exc))):
             run_protocol(protocol, rho, n, model, rng.child(0))
@@ -191,7 +191,7 @@ def test_run_protocol_is_the_one_rep_batch(protocol):
             for i, n in enumerate((7, 300)):
                 rng = RngContext(SEED, (LABEL, i))
                 try:
-                    batch = run_batch(protocol, density_to_bloch(rho), n, model, rng, 1)
+                    batch = run_grid(protocol, density_to_bloch(rho), (n,), model, (rng,), 1)
                 except BudgetError as exc:
                     with pytest.raises(BudgetError, match=re.escape(str(exc))):
                         run_protocol(protocol, rho, n, model, rng)
@@ -220,7 +220,7 @@ def test_run_protocol_is_the_one_rep_batch(protocol):
 
 def batch_or_error(protocol, state, n, model, rng):
     try:
-        return run_batch(protocol, state, n, model, rng, REPS)
+        return run_grid(protocol, state, (n,), model, (rng,), REPS)
     except BudgetError as exc:
         return str(exc)
 
@@ -276,7 +276,7 @@ def test_shot_plans_spend_the_budget_or_raise(n, alpha, exponent):
 @pytest.mark.parametrize("seed", [0, 1, SEED, 2**32 - 1, 2**32, 2**64 - 1, -5])
 @pytest.mark.parametrize("label", [0, 7, 2**32 - 1, 2**32, LABEL, 2**64 - 1])
 def test_stream_states_match_seed_sequence(seed, label):
-    # Each stream that run_batch declares is PCG64 seeded by numpy's
+    # Each stream that run_grid declares is PCG64 seeded by numpy's
     # SeedSequence on (seed mod 2**64, campaign label, grid index, stream
     # labels), for seeds and labels on both sides of 2**32; with the
     # reference test this pins a seed's numbers to numpy's documented seeding.
@@ -492,15 +492,15 @@ def test_batched_final_fit_matches_mle(batch):
 def test_reduced_adaptive_at_the_default_cap_fits_every_row():
     # At N = 2e7, the default n_cap of sweep-noise, the adapted axis carries
     # counts of 0 or N and hedged weights near 8e14.
-    batch = run_batch(ReducedAdaptive(0.5), EQ7_BLOCH, 2 * 10**7, NoError(), RngContext(0),
-                      4000)
+    batch = run_grid(ReducedAdaptive(0.5), EQ7_BLOCH, (2 * 10**7,), NoError(),
+                     (RngContext(0),), 4000)
     assert np.all(np.linalg.norm(batch.bloch_hat, axis=1) <= 1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("protocol", [Adaptive(0.5), ReducedAdaptive(0.5)], ids=repr)
 @pytest.mark.parametrize("n, tolerance", [(2 * 10**7, 1e-8), (2 * 10**9, 1e-6)])
 def test_large_n_fits_match_the_reference(protocol, n, tolerance):
-    batch = run_batch(protocol, EQ7_BLOCH, n, NoError(), RngContext(0), 40)
+    batch = run_grid(protocol, EQ7_BLOCH, (n,), NoError(), (RngContext(0),), 40)
     shots = sum(_shot_plan(protocol, n), [])
     for axes, counts, fit in zip(batch.axes, batch.n_plus, batch.bloch_hat):
         assert np.max(np.abs(fit - reference_fit(axes, shots, counts))) <= tolerance

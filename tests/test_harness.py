@@ -26,9 +26,8 @@ from adaptive_tomo import (
     run_campaign,
 )
 from adaptive_tomo.fixtures import EQ7_BLOCH
-from adaptive_tomo.harness import CampaignResult, CampaignRow
 from adaptive_tomo.measurement import error_model_name
-from adaptive_tomo.protocols import run_batch
+from adaptive_tomo.protocols import run_grid
 
 
 def fraction_ols(points):
@@ -112,8 +111,8 @@ class TestRunCampaign:
         few = run_campaign(CampaignSpec(Static(), EQ7_BLOCH, grid, reps=50, seed=9))
         many = run_campaign(CampaignSpec(Static(), EQ7_BLOCH, grid, reps=200, seed=9))
         label = int(few.spec_hash[:16], 16)
-        infidelity = run_batch(Static(), EQ7_BLOCH, grid[0], NoError(), RngContext(9, (label, 0)),
-                               50).infidelity
+        infidelity = run_grid(Static(), EQ7_BLOCH, (grid[0],), NoError(),
+                              (RngContext(9, (label, 0)),), 50).infidelity
         assert few.rows[0].stderr == float(np.std(infidelity, ddof=1) / math.sqrt(50))
         ratios = [a.stderr / b.stderr for a, b in zip(few.rows, many.rows)]
         ratio = math.exp(np.mean(np.log(ratios)))
@@ -186,24 +185,6 @@ class TestRunCampaign:
             CampaignSpec(Static(), EQ7_BLOCH, (10000,), reps=150, seed=21)
         )
         assert generic.rows[0].mean_infidelity >= 3.0 * aligned.rows[0].mean_infidelity
-
-
-class TestFitCampaign:
-    def test_floor_exclusion(self):
-        rows = (
-            CampaignRow(100, 1e-2, 1e-4, 10),
-            CampaignRow(1000, 1e-3, 1e-5, 10),
-            CampaignRow(10000, 1e-4, 1e-6, 10),
-            CampaignRow(100000, 3.0e-5, 1e-6, 10),
-            CampaignRow(1000000, 2.95e-5, 1e-6, 10),
-        )
-        spec = CampaignSpec(Static(), EQ7_BLOCH, tuple(r.n for r in rows), reps=10)
-        result = CampaignResult(spec=spec, rows=rows, spec_hash="x", seed=0)
-        full = fit_campaign(result)
-        clipped = fit_campaign(result, floor=3e-5)
-        assert clipped.fit_range == (100, 10000)
-        assert clipped.p == pytest.approx(-1.0, abs=1e-6)
-        assert full.p > clipped.p  # floor rows flatten the uncorrected fit
 
 
 class TestAlphaSweep:

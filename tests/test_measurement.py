@@ -22,7 +22,7 @@ from adaptive_tomo import (
 )
 from adaptive_tomo.fixtures import EQ7_BLOCH
 from adaptive_tomo.measurement import realized_axes
-from adaptive_tomo.protocols import run_batch
+from adaptive_tomo.protocols import run_grid
 
 I2 = np.eye(2, dtype=complex) / 2
 X, Y, Z = PAULI_AXES
@@ -72,12 +72,12 @@ class TestBornProbability:
 
 
 class TestSampleCounts:
-    """Binomial photon counts: drawn by ``run_batch`` from the streams of
+    """Binomial photon counts: drawn by ``run_grid`` from the streams of
     ``RngContext``, whose distinct labels give independent streams."""
 
     def test_certain_outcomes(self):
         for z, expected in ((1.0, 100), (-1.0, 0)):
-            batch = run_batch(Static(), (0.0, 0.0, z), 300, NoError(), RngContext(1), 50)
+            batch = run_grid(Static(), (0.0, 0.0, z), (300,), NoError(), (RngContext(1),), 50)
             assert np.all(batch.n_plus[:, 2] == expected)
 
     def test_binomial_moments(self):
@@ -92,8 +92,10 @@ class TestSampleCounts:
 
     def test_bit_reproducible(self):
         rng = RngContext(3).child(9, 9)
-        first = run_batch(Adaptive(0.5), (0.3, 0.4, 0.2), 1000, PerSettingError(0.01), rng, 20)
-        again = run_batch(Adaptive(0.5), (0.3, 0.4, 0.2), 1000, PerSettingError(0.01), rng, 20)
+        first = run_grid(Adaptive(0.5), (0.3, 0.4, 0.2), (1000,), PerSettingError(0.01),
+                         (rng,), 20)
+        again = run_grid(Adaptive(0.5), (0.3, 0.4, 0.2), (1000,), PerSettingError(0.01),
+                         (rng,), 20)
         assert np.array_equal(first.realized, again.realized)
         assert np.array_equal(first.n_plus, again.n_plus)
 
@@ -117,7 +119,7 @@ def standard_draws(seed, shape):
 
 class TestPerturbAxes:
     """Alignment errors: ``realized_axes`` on given draws, and the draws
-    that ``run_batch`` gives it."""
+    that ``run_grid`` gives it."""
 
     def test_zero_magnitude_is_identity(self):
         axes = np.array(PAULI_AXES)
@@ -141,7 +143,8 @@ class TestPerturbAxes:
         assert np.allclose(out, (math.sin(phi), 0.0, math.cos(phi)), atol=1e-12)
 
     def test_fixed_model_identical_across_experiments(self):
-        batch = run_batch(Adaptive(0.5), EQ7_BLOCH, 600, FixedError(0.02), RngContext(8), 50)
+        batch = run_grid(Adaptive(0.5), EQ7_BLOCH, (600,), FixedError(0.02), (RngContext(8),),
+                         50)
         first_phase = batch.realized[:, :3]
         assert np.array_equal(first_phase, np.broadcast_to(first_phase[0], first_phase.shape))
         assert np.array_equal(batch.realized, realized_axes(batch.axes, FixedError(0.02)))
@@ -154,21 +157,22 @@ class TestPerturbAxes:
         # Mount errors are Normal(0, E^2), so the root-mean-square tilt over
         # many settings approaches MOUNT_TO_BLOCH_ANGLE * E.
         e = math.radians(0.5)
-        batch = run_batch(Static(), EQ7_BLOCH, 30, PerSettingError(e), RngContext(10), 1000)
+        batch = run_grid(Static(), EQ7_BLOCH, (30,), PerSettingError(e), (RngContext(10),),
+                         1000)
         angles = angle_between(batch.axes, batch.realized)
         rms = math.sqrt(np.mean(np.square(angles)))
         assert 0.9 * MOUNT_TO_BLOCH_ANGLE * e < rms < 1.1 * MOUNT_TO_BLOCH_ANGLE * e
 
     def test_per_setting_draws_independent_per_setting(self):
         # Every setting of both phases tilts by its own angle.
-        batch = run_batch(Adaptive(0.5), EQ7_BLOCH, 600, PerSettingError(0.05),
-                          RngContext(11), 3)
+        batch = run_grid(Adaptive(0.5), EQ7_BLOCH, (600,), PerSettingError(0.05),
+                         (RngContext(11),), 3)
         tilts = angle_between(batch.axes, batch.realized)
         assert len(set(tilts.ravel().tolist())) == tilts.size
 
     def test_per_experiment_shares_one_draw(self):
         model = PerExperimentError(0.05)
-        batch = run_batch(Adaptive(0.5), EQ7_BLOCH, 600, model, RngContext(12), 3)
+        batch = run_grid(Adaptive(0.5), EQ7_BLOCH, (600,), model, (RngContext(12),), 3)
         tilts = angle_between(batch.axes, batch.realized)
         # One (angle, plane-parameter) draw for the whole experiment: every
         # setting of both phases is tilted by the same angle.
