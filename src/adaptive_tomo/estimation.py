@@ -31,13 +31,20 @@ from .measurement import PAULI_AXES, CountRecord
 from .states import bloch_to_density, density_to_bloch
 
 # Version of the fitting arithmetic, recorded in provenance beside the stream
-# version: 1 solved the normal equations, 2 factors the weighted design by QR.
-ESTIMATOR_VERSION = 2
+# version: 1 solved the normal equations, 2 factors the weighted design by QR,
+# 3 factors R at the surface by one-sided Jacobi instead of LAPACK's SVD.
+ESTIMATOR_VERSION = 3
 BOUNDARY_TOL = 1e-9
 _SPAN_TOL = 1e-9
 # Newton's method on the secular equation, used by mle_batch.
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 100
+# One-sided Jacobi on R, used by mle_batch: a pair of columns rotates while
+# the cosine of their angle exceeds _JACOBI_TOL.
+_JACOBI_TOL = 1e-15
+_JACOBI_MAX_SWEEPS = 30
+_JACOBI_PAIRS = ((0, 1), (0, 2), (1, 2))
+_SWAP_SIGNS = np.array([[-1.0], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -136,18 +143,72 @@ def mle(records: Sequence[CountRecord]) -> Estimate:
 
 
 def _sum_settings(terms):
-    # Sum over axis 0 (the settings) in setting order, so that a row's sum
-    # does not depend on the other rows of the batch.
+    # Sum over axis 0 (settings, or vector components) in index order, so
+    # that a row's sum does not depend on the other rows of the batch.
     total = terms[0]
     for term in terms[1:]:
         total = total + term
     return total
 
 
+def _jacobi_svd(r_cols, c):
+    # Right singular vectors of each R by one-sided (Hestenes) Jacobi: plane
+    # rotations V orthogonalise the columns of R V, which keeps R's relative
+    # accuracy (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13:1204,
+    # 1992).  r_cols (3, 3, n) holds the columns of R and c (3, n) the data,
+    # component-major.  Returns lam_j = |R v_j|^2, the basis q (3, 3, n) with
+    # q[j] = v_j, and beta_j = (R v_j) . c, unsorted: the secular equation
+    # needs neither U nor a division by a singular value.
+    #
+    # work[j] holds column j of R V above column j of V.  A pair of columns
+    # rotates only in rows where the cosine of their angle exceeds 1e-15;
+    # other rows are left untouched (a rotation by t = 0 divides by exactly
+    # 1), so a stacked row takes bit for bit the rotations it takes alone.
+    # Pair tests cycle until three in a row rotate nothing: at once for a
+    # diagonal R, after 2-4 sweeps for a full one.  t = tan(theta) and the
+    # secant come from hypot, so no square of a ratio can overflow.
+    n = c.shape[1]
+    work = np.zeros((3, 6, n))
+    work[:, :3] = r_cols
+    work[:, 3:] = np.eye(3)[:, :, None]
+    cols = work[:, :3].swapaxes(0, 1)
+    norms = _sum_settings(cols * cols)
+    lengths = np.sqrt(norms)
+    clean = 0
+    for step in range(3 * _JACOBI_MAX_SWEEPS):
+        p, q = _JACOBI_PAIRS[step % 3]
+        pair = work[p:q + 1:q - p]
+        gamma = _sum_settings(pair[0, :3] * pair[1, :3])
+        rotate = np.abs(gamma) > _JACOBI_TOL * (lengths[p] * lengths[q])
+        if not rotate.any():
+            clean += 1
+            if clean == 3:
+                return norms, work[:, 3:], _sum_settings(cols * c[:, None])
+            continue
+        clean = 0
+        diff = norms[q] - norms[p]
+        two_gamma = gamma + gamma
+        t = np.divide(two_gamma, diff + np.copysign(np.hypot(diff, two_gamma), diff),
+                      out=np.zeros(n), where=rotate)
+        # (x, y) <- (x - t y, y + t x) / sqrt(1 + t^2) on the pair's columns.
+        np.add(pair, (_SWAP_SIGNS * t)[:, None] * pair[::-1], out=pair, where=rotate)
+        pair /= np.hypot(1.0, t)
+        norms = _sum_settings(cols * cols)
+        lengths = np.sqrt(norms)
+    cosine = np.zeros(n)
+    for p, q in _JACOBI_PAIRS:
+        cosine = np.maximum(cosine, np.abs(_sum_settings(work[p, :3] * work[q, :3]))
+                            / (lengths[p] * lengths[q]))
+    raise RuntimeError(
+        f"boundary Newton iteration did not converge: the Jacobi factorisation of R left "
+        f"{np.count_nonzero(cosine > _JACOBI_TOL)} of {n} rows with non-orthogonal columns "
+        f"after {_JACOBI_MAX_SWEEPS} sweeps (largest cosine {cosine.max():.3g})")
+
+
 def _newton_boundary(lam, q, beta) -> np.ndarray:
     # Surface minimum by Newton's method on phi(mu) = 1/|t(mu)| - 1, with
     # t(mu) = beta / (lam + mu) the minimiser of |D r - y|^2 + mu |r|^2 in
-    # the eigenbasis q of D^T D, eigenvalues lam in descending order (the
+    # the eigenbasis q of D^T D, eigenvalues lam in any order (the
     # More-Sorensen trust-region step, SIAM J. Sci. Stat. Comput. 4:553,
     # 1983).  phi is increasing and concave on mu > -lam_min, so from mu = 0,
     # where phi < 0, the iterates rise monotonically to the root.  Where
@@ -155,24 +216,30 @@ def _newton_boundary(lam, q, beta) -> np.ndarray:
     # above, the root lies just left of 0; a step that would leave the domain
     # goes halfway to its edge instead.  Converged rows keep their
     # eigen-coordinates t, and one back-rotation by q ends the solve.
-    t_out = np.empty((len(lam), 3))
-    rows = np.arange(len(lam))
-    mu = np.zeros(len(lam))
+    # Arrays are component-major: lam and beta (3, n), q (3, 3, n); the
+    # result is (3, n).
+    n = lam.shape[1]
+    t_out = np.empty((3, n))
+    rows = np.arange(n)
+    mu = np.zeros(n)
     for _ in range(_NEWTON_MAX_ITER):
-        d = lam + mu[:, None]
+        d = lam + mu
         t = beta / d
-        n2 = np.sum(t * t, axis=1)
+        n2 = _sum_settings(t * t)
         norm = np.sqrt(n2)
         done = np.abs(norm - 1.0) < _NEWTON_TOL
-        t_out[rows[done]] = t[done]
+        t_out[:, rows[done]] = t[:, done]
         keep = ~done
         if not keep.any():
-            return np.einsum("nij,nj->ni", q, t_out)
-        rows, lam, beta, mu = rows[keep], lam[keep], beta[keep], mu[keep]
-        t, d, n2, norm = t[keep], d[keep], n2[keep], norm[keep]
-        step = mu + n2 * (norm - 1.0) / np.sum(t * t / d, axis=1)
-        mu = np.maximum(step, 0.5 * (mu - lam[:, 2]))
-    raise RuntimeError("boundary Newton iteration did not converge")
+            return _sum_settings(q * t_out[:, None])
+        rows, lam, beta, mu = rows[keep], lam[:, keep], beta[:, keep], mu[keep]
+        t, d, n2, norm = t[:, keep], d[:, keep], n2[keep], norm[keep]
+        step = mu + n2 * (norm - 1.0) / _sum_settings(t * t / d)
+        mu = np.maximum(step, 0.5 * (mu - lam.min(axis=0)))
+    gap = np.abs(np.sqrt(_sum_settings((beta / (lam + mu)) ** 2)) - 1.0)
+    raise RuntimeError(
+        f"boundary Newton iteration did not converge: {rows.size} of {n} rows after "
+        f"{_NEWTON_MAX_ITER} iterations (largest ||t| - 1| {gap.max():.3g})")
 
 
 def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarray:
@@ -191,9 +258,12 @@ def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarr
     over the rows, gives D = Q R and c = Q^T y; it is backward stable for
     least squares (Bjorck, BIT 7:1, 1967).  Interior rows solve R r = c.
     Rows whose solution leaves the ball take Newton's method on the secular
-    equation in the singular basis of R, to ||r| - 1| < 1e-13.
+    equation, to ||r| - 1| < 1e-13, in the right singular basis of R that a
+    one-sided Jacobi iteration on R's columns finds (no rotation for the
+    diagonal R of Pauli axes).
     Raises UnderdeterminedError if a row's axes do not span Bloch space
-    (the first such row), RuntimeError if Newton's method does not converge.
+    (the first such row), RuntimeError if Newton's method or the Jacobi
+    iteration does not converge (naming how many rows failed and by how much).
     """
     n_plus = np.asarray(n_plus)
     n_rows, n_settings = n_plus.shape
@@ -238,13 +308,11 @@ def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarr
     out = np.stack([r0, r1, r2], axis=-1)
     outside = np.flatnonzero(np.sqrt(r0 * r0 + r1 * r1 + r2 * r2) > 1.0)
     if outside.size:
-        r_mat = np.zeros((outside.size, 3, 3))
-        r_mat[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]] = np.stack(
-            [diag[0], r01, r02, diag[1], r12, diag[2]], axis=-1)[outside]
-        c = np.stack([c0, c1, c2], axis=-1)[outside]
-        u, s, vt = np.linalg.svd(r_mat)
-        beta = s * np.einsum("nji,nj->ni", u, c)
-        out[outside] = _newton_boundary(s * s, vt.transpose(0, 2, 1), beta)
+        r_cols = np.zeros((3, 3, outside.size))
+        r_cols[[0, 1, 1, 2, 2, 2], [0, 0, 1, 0, 1, 2]] = np.stack(
+            [diag[0], r01, diag[1], r02, r12, diag[2]])[:, outside]
+        c = np.stack([c0, c1, c2])[:, outside]
+        out[outside] = _newton_boundary(*_jacobi_svd(r_cols, c)).T
     return out
 
 

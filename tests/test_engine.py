@@ -14,11 +14,13 @@ several sample sizes must give, block by block, exactly the rows of the
 one-point ``run_grid`` at each grid point, and ``run_protocol`` exactly its
 one-repetition batch.  The fits themselves are held to the same hedged
 objective solved in 50-digit arithmetic (``reference_fit``) and to a local
-grid of the objective around each fit.
+grid of the objective around each fit, and the Jacobi factorisation of R
+that the surface fits use to LAPACK's SVD.
 """
 import math
 import re
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -53,10 +55,10 @@ from adaptive_tomo import (
     run_campaign,
     run_protocol,
 )
-from adaptive_tomo import states
+from adaptive_tomo import estimation, states
 from adaptive_tomo.estimation import mle_batch
 from adaptive_tomo.fixtures import EQ7_BLOCH
-from adaptive_tomo.measurement import _realized_axis
+from adaptive_tomo.measurement import PAULI_AXES, _realized_axis
 from adaptive_tomo.protocols import _ALIGN_STREAM, _COUNT_STREAM, _shot_plan, run_grid
 from adaptive_tomo.states import fidelity_bloch, mub_axes
 
@@ -615,3 +617,101 @@ def test_per_row_shots_match_separate_fits(batches):
             mle_batch(axes, list(shots), n_plus)
         return
     assert np.array_equal(mle_batch(axes, list(shots), n_plus), np.concatenate(separate))
+
+
+def jacobi_of(r_mats, c):
+    """``estimation._jacobi_svd`` of a stack of 3 x 3 matrices R (n, 3, 3) and
+    data c (n, 3), with its results in the same row-major layout: lam (n, 3),
+    q (n, 3, 3) with the basis vectors as columns, beta (n, 3)."""
+    lam, q, beta = estimation._jacobi_svd(np.array(r_mats).transpose(2, 1, 0), np.array(c).T)
+    return lam.T, q.transpose(2, 1, 0), beta.T
+
+
+@settings(settings.get_profile("engine"))
+@given(record_batches())
+def test_surface_factorisation_matches_lapack(batch):
+    # R and c of [D | y] for each row's merged records, factored by LAPACK,
+    # where the axes span Bloch space as the estimator requires.
+    axes, shots, n_plus = batch
+    r_mats, cs = [], []
+    for k in range(len(n_plus)):
+        merged_axes, merged_shots, plus, weights = merged_weights(axes[k], shots, n_plus[k])
+        if np.prod(np.linalg.eigvalsh(merged_axes.T @ merged_axes)) <= 1e-9:
+            continue
+        design = np.sqrt(weights)[:, None] * np.column_stack(
+            [merged_axes, 2.0 * plus / merged_shots - 1.0])
+        r_full = np.linalg.qr(design, mode="r")
+        r_mats.append(r_full[:3, :3])
+        cs.append(r_full[:3, 3])
+    assume(r_mats)
+    lam, q, beta = jacobi_of(r_mats, cs)
+    # Normwise agreement, relative to the largest singular value s_1 of R:
+    # at most 8.3 eps on 4 000 random sets, hence the bound of 32 eps.
+    tolerance = 32 * np.finfo(float).eps
+    for r_mat, c, lam_k, q_k, beta_k in zip(r_mats, cs, lam, q, beta):
+        s = np.linalg.svd(r_mat, compute_uv=False)
+        scale = s[0] ** 2
+        assert np.max(np.abs(np.sort(lam_k)[::-1] - s * s)) <= tolerance * scale
+        assert np.max(np.abs(q_k.T @ q_k - np.eye(3))) <= tolerance
+        assert np.max(np.abs(q_k * lam_k @ q_k.T - r_mat.T @ r_mat)) <= tolerance * scale
+        assert (np.max(np.abs(q_k @ beta_k - r_mat.T @ c))
+                <= tolerance * s[0] * np.linalg.norm(c))
+
+
+def test_surface_factorisation_is_exact_on_a_diagonal_r():
+    # The static and preliminary fits measure Pauli axes: R is diagonal and
+    # no column rotates.
+    d, c = np.array([3.0, 1e-5, 7e8]), np.array([0.1, -2.0, 5e3])
+    lam, q, beta = jacobi_of([np.diag(d)], [c])
+    assert np.array_equal(lam[0], d * d)
+    assert np.array_equal(q[0], np.eye(3))
+    assert np.array_equal(beta[0], d * c)
+
+
+@pytest.mark.parametrize("r_mat", [
+    # An off-diagonal too small to rotate.
+    [[2.0, 1e-300, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 5.0]],
+    # A pair that rotates although (|x|^2 - |y|^2) / (2 x . y) is about 5e214.
+    [[1e-100, 1e86, 0.0], [0.0, 1e100, 0.0], [0.0, 0.0, 1.0]],
+], ids=["tiny-off-diagonal", "huge-column-ratio"])
+def test_surface_factorisation_raises_no_warning_near_diagonal(r_mat):
+    r_mat, c = np.array(r_mat), np.array([1.0, -1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, q, beta = jacobi_of([r_mat], [c])
+    s = np.linalg.svd(r_mat, compute_uv=False)
+    assert np.allclose(np.sort(lam[0])[::-1], s * s, rtol=0.0, atol=1e-15 * s[0] ** 2)
+    assert np.allclose(q[0].T @ q[0], np.eye(3), rtol=0.0, atol=1e-15)
+    assert np.allclose(q[0] @ beta[0], r_mat.T @ c, rtol=1e-15, atol=0.0)
+
+
+def test_zero_and_many_sweep_rows_stack_bit_for_bit():
+    # A surface row on Pauli axes (diagonal R: no rotation) beside surface
+    # rows of adapted final fits (full R: several sweeps), as separate calls
+    # and stacked.
+    protocol, n = Adaptive(0.5), 10**4
+    batch = run_grid(protocol, EQ7_BLOCH, (n,), NoError(), (RngContext(0),), 6)
+    shots = np.array(sum(_shot_plan(protocol, n), []))
+    pauli_counts = shots * np.array([1, 0, 1, 1, 0, 1]) + np.array([0, 7, 0, 0, 9, 0])
+    axes = np.concatenate([np.concatenate([PAULI_AXES, PAULI_AXES])[None], batch.axes])
+    n_plus = np.concatenate([pauli_counts[None], batch.n_plus])
+    separate = np.concatenate([mle_batch(axes[k], list(shots), n_plus[k:k + 1])
+                               for k in range(len(n_plus))])
+    on_surface = np.abs(np.linalg.norm(separate, axis=1) - 1.0) <= 1e-12
+    assert on_surface[0] and np.count_nonzero(on_surface[1:]) >= 2
+    assert np.array_equal(mle_batch(axes, list(shots), n_plus), separate)
+
+
+@pytest.mark.parametrize("cap, message", [
+    ("_NEWTON_MAX_ITER", r"1 of 1 rows after 0 iterations \(largest \|\|t\| - 1\| [\d.e+-]+\)"),
+    ("_JACOBI_MAX_SWEEPS",
+     r"left 1 of 1 rows with non-orthogonal columns after 0 sweeps \(largest cosine [\d.e+-]+\)"),
+])
+def test_surface_solve_failure_names_its_rows(monkeypatch, cap, message):
+    # One adapted final-fit row on the surface, with the named cap at 0.
+    protocol, n = Adaptive(0.5), 10**4
+    batch = run_grid(protocol, EQ7_BLOCH, (n,), NoError(), (RngContext(0),), 1)
+    monkeypatch.setattr(estimation, cap, 0)
+    with pytest.raises(RuntimeError,
+                       match="^boundary Newton iteration did not converge: .*" + message):
+        mle_batch(batch.axes[0], sum(_shot_plan(protocol, n), []), batch.n_plus)
