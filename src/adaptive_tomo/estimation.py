@@ -214,32 +214,27 @@ def _newton_boundary(lam, q, beta) -> np.ndarray:
     # where phi < 0, the iterates rise monotonically to the root.  Where
     # rounding puts |t(0)| just below 1 although the interior solve put it
     # above, the root lies just left of 0; a step that would leave the domain
-    # goes halfway to its edge instead.  Converged rows keep their
-    # eigen-coordinates t, and one back-rotation by q ends the solve.
+    # goes halfway to its edge instead.  Every row iterates in place and
+    # nothing is gathered: a converged row keeps its multiplier, so its t is
+    # recomputed bit for bit, and one back-rotation by q ends the solve.
     # Arrays are component-major: lam and beta (3, n), q (3, 3, n); the
     # result is (3, n).
-    n = lam.shape[1]
-    t_out = np.empty((3, n))
-    rows = np.arange(n)
-    mu = np.zeros(n)
+    floor = lam.min(axis=0)
+    mu = np.zeros(lam.shape[1])
     for _ in range(_NEWTON_MAX_ITER):
         d = lam + mu
         t = beta / d
         n2 = _sum_settings(t * t)
         norm = np.sqrt(n2)
-        done = np.abs(norm - 1.0) < _NEWTON_TOL
-        t_out[:, rows[done]] = t[:, done]
-        keep = ~done
+        keep = ~(np.abs(norm - 1.0) < _NEWTON_TOL)
         if not keep.any():
-            return _sum_settings(q * t_out[:, None])
-        rows, lam, beta, mu = rows[keep], lam[:, keep], beta[:, keep], mu[keep]
-        t, d, n2, norm = t[:, keep], d[:, keep], n2[keep], norm[keep]
+            return _sum_settings(q * t[:, None])
         step = mu + n2 * (norm - 1.0) / _sum_settings(t * t / d)
-        mu = np.maximum(step, 0.5 * (mu - lam.min(axis=0)))
+        np.maximum(step, 0.5 * (mu - floor), out=mu, where=keep)
     gap = np.abs(np.sqrt(_sum_settings((beta / (lam + mu)) ** 2)) - 1.0)
     raise RuntimeError(
-        f"boundary Newton iteration did not converge: {rows.size} of {n} rows after "
-        f"{_NEWTON_MAX_ITER} iterations (largest ||t| - 1| {gap.max():.3g})")
+        f"boundary Newton iteration did not converge: {np.count_nonzero(~(gap < _NEWTON_TOL))} of "
+        f"{gap.size} rows after {_NEWTON_MAX_ITER} iterations (largest ||t| - 1| {gap.max():.3g})")
 
 
 def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarray:
@@ -276,13 +271,14 @@ def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarr
     same = (x[:, None] == x) & (y[:, None] == y) & (z[:, None] == z)
     kept = np.ones(shots.shape)
     repeats = np.flatnonzero(np.count_nonzero(same, axis=(0, 1)) > n_settings)
-    for k in repeats:
-        owner = np.argmax(same[:, :, k], axis=1)
-        first = owner == np.arange(n_settings)
-        shots[first, k] = np.bincount(owner, shots[:, k], n_settings)[first]
-        plus[first, k] = np.bincount(owner, plus[:, k], n_settings)[first]
-        kept[~first, k] = 0.0
     if repeats.size:
+        # Integer sums over the settings on one axis, so exact in any order.
+        sub = same[:, :, repeats]
+        first = np.argmax(sub, axis=1) == np.arange(n_settings)[:, None]
+        for counts in (shots, plus):
+            counts[:, repeats] = np.where(
+                first, _sum_settings(sub * counts[:, None, repeats]), counts[:, repeats])
+        kept[:, repeats] = first
         comps = comps * kept[:, None]
     _check_span(comps, kept)
     f = plus / shots

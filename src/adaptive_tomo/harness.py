@@ -86,9 +86,9 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
     infidelities = run_grid(
         spec.protocol, spec.state_bloch, spec.n_grid, spec.error_model, rngs, spec.reps,
     ).infidelity.reshape(len(spec.n_grid), spec.reps)
-    rows = tuple(CampaignRow(n, float(np.mean(block)),
-                             float(np.std(block, ddof=1) / math.sqrt(spec.reps)), spec.reps)
-                 for n, block in zip(spec.n_grid, infidelities))
+    stderrs = infidelities.std(axis=1, ddof=1) / math.sqrt(spec.reps)
+    rows = tuple(CampaignRow(n, float(mean), float(stderr), spec.reps)
+                 for n, mean, stderr in zip(spec.n_grid, infidelities.mean(axis=1), stderrs))
     return CampaignResult(spec=spec, rows=rows, spec_hash=digest, seed=spec.seed)
 
 
@@ -148,11 +148,15 @@ def alpha_sweep(
     The campaign for each alpha is exactly the campaign of the corresponding
     Adaptive(alpha) spec with the same seed, so a sweep over {0.5} reproduces
     a direct Adaptive(0.5) campaign number for number.  Returns
-    (alpha, campaign, fit) per alpha, in the order given.
+    (alpha, campaign, fit) per alpha, in the order given; a campaign's
+    RuntimeError is raised again naming its alpha.
     """
     out = []
     for alpha in alphas:
-        result = run_campaign(replace(base_spec, protocol=Adaptive(alpha)))
+        try:
+            result = run_campaign(replace(base_spec, protocol=Adaptive(alpha)))
+        except RuntimeError as exc:
+            raise RuntimeError(f"{exc}; at alpha={alpha!r}") from exc
         out.append((alpha, result, fit_campaign(result)))
     return out
 
@@ -204,7 +208,8 @@ def noise_floor_sweep(
     the three points, with their standard errors pooled, and ``n_at_floor``
     is the largest N of the three.  Per protocol, the slope of log(floor) vs
     log(E) is fitted over the converged magnitudes; ``slope_fit`` is None
-    when fewer than three are available.
+    when fewer than three are available.  A campaign's RuntimeError is
+    raised again naming its protocol, E and N.
     """
     results = []
     for protocol in protocols:
@@ -215,15 +220,13 @@ def noise_floor_sweep(
             point = FloorPoint(float(e_value), False, None, None, None)
             n = n_start
             while n <= n_cap:
-                spec = CampaignSpec(
-                    protocol=protocol,
-                    state_bloch=state_bloch,
-                    n_grid=(n,),
-                    reps=reps,
-                    error_model=model,
-                    seed=seed,
-                )
-                ladder.append(run_campaign(spec).rows[0])
+                spec = CampaignSpec(protocol, state_bloch, (n,), reps=reps, error_model=model,
+                                    seed=seed)
+                try:
+                    ladder.append(run_campaign(spec).rows[0])
+                except RuntimeError as exc:
+                    raise RuntimeError(f"{exc}; at {protocol_name(protocol)}, "
+                                       f"E={float(e_value)!r}, N={n}") from exc
                 last = ladder[-3:]
                 if len(last) == 3 and all(row.stderr > 0.0 for row in last):
                     x = np.log([row.n for row in last])

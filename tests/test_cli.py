@@ -490,6 +490,21 @@ class TestRuntimeFailureExitCodes:
         assert "n_cap=400" in err
         # run's options, which the sweep ignores, are not named.
         assert "n_grid" not in err and "protocol=" not in err
+        # The failing point of the sweep is.
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "; at static, E=0.05, N=100 (" in errors[0]
+
+    def test_sweep_alpha_failure_names_the_alpha(self, tmp_path, capsys, monkeypatch):
+        import adaptive_tomo.estimation as estimation
+
+        monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
+        assert main(["sweep-alpha", "--alpha-grid", "0.5,0.3", "--n-grid", "1000,2000,4000",
+                     "--reps", "20", "--seed", "4", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "Traceback" not in err
+        assert errors[0].startswith("error: RuntimeError: boundary Newton iteration")
+        assert "; at alpha=0.5 (" in errors[0] and "alphas=(0.5, 0.3)" in errors[0]
 
     def test_unwritable_output_directory(self, tmp_path, capsys):
         out = tmp_path / "a-file"

@@ -687,19 +687,27 @@ def test_surface_factorisation_raises_no_warning_near_diagonal(r_mat):
 
 def test_zero_and_many_sweep_rows_stack_bit_for_bit():
     # A surface row on Pauli axes (diagonal R: no rotation) beside surface
-    # rows of adapted final fits (full R: several sweeps), as separate calls
-    # and stacked.
-    protocol, n = Adaptive(0.5), 10**4
-    batch = run_grid(protocol, EQ7_BLOCH, (n,), NoError(), (RngContext(0),), 6)
-    shots = np.array(sum(_shot_plan(protocol, n), []))
-    pauli_counts = shots * np.array([1, 0, 1, 1, 0, 1]) + np.array([0, 7, 0, 0, 9, 0])
-    axes = np.concatenate([np.concatenate([PAULI_AXES, PAULI_AXES])[None], batch.axes])
-    n_plus = np.concatenate([pauli_counts[None], batch.n_plus])
-    separate = np.concatenate([mle_batch(axes[k], list(shots), n_plus[k:k + 1])
+    # rows of adapted final fits at N = 1e2, 1e4 and 2e9 (full R: several
+    # sweeps), as separate calls and stacked.  The rows also take 2 to 6
+    # Newton steps; one that converges first keeps its multiplier while the
+    # others iterate.
+    protocol = Adaptive(0.5)
+    axes, shots, n_plus = [], [], []
+    for n in (10**2, 10**4, 2 * 10**9):
+        batch = run_grid(protocol, EQ7_BLOCH, (n,), NoError(), (RngContext(0),), 6)
+        axes.append(batch.axes)
+        shots.append(np.tile(sum(_shot_plan(protocol, n), []), (6, 1)))
+        n_plus.append(batch.n_plus)
+    pauli_shots = np.array(sum(_shot_plan(protocol, 10**4), []))
+    axes.append(np.concatenate([PAULI_AXES, PAULI_AXES])[None])
+    shots.append(pauli_shots[None])
+    n_plus.append((pauli_shots * np.array([1, 0, 1, 1, 0, 1]) + np.array([0, 7, 0, 0, 9, 0]))[None])
+    axes, shots, n_plus = np.concatenate(axes), np.concatenate(shots), np.concatenate(n_plus)
+    separate = np.concatenate([mle_batch(axes[k], list(shots[k]), n_plus[k:k + 1])
                                for k in range(len(n_plus))])
     on_surface = np.abs(np.linalg.norm(separate, axis=1) - 1.0) <= 1e-12
-    assert on_surface[0] and np.count_nonzero(on_surface[1:]) >= 2
-    assert np.array_equal(mle_batch(axes, list(shots), n_plus), separate)
+    assert on_surface[-1] and all(on_surface[k:k + 6].any() for k in (0, 6, 12))
+    assert np.array_equal(mle_batch(axes, list(shots.T), n_plus), separate)
 
 
 @pytest.mark.parametrize("cap, message", [
@@ -715,3 +723,32 @@ def test_surface_solve_failure_names_its_rows(monkeypatch, cap, message):
     with pytest.raises(RuntimeError,
                        match="^boundary Newton iteration did not converge: .*" + message):
         mle_batch(batch.axes[0], sum(_shot_plan(protocol, n), []), batch.n_plus)
+
+
+def test_repeated_axes_merge_in_one_step_like_one_row_calls_and_mle():
+    # One row without a repeat beside four rows with repeats, all on the
+    # Pauli axes then three more: a pole-frame adapted triplet (each axis
+    # repeats a Pauli axis), the triplet of a preliminary estimate with a
+    # zero x component (its third axis is (1, -0, 0), Pauli x), z repeated
+    # with signed zeros, and z appearing three times.
+    generic = mub_axes(np.array([[0.3, -0.5, 0.6]]))[0]
+    extra = np.stack([
+        generic,
+        mub_axes(np.array([[0.0, 0.0, 0.9]]))[0],
+        mub_axes(np.array([[0.0, 0.4, 0.7]]))[0],
+        [[-0.0, -0.0, 1.0], generic[0], generic[1]],
+        [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], generic[2]],
+    ])
+    axes = np.concatenate([np.broadcast_to(PAULI_AXES, extra.shape), extra], axis=1)
+    repeats = [sum(any(np.array_equal(a, b) for b in row[:m]) for m, a in enumerate(row))
+               for row in axes]
+    assert repeats == [0, 3, 1, 1, 2]
+    shots = [40, 40, 40, 60, 60, 60]
+    p = 0.5 * (1.0 + axes @ np.array(EQ7_BLOCH))
+    n_plus = np.random.default_rng(5).binomial(shots, p)
+    separate = np.concatenate([mle_batch(axes[k], shots, n_plus[k:k + 1])
+                               for k in range(len(axes))])
+    assert np.array_equal(mle_batch(axes, shots, n_plus), separate)
+    for row, counts, fit in zip(axes, n_plus, separate):
+        records = [CountRecord(a, a, n, int(c)) for a, n, c in zip(row, shots, counts)]
+        assert np.max(np.abs(fit - density_to_bloch(mle(records).rho))) <= 1e-15

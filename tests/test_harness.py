@@ -25,6 +25,7 @@ from adaptive_tomo import (
     protocol_name,
     run_campaign,
 )
+from adaptive_tomo import estimation
 from adaptive_tomo.fixtures import EQ7_BLOCH
 from adaptive_tomo.measurement import error_model_name
 from adaptive_tomo.protocols import run_grid
@@ -118,6 +119,21 @@ class TestRunCampaign:
         ratio = math.exp(np.mean(np.log(ratios)))
         assert 2.0 * 0.7 < ratio < 2.0 * 1.3
 
+    @pytest.mark.parametrize("reps", [2, 129, 150])
+    def test_rows_reduce_each_grid_point_like_numpy(self, reps):
+        # One reduction over the (grid, reps) infidelities gives each grid
+        # point's numpy mean and standard error bit for bit; 129 repetitions
+        # straddle numpy's 128-element pairwise-summation block.
+        spec = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (100, 1000, 10**4), reps=reps, seed=12,
+                            error_model=PerSettingError(0.01))
+        result = run_campaign(spec)
+        label = int(result.spec_hash[:16], 16)
+        for i, row in enumerate(result.rows):
+            block = run_grid(spec.protocol, spec.state_bloch, (row.n,), spec.error_model,
+                             (RngContext(spec.seed, (label, i)),), reps).infidelity
+            assert row.mean_infidelity == float(np.mean(block))
+            assert row.stderr == float(np.std(block, ddof=1) / math.sqrt(reps))
+
     def test_distinct_specs_get_distinct_streams(self):
         a = campaign_hash(CampaignSpec(Static(), EQ7_BLOCH, (100,), reps=2, seed=5))
         b = campaign_hash(CampaignSpec(Static(), EQ7_BLOCH, (101,), reps=2, seed=5))
@@ -206,7 +222,24 @@ class TestAlphaSweep:
         assert [result.spec.protocol for _, result, _ in sweep] == [Adaptive(0.3), Adaptive(0.5)]
 
 
+    def test_solver_failure_names_the_alpha(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
+        base = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (1000, 2000, 4000), reps=20, seed=4)
+        with pytest.raises(RuntimeError, match=r"^boundary Newton iteration did not converge: "
+                                               r".*; at alpha=0\.3$") as info:
+            alpha_sweep([0.3], base)
+        assert isinstance(info.value.__cause__, RuntimeError)
+
+
 class TestNoiseFloorSweep:
+    def test_solver_failure_names_the_point(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
+        with pytest.raises(RuntimeError, match=r"^boundary Newton iteration did not converge: "
+                                               r".*; at static, E=0\.05, N=100$") as info:
+            noise_floor_sweep(PerSettingError, [0.05], [Static()], EQ7_BLOCH, reps=4, seed=4,
+                              n_start=100, n_cap=400)
+        assert isinstance(info.value.__cause__, RuntimeError)
+
     def test_zero_error_never_converges(self):
         out = noise_floor_sweep(
             lambda e: PerSettingError(e) if e > 0 else NoError(),
