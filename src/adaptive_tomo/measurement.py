@@ -181,20 +181,6 @@ def born_probability(rho: np.ndarray, axis: Sequence[float]) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _perp_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Deterministic orthonormal basis of the plane perpendicular to axis.
-    ax, ay, az = float(axis[0]), float(axis[1]), float(axis[2])
-    k = min(range(3), key=lambda i: abs((ax, ay, az)[i]))
-    e = [0.0, 0.0, 0.0]
-    e[k] = 1.0
-    d = (ax, ay, az)[k]
-    e1 = (e[0] - d * ax, e[1] - d * ay, e[2] - d * az)
-    n = math.sqrt(e1[0] ** 2 + e1[1] ** 2 + e1[2] ** 2)
-    e1 = (e1[0] / n, e1[1] / n, e1[2] / n)
-    e2 = _cross((ax, ay, az), e1)
-    return np.array(e1), np.array(e2)
-
-
 def _cross(a, b) -> tuple[float, float, float]:
     return (
         a[1] * b[2] - a[2] * b[1],
@@ -203,46 +189,8 @@ def _cross(a, b) -> tuple[float, float, float]:
     )
 
 
-def _rotate(axis: np.ndarray, rot_axis, angle: float) -> np.ndarray:
-    # Rodrigues rotation for rot_axis perpendicular to axis.
-    ax, ay, az = float(axis[0]), float(axis[1]), float(axis[2])
-    ux, uy, uz = float(rot_axis[0]), float(rot_axis[1]), float(rot_axis[2])
-    c, s = math.cos(angle), math.sin(angle)
-    cx, cy, cz = _cross((ux, uy, uz), (ax, ay, az))
-    ox, oy, oz = ax * c + cx * s, ay * c + cy * s, az * c + cz * s
-    n = math.sqrt(ox * ox + oy * oy + oz * oz)
-    return np.array([ox / n, oy / n, oz / n])
-
-
-def _realized_axis(intended: np.ndarray, model: ErrorModel, normal: float = 0.0,
-                   chi: float = 0.0) -> np.ndarray:
-    # Scalar reference of ``realized_axes`` for one axis; a random model
-    # takes its standard normal draw and its angle in [0, 2 pi) as arguments.
-    if model.magnitude == 0.0:
-        return intended
-    if model.draws_per is None:
-        wx, wy, wz = model.rotation_axis
-        ax, ay, az = float(intended[0]), float(intended[1]), float(intended[2])
-        d = wx * ax + wy * ay + wz * az
-        px, py, pz = wx - d * ax, wy - d * ay, wz - d * az
-        norm = math.sqrt(px * px + py * py + pz * pz)
-        if norm < 1e-12:
-            # Rotation about the measured axis itself is unobservable.
-            return intended
-        return _rotate(
-            intended,
-            (px / norm, py / norm, pz / norm),
-            MOUNT_TO_BLOCH_ANGLE * model.magnitude,
-        )
-    delta = normal * model.magnitude
-    e1, e2 = _perp_basis(intended)
-    rot_axis = e1 * math.cos(chi) + e2 * math.sin(chi)
-    return _rotate(intended, rot_axis, MOUNT_TO_BLOCH_ANGLE * delta)
-
-
-# The engine's measurement: it acts on arrays over the repetitions of a
-# grid point and repeats the elementwise operations of the scalar references
-# above; the random draws it consumes come from the streams that
+# The engine's measurement acts on arrays over the repetitions of a grid
+# point; the random draws it consumes come from the streams that
 # ``protocols.run_grid`` declares.
 
 
@@ -253,7 +201,8 @@ def born_probabilities(axes: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _rotate3(a, u, c, s):
-    # ``_rotate`` on component arrays, given cos and sin of the angle.
+    # Rodrigues rotation of the component arrays a about the unit axis u
+    # perpendicular to them, given cos and sin of the angle.
     cx, cy, cz = _cross(u, a)
     ox, oy, oz = a[0] * c + cx * s, a[1] * c + cy * s, a[2] * c + cz * s
     n = np.sqrt(ox * ox + oy * oy + oz * oz)
@@ -265,11 +214,14 @@ def realized_axes(
     model: ErrorModel,
     draws: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
-    """``_realized_axis`` on an (..., 3) array of intended axes.
+    """The axes measured in place of an (..., 3) array of intended axes.
 
-    For the random models ``draws`` holds the standard normal and the angle
-    in [0, 2 pi) of every axis, as arrays that broadcast against
-    ``intended[..., 0]``.
+    Each axis turns by ``MOUNT_TO_BLOCH_ANGLE`` times its mount error about a
+    unit axis perpendicular to it: the perpendicular part of ``rotation_axis``
+    for ``FixedError`` (no turn where it vanishes), and for the random models
+    the direction at angle chi in a fixed basis of the perpendicular plane.
+    ``draws`` then holds each axis's standard normal and chi in [0, 2 pi), as
+    arrays that broadcast against ``intended[..., 0]``.
     """
     if model.magnitude == 0.0:
         return intended
@@ -287,8 +239,8 @@ def realized_axes(
         return np.where((norm < 1e-12)[..., None], intended, out)
     normal, chi = draws
     delta = normal * model.magnitude
-    # _perp_basis: unit vector on the smallest |component| (first on ties),
-    # orthogonalised against the axis.
+    # The fixed basis (e1, e2): the unit vector on the axis's smallest
+    # |component| (first on ties), orthogonalised against the axis.
     k = np.argmin(np.abs(intended), axis=-1)
     d = np.take_along_axis(intended, k[..., None], axis=-1)[..., 0]
     e = [(k == i).astype(float) for i in range(3)]

@@ -3,10 +3,12 @@
 The simulation engine works on Bloch 3-vectors (expectation values of the
 three Pauli operators) alone: ``check_bloch``, ``mub_axes`` and
 ``fidelity_bloch`` are all that a campaign calls here.  The 2x2 complex
-density matrices, and the functions on them, serve the public API
-(``protocols.run_protocol``, the estimators' ``Estimate``, the fixtures) and
-the tests' scalar references.  All operations here are pure functions on
-immutable values and are safe to call from any number of threads.
+density matrices serve the public API (``protocols.run_protocol``, the
+estimators' ``Estimate``, the fixtures): purity, fidelity, the second-order
+infidelity form and the Chernoff exponent each convert their matrices with
+``density_to_bloch`` and evaluate a closed form of the Bloch vectors.  All
+operations here are pure functions on immutable values and are safe to call
+from any number of threads.
 """
 from __future__ import annotations
 
@@ -29,19 +31,16 @@ TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 BLOCH_NORM_ATOL = 1e-9
 
-# Below this spectral gap the eigenbasis is treated as degenerate and the
-# computational basis is returned, so that adaptation on a maximally mixed
-# preliminary estimate is deterministic.
-DEGENERACY_GAP = 1e-10
+# At or below this spectral gap, which equals the Bloch norm |r|, the
+# eigenbasis is treated as degenerate and the computational basis is
+# returned (by ``eigendecompose`` and ``mub_axes`` alike), so that adaptation
+# on a maximally mixed preliminary estimate is deterministic.
+DEGENERACY_GAP = 1e-9
 
 # Strict-positivity threshold for the second-order infidelity form.
 POSITIVITY_TOL = 1e-8
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# At or below this norm mub_axes returns the computational frame, like the
-# degenerate branch of eigendecompose.
-_DEGENERATE_NORM = 1e-9
 
 
 def check_bloch(r: Sequence[float]) -> None:
@@ -152,39 +151,19 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 
 def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2); ranges from 1/2 (maximally mixed) to 1 (pure)."""
-    check_density(rho)
-    a = rho[0, 0].real
-    b = rho[1, 1].real
-    c = rho[0, 1]
-    return a * a + b * b + 2.0 * (c.real**2 + c.imag**2)
+    """Tr(rho^2) = (1 + |r|^2)/2; ranges from 1/2 (maximally mixed) to 1 (pure)."""
+    r = density_to_bloch(rho)
+    return 0.5 * (1.0 + float(r @ r))
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """State fidelity via the qubit closed form Tr(rho sigma) + 2 sqrt(det rho det sigma).
+    """State fidelity via the qubit closed form Tr(rho sigma) + 2 sqrt(det rho det sigma),
+    evaluated as ``fidelity_bloch`` of the two Bloch vectors.
 
     Equivalent to the general square-root definition but avoids matrix square
     roots of near-singular operators; clamped into [0, 1].
     """
-    check_density(rho)
-    check_density(sigma)
-    return _fidelity_unchecked(rho, sigma)
-
-
-def _fidelity_unchecked(rho: np.ndarray, sigma: np.ndarray) -> float:
-    overlap = (
-        rho[0, 0].real * sigma[0, 0].real
-        + rho[1, 1].real * sigma[1, 1].real
-        + 2.0 * (rho[0, 1] * sigma[1, 0]).real
-    )
-    det_r = max(_det2(rho), 0.0)
-    det_s = max(_det2(sigma), 0.0)
-    f = overlap + 2.0 * math.sqrt(det_r * det_s)
-    return min(max(f, 0.0), 1.0)
-
-
-def _det2(rho: np.ndarray) -> float:
-    return (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
+    return float(fidelity_bloch(density_to_bloch(rho), density_to_bloch(sigma)))
 
 
 def infidelity_quadratic_approx(rho: np.ndarray, delta: np.ndarray) -> float:
@@ -195,29 +174,27 @@ def infidelity_quadratic_approx(rho: np.ndarray, delta: np.ndarray) -> float:
         (1/2) * sum_ij |<i|delta|j>|^2 / (<i|rho|i> + <j|rho|j>)
 
     which agrees with the exact 1 - F(rho, rho + eps*delta) up to O(eps^3).
-    Requires rho strictly positive and delta traceless Hermitian; raises
-    RankDeficientStateError when an eigenvalue of rho is below tolerance
-    (there the infidelity becomes linear in delta and this form is invalid).
+    With rho = (1 + r.sigma)/2, delta = (d.sigma)/2 and d_par = d.r/|r| it is
+    (|d|^2 - d_par^2 + d_par^2 / (1 - |r|^2))/4.  Requires rho strictly
+    positive and delta traceless Hermitian; raises RankDeficientStateError
+    when the smaller eigenvalue (1 - |r|)/2 of rho is below tolerance (there
+    the infidelity becomes linear in delta and this form is invalid).
     """
-    check_density(rho)
+    r = density_to_bloch(rho)
     if abs(np.trace(delta)) > 1e-10:
         raise InvalidStateError("perturbation must be traceless")
     if np.max(np.abs(delta - delta.conjugate().T)) > 1e-10:
         raise InvalidStateError("perturbation must be Hermitian")
-    eig = eigendecompose(rho)
-    lam1, lam2 = eig.eigenvalues
+    norm = math.sqrt(float(r @ r))
+    lam2 = 0.5 * (1.0 - norm)
     if lam2 <= POSITIVITY_TOL:
         raise RankDeficientStateError(
             f"state eigenvalue {lam2} below tolerance {POSITIVITY_TOL}"
         )
-    basis = np.column_stack(eig.eigenvectors)
-    d = basis.conjugate().T @ delta @ basis
-    lams = (lam1, lam2)
-    total = 0.0
-    for i in range(2):
-        for j in range(2):
-            total += (abs(d[i, j]) ** 2) / (lams[i] + lams[j])
-    return 0.5 * total
+    c = delta[0, 1]
+    d = np.array([2.0 * c.real, -2.0 * c.imag, (delta[0, 0] - delta[1, 1]).real])
+    d_par2 = float(d @ r) ** 2 / (norm * norm) if norm > 0.0 else 0.0
+    return 0.25 * (float(d @ d) - d_par2 + d_par2 / (1.0 - norm * norm))
 
 
 def chernoff_exponent(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -225,19 +202,17 @@ def chernoff_exponent(rho: np.ndarray, sigma: np.ndarray) -> float:
 
     D = -log min_{s in [0,1]} Tr(rho^s sigma^(1-s)), with matrix powers taken
     on the support (0^s = 0).  Returns math.inf when the states have orthogonal
-    support (perfectly distinguishable).  The scalar minimisation uses a
-    golden-section search to tolerance 1e-8 in s.
+    support (perfectly distinguishable).  With Bloch vectors r and q, the
+    eigenvalues are (1 +- |r|)/2 and (1 +- |q|)/2 and the squared eigenvector
+    overlaps (1 +- cos)/2, with cos = r.q/(|r||q|), or 0 where either vanishes.
+    The scalar minimisation uses a golden-section search to tolerance 1e-8 in s.
     """
-    check_density(rho)
-    check_density(sigma)
-    er = eigendecompose(rho)
-    es = eigendecompose(sigma)
-    overlaps = np.abs(
-        np.column_stack(er.eigenvectors).conjugate().T @ np.column_stack(es.eigenvectors)
-    ) ** 2
-
-    lr = er.eigenvalues
-    ls = es.eigenvalues
+    r, q = density_to_bloch(rho), density_to_bloch(sigma)
+    nr, nq = math.sqrt(float(r @ r)), math.sqrt(float(q @ q))
+    lr = [min(max(0.5 * (1.0 + sign * nr), 0.0), 1.0) for sign in (1.0, -1.0)]
+    ls = [min(max(0.5 * (1.0 + sign * nq), 0.0), 1.0) for sign in (1.0, -1.0)]
+    cos = min(max(float(r @ q) / (nr * nq), -1.0), 1.0) if nr > 0.0 and nq > 0.0 else 0.0
+    overlaps = [[0.5 * (1.0 + cos), 0.5 * (1.0 - cos)], [0.5 * (1.0 - cos), 0.5 * (1.0 + cos)]]
 
     def trace_power(s: float) -> float:
         total = 0.0
@@ -247,7 +222,7 @@ def chernoff_exponent(rho: np.ndarray, sigma: np.ndarray) -> float:
                 continue
             for j in range(2):
                 pj = ls[j] ** (1.0 - s) if ls[j] > 0.0 else 0.0
-                total += pi * pj * overlaps[i, j]
+                total += pi * pj * overlaps[i][j]
         return total
 
     lo, hi = 0.0, 1.0
@@ -321,12 +296,11 @@ def mub_axes(r: np.ndarray) -> np.ndarray:
     With r_hat = r_k / |r_k| = (x, y, z) and rho = sqrt(x^2 + y^2) the triplet
     is (r_hat, (-z x/rho, -z y/rho, rho), (y/rho, -x/rho, 0)).  Where that
     divides by zero the row takes the scalar construction's frame there: the
-    computational frame (z, x, y) at |r_k| <= 1e-9, and (sign(z) z, x,
-    sign(z) y) on the z axis (rho = 0).  Elsewhere it agrees with the scalar
-    construction to about 1e-15, except in two thin shells where the two
-    switch frames at different places: the scalar degenerate branch starts
-    only at |r_k| <= 1e-10, and the scalar phase convention takes the pole
-    frame already for rho below about 1e-12.
+    computational frame (z, x, y) at |r_k| <= DEGENERACY_GAP, and (sign(z) z,
+    x, sign(z) y) on the z axis (rho = 0).  Elsewhere it agrees with the
+    scalar construction to about 1e-15, except in a thin cone about the z
+    axis, where the scalar phase convention takes the pole frame already for
+    rho below about 1e-12.
     """
     r = np.asarray(r, dtype=float)
     norm = np.sqrt(np.sum(r * r, axis=1))
@@ -339,8 +313,8 @@ def mub_axes(r: np.ndarray) -> np.ndarray:
             np.stack([y / rho, -x / rho, np.zeros_like(x)], axis=-1),
         ], axis=1)
     # Rows where the closed form divides by a vanishing |r_k| or rho.
-    special = ~(norm > _DEGENERATE_NORM) | ~(rho > 0.0)
-    sign = np.where((norm > _DEGENERATE_NORM) & (z < 0.0), -1.0, 1.0)[special]
+    special = ~(norm > DEGENERACY_GAP) | ~(rho > 0.0)
+    sign = np.where((norm > DEGENERACY_GAP) & (z < 0.0), -1.0, 1.0)[special]
     axes[special] = 0.0
     axes[special, 0, 2] = sign
     axes[special, 1, 0] = 1.0
@@ -352,10 +326,11 @@ def fidelity_bloch(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``fidelity`` of states given as Bloch vectors (arrays (..., 3)).
 
     Evaluates (1 + r.s + sqrt((1 - |r|^2)(1 - |s|^2)))/2, each factor under
-    the root floored at 0 like the determinants of the matrix form, and
-    clamps the result into [0, 1].  Inside the ball it agrees with
-    ``fidelity`` to about 3e-16; for pure states the root of a vanishing
-    determinant amplifies the rounding of either form to about 1e-8.
+    the root floored at 0 like the determinants of the matrix form
+    Tr(rho sigma) + 2 sqrt(det rho det sigma), and clamps the result into
+    [0, 1].  Inside the ball it agrees with that matrix form to about 1e-15;
+    for pure states the root of a vanishing determinant amplifies the
+    rounding of either form to about 1e-8.
     """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)

@@ -5,17 +5,17 @@ fits against a high-precision solve.
 on the true state's Bloch vector, drawing every random number from the
 streams its docstring declares.  The reference below redraws those numbers
 one scalar call at a time from the same streams, perturbs each axis with the
-scalar ``_realized_axis`` and requires identical counts; on those counts the
-density-matrix routines (the one-record-set fit ``mle``, ``mub_triplet`` and
-``fidelity``) must reproduce the batch's first-phase and adapted axes,
-estimates and infidelities up to the rounding of the batched fits, and a
-campaign must complete with those routines disabled.  A grid pass over
-several sample sizes must give, block by block, exactly the rows of the
-one-point ``run_grid`` at each grid point, and ``run_protocol`` exactly its
-one-repetition batch.  The fits themselves are held to the same hedged
-objective solved in 50-digit arithmetic (``reference_fit``) and to a local
-grid of the objective around each fit, and the Jacobi factorisation of R
-that the surface fits use to LAPACK's SVD.
+scalar ``realized_axis`` defined here and requires identical counts; on
+those counts the density-matrix routines (the one-record-set fit ``mle``,
+``mub_triplet`` and ``fidelity``) must reproduce the batch's first-phase and
+adapted axes, estimates and infidelities up to the rounding of the batched
+fits, and a campaign must complete with those routines disabled.  A grid
+pass over several sample sizes must give, block by block, exactly the rows
+of the one-point ``run_grid`` at each grid point, and ``run_protocol``
+exactly its one-repetition batch.  The fits themselves are held to the same
+hedged objective solved in 50-digit arithmetic (``reference_fit``) and to a
+local grid of the objective around each fit, and the Jacobi factorisation of
+R that the surface fits use to LAPACK's SVD.
 """
 import math
 import re
@@ -58,7 +58,7 @@ from adaptive_tomo import (
 from adaptive_tomo import estimation, states
 from adaptive_tomo.estimation import mle_batch
 from adaptive_tomo.fixtures import EQ7_BLOCH
-from adaptive_tomo.measurement import PAULI_AXES, _realized_axis
+from adaptive_tomo.measurement import MOUNT_TO_BLOCH_ANGLE, PAULI_AXES, _cross
 from adaptive_tomo.protocols import _ALIGN_STREAM, _COUNT_STREAM, _shot_plan, run_grid
 from adaptive_tomo.states import fidelity_bloch, mub_axes
 
@@ -77,6 +77,57 @@ settings.register_profile("engine", derandomize=True, database=None, max_example
                           deadline=None)
 
 
+def perp_basis(axis):
+    # Deterministic orthonormal basis of the plane perpendicular to axis.
+    ax, ay, az = float(axis[0]), float(axis[1]), float(axis[2])
+    k = min(range(3), key=lambda i: abs((ax, ay, az)[i]))
+    e = [0.0, 0.0, 0.0]
+    e[k] = 1.0
+    d = (ax, ay, az)[k]
+    e1 = (e[0] - d * ax, e[1] - d * ay, e[2] - d * az)
+    n = math.sqrt(e1[0] ** 2 + e1[1] ** 2 + e1[2] ** 2)
+    e1 = (e1[0] / n, e1[1] / n, e1[2] / n)
+    e2 = _cross((ax, ay, az), e1)
+    return np.array(e1), np.array(e2)
+
+
+def rotate(axis, rot_axis, angle):
+    # Rodrigues rotation for rot_axis perpendicular to axis.
+    ax, ay, az = float(axis[0]), float(axis[1]), float(axis[2])
+    ux, uy, uz = float(rot_axis[0]), float(rot_axis[1]), float(rot_axis[2])
+    c, s = math.cos(angle), math.sin(angle)
+    cx, cy, cz = _cross((ux, uy, uz), (ax, ay, az))
+    ox, oy, oz = ax * c + cx * s, ay * c + cy * s, az * c + cz * s
+    n = math.sqrt(ox * ox + oy * oy + oz * oz)
+    return np.array([ox / n, oy / n, oz / n])
+
+
+def realized_axis(intended, model, normal=0.0, chi=0.0):
+    """Scalar reference of ``measurement.realized_axes`` for one axis; a
+    random model takes its standard normal draw and its angle in [0, 2 pi)
+    as arguments."""
+    if model.magnitude == 0.0:
+        return intended
+    if model.draws_per is None:
+        wx, wy, wz = model.rotation_axis
+        ax, ay, az = float(intended[0]), float(intended[1]), float(intended[2])
+        d = wx * ax + wy * ay + wz * az
+        px, py, pz = wx - d * ax, wy - d * ay, wz - d * az
+        norm = math.sqrt(px * px + py * py + pz * pz)
+        if norm < 1e-12:
+            # Rotation about the measured axis itself is unobservable.
+            return intended
+        return rotate(
+            intended,
+            (px / norm, py / norm, pz / norm),
+            MOUNT_TO_BLOCH_ANGLE * model.magnitude,
+        )
+    delta = normal * model.magnitude
+    e1, e2 = perp_basis(intended)
+    rot_axis = e1 * math.cos(chi) + e2 * math.sin(chi)
+    return rotate(intended, rot_axis, MOUNT_TO_BLOCH_ANGLE * delta)
+
+
 def reference_realized_axes(model, rng, axes):
     """Realized axes of ``axes`` (reps, M, 3), with every misalignment drawn
     by a scalar call from the declared stream, in C order."""
@@ -89,7 +140,7 @@ def reference_realized_axes(model, rng, axes):
         chi = [[gen.uniform(0.0, 2.0 * math.pi) for _ in range(width)] for _ in range(reps)]
         if width == 1:
             normal, chi = ([row * m for row in draws] for draws in (normal, chi))
-    return [[_realized_axis(axes[j, s], model, normal[j][s], chi[j][s]) for s in range(m)]
+    return [[realized_axis(axes[j, s], model, normal[j][s], chi[j][s]) for s in range(m)]
             for j in range(reps)]
 
 
@@ -318,11 +369,14 @@ def test_closed_form_triplets():
         assert np.max(np.abs(got - scalar_axes(r))) <= 1e-14
 
     # Where it divides by zero the row takes a fixed frame: the computational
-    # frame (z, x, y) at |r| <= 1e-9, and (sign(z) z, x, sign(z) y) on the z
-    # axis, the frames that the scalar construction gives there.
+    # frame (z, x, y) at |r| <= DEGENERACY_GAP = 1e-9, and (sign(z) z, x,
+    # sign(z) y) on the z axis, the frames that the scalar construction gives
+    # there.  The two share the degeneracy threshold, so they agree on every
+    # |r| below it.
     z, x, y = [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
     frames = {
         "degenerate": ([1e-10, 0.0, 0.0], [z, x, y]),
+        "degenerate below the threshold": ([5e-10, 0.0, 0.0], [z, x, y]),
         "origin": ([0.0, 0.0, 0.0], [z, x, y]),
         "north pole": ([0.0, 0.0, 0.9], [z, x, y]),
         "south pole": ([0.0, 0.0, -0.3], [[0.0, 0.0, -1.0], x, [0.0, -1.0, 0.0]]),
@@ -364,6 +418,14 @@ def test_mub_axes_orthonormal_at_the_corners(rows):
             assert np.max(np.abs(frame[0] - row / norm)) <= 1e-12, row
 
 
+def matrix_fidelity(rho, sigma):
+    """The qubit closed form Tr(rho sigma) + 2 sqrt(det rho det sigma), each
+    determinant floored at 0, clamped into [0, 1]."""
+    det_r, det_s = (max((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real, 0.0) for m in (rho, sigma))
+    f = np.trace(rho @ sigma).real + 2.0 * math.sqrt(det_r * det_s)
+    return min(max(f, 0.0), 1.0)
+
+
 def test_bloch_fidelity_matches_matrix_form():
     rng = np.random.default_rng(5)
     r = rng.normal(size=(400, 3))
@@ -371,7 +433,7 @@ def test_bloch_fidelity_matches_matrix_form():
     r[:300] *= rng.uniform(size=(300, 1)) ** (1 / 3)
     s = np.roll(r, 1, axis=0)
     got = fidelity_bloch(r, s)
-    want = [fidelity(bloch_to_density(a), bloch_to_density(b)) for a, b in zip(r, s)]
+    want = [matrix_fidelity(bloch_to_density(a), bloch_to_density(b)) for a, b in zip(r, s)]
     # Inside the ball the two forms agree to rounding; at the surface the
     # square root of a vanishing determinant amplifies it to ~1e-8.
     assert np.max(np.abs(got[:299] - want[:299])) <= 1e-15
@@ -424,9 +486,11 @@ def reference_fit(axes, shots, n_plus):
     most 1e-9, the estimator's own limit).
 
     The normal equations A r = b are solved in the eigenbasis of A, where
-    (A + mu I) r = b has coordinates beta_i / (lam_i + mu).  A solution
-    outside the ball moves to the surface by bisection on mu: the radius
-    falls as mu grows, and is at most 1 once mu >= |beta|.
+    (A + mu I) r = b has coordinates t_i = beta_i / (lam_i + mu).  A solution
+    outside the ball moves to the surface by Newton's method on
+    1/|t(mu)| - 1: that function of mu is concave and increasing, so the
+    iterates climb to the root from below, and |t| is at most 1 once
+    mu >= |beta|.
     """
     merged = merge_records(CountRecord(a, a, n, int(p)) for a, n, p in zip(axes, shots, n_plus))
     with mpmath.workdps(50):
@@ -443,18 +507,20 @@ def reference_fit(axes, shots, n_plus):
         lam, q = mpmath.eigsy(a_mat)
         lam, beta = list(lam), list(q.T * b_vec)
 
-        def outside(mu):
-            return sum(b * b / ((x + mu) * (x + mu)) for x, b in zip(lam, beta)) > 1
+        def moment(mu, power):
+            return sum(b * b / (x + mu) ** power for x, b in zip(lam, beta))
 
         mu = 0
-        if outside(mu):
+        if moment(mu, 2) > 1:
             # |beta_i| / (lam_i + mu) <= 1 at the root, for every i.
-            lo = max(0, max(abs(b) - x for x, b in zip(lam, beta)))
-            hi = lo + mpmath.norm(beta)
-            while hi - lo > 1e-40 * hi:
-                mid = (lo + hi) / 2
-                lo, hi = (mid, hi) if outside(mid) else (lo, mid)
-            mu = hi
+            mu = max(0, max(abs(b) - x for x, b in zip(lam, beta)))
+            hi = mu + mpmath.norm(beta)
+            step = hi
+            while step > 1e-40 * mu:
+                # Newton's step on S^(-1/2) - 1, with S = |t|^2 and dS/dmu = -2 moment(mu, 3).
+                radius2 = moment(mu, 2)
+                step = (radius2 * mpmath.sqrt(radius2) - radius2) / moment(mu, 3)
+                mu = min(mu + step, hi)
         t = mpmath.matrix([b / (x + mu) for x, b in zip(lam, beta)])
         return np.array([float(x) for x in q * t])
 

@@ -41,6 +41,40 @@ def general_fidelity(rho, sigma):
     return float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(m), 0.0, None))) ** 2)
 
 
+def trace_powers(rho, sigma, s):
+    """Tr(rho^s sigma^(1-s)) at each s of an array, with the matrix powers built
+    from np.linalg.eigh on the support (eigenvalues at or below 1e-12, the
+    rounding of eigh, count as 0, and 0^s = 0)."""
+    def powers(m, exponents):
+        w, v = np.linalg.eigh(m)
+        scaled = np.where(w > 1e-12, np.abs(w)[None, :] ** exponents[:, None], 0.0)
+        return np.einsum("ij,sj,kj->sik", v, scaled, v.conj())
+
+    return np.einsum("sik,ski->s", powers(rho, s), powers(sigma, 1.0 - s)).real
+
+
+def general_chernoff(rho, sigma):
+    """-log min over s in [0, 1] of ``trace_powers``, which is convex in s: a
+    grid of 101 points, narrowed to the neighbours of its best point until it
+    is 1e-10 wide.  Used only as a test oracle."""
+    lo, hi, best = 0.0, 1.0, math.inf
+    while hi - lo > 1e-10:
+        grid = np.linspace(lo, hi, 101)
+        values = trace_powers(rho, sigma, grid)
+        k = int(np.argmin(values))
+        best = min(best, values[k])
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 100)]
+    return math.inf if best <= 0.0 else max(-math.log(best), 0.0)
+
+
+def eigenbasis_quadratic_form(rho, delta):
+    """(1/2) sum_ij |<i|delta|j>|^2 / (lam_i + lam_j) in the eigenbasis of rho
+    from np.linalg.eigh.  Used only as a test oracle."""
+    lam, v = np.linalg.eigh(rho)
+    d = v.conj().T @ delta @ v
+    return 0.5 * float(np.sum(np.abs(d) ** 2 / (lam[:, None] + lam[None, :])))
+
+
 class TestBlochDensityConversion:
     def test_maximally_mixed(self):
         assert np.allclose(bloch_to_density((0, 0, 0)), I2 / 2, atol=1e-15)
@@ -272,6 +306,23 @@ class TestInfidelityQuadraticApprox:
             # Remainder is cubic: the normalized error stays bounded as eps falls.
             assert max(ratios) < 50.0
 
+    def test_matches_eigenbasis_sum(self):
+        # Mixed states up to |r| = 0.999 (smaller eigenvalue 5e-4) in random
+        # directions, I/2, and large and small traceless Hermitian deltas.
+        rng = np.random.default_rng(47)
+        unit = random_in_ball(rng, 40)
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        for r in np.concatenate([random_in_ball(rng, 200) * 0.999, np.zeros((1, 3)),
+                                 unit * 0.999]):
+            rho = bloch_to_density(r)
+            h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            delta = (h + h.conj().T) / 2
+            delta -= np.trace(delta).real / 2 * np.eye(2)
+            for eps in (1.0, 1e-3):
+                want = eigenbasis_quadratic_form(rho, eps * delta)
+                got = infidelity_quadratic_approx(rho, eps * delta)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), r
+
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficientStateError):
             infidelity_quadratic_approx(
@@ -301,6 +352,28 @@ class TestChernoffExponent:
         rho = bloch_to_density((1, 0, 0))
         sigma = bloch_to_density((0, 0, 1))
         assert chernoff_exponent(rho, sigma) == pytest.approx(-math.log(0.5), abs=1e-6)
+
+    def test_matches_matrix_power_oracle(self):
+        # Random mixed states, I/2, exactly pure Pauli states, and states
+        # near rank deficiency (smaller eigenvalue 1e-9 and 1e-6), each
+        # paired with three states of the same set.  Near an eigenvalue of
+        # 1e-9 the rounding of either spectrum is about 1e-7 of it, which
+        # moves the exponent by up to 2.1e-9 (840 pairs), hence the 1e-8.
+        rng = np.random.default_rng(47)
+        unit = random_in_ball(rng, 40)
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        pauli = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, -1, 0]], dtype=float)
+        states = np.concatenate([random_in_ball(rng, 60), np.zeros((1, 3)), pauli,
+                                 unit[:20] * (1 - 2e-9), unit[20:] * (1 - 2e-6)])
+        for r in states:
+            for q in states[rng.choice(len(states), 3)]:
+                rho, sigma = bloch_to_density(r), bloch_to_density(q)
+                want = general_chernoff(rho, sigma)
+                got = chernoff_exponent(rho, sigma)
+                if math.isinf(want):
+                    assert got == want, (r, q)
+                else:
+                    assert abs(got - want) <= 1e-8, (r, q)
 
     def test_sandwich_bounds_low_infidelity_pairs(self):
         rng = np.random.default_rng(37)
