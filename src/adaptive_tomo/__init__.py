@@ -6,6 +6,8 @@ drives Monte Carlo campaigns that exhibit the headline behaviour of adaptive
 tomography: worst-case infidelity scaling improves from O(1/sqrt(N)) to
 O(1/N), and alignment-error floors drop from O(E) to O(E^2).
 """
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BudgetError,
     InsufficientDataError,
@@ -72,4 +74,6 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names, without the submodules that the imports above bind.
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -52,7 +52,7 @@ from .harness import (
     run_campaign,
 )
 from .measurement import ErrorModel, FixedError, NoError, PerExperimentError, PerSettingError
-from .protocols import STREAM_VERSION, ProtocolSpec, protocol_name
+from .protocols import STREAM_VERSION, Adaptive, AdaptivePow, ProtocolSpec, protocol_name
 from .states import check_bloch, density_to_bloch, fidelity, purity
 
 OUTPUT_DIR_ENV = "ADAPTIVE_TOMO_OUT"
@@ -75,11 +75,11 @@ class RunConfig:
 
     command: str
     protocol: str = "static"
-    alpha: float = 0.5
-    exponent: float = 2.0 / 3.0
+    alpha: float = Adaptive.alpha
+    exponent: float = AdaptivePow.exponent
     state: str = "eq7"
     n_grid: tuple[int, ...] = (100, 188, 355, 669, 1262, 2378, 4481, 8446, 15918, 30000)
-    reps: int = 150
+    reps: int = CampaignSpec.reps
     model: str = "none"
     e_value: float = 0.0
     error_axis: tuple[float, float, float] = FixedError(0.0).rotation_axis

@@ -13,9 +13,11 @@
 * ``KnownBasis``: a diagnostic ceiling, not a realizable protocol: all samples
   are measured in the mutually unbiased triplet of the *true* eigenbasis.
 
-Budget accounting is exact: the preliminary budget is round(alpha N) (half
-away from zero) and within each phase the per-axis split is floor thirds with
-the remainder given to the earliest axes.
+``ReducedAdaptive`` derives from ``Adaptive`` and ``KnownBasis`` from
+``Static``: each shares its parent's body and states only the class data
+that differ.  Budget accounting is exact: the preliminary budget is
+round(alpha N) (half away from zero) and each phase splits its budget into
+floor shares per setting, with the remainder given to the earliest settings.
 """
 from __future__ import annotations
 
@@ -95,31 +97,19 @@ class AdaptivePow:
 
 
 @dataclass(frozen=True)
-class ReducedAdaptive:
+class ReducedAdaptive(Adaptive):
     """Adaptive tomography spending the whole second phase on one axis."""
 
-    alpha: float = 0.5
     name: ClassVar[str] = "reduced-adaptive"
     adapted_settings: ClassVar[int] = 1
-    true_basis: ClassVar[bool] = False
-
-    def __post_init__(self):
-        _check_open_unit("alpha", self.alpha)
-
-    def first_phase_budget(self, n_total: int) -> int:
-        return _round_half_up(self.alpha * n_total)
 
 
 @dataclass(frozen=True)
-class KnownBasis:
+class KnownBasis(Static):
     """Measures in the true state's eigenbasis for all samples (diagnostic)."""
 
     name: ClassVar[str] = "known-basis"
-    adapted_settings: ClassVar[int] = 0
     true_basis: ClassVar[bool] = True
-
-    def first_phase_budget(self, n_total: int) -> int:
-        return n_total
 
 
 ProtocolSpec = Union[Static, Adaptive, AdaptivePow, ReducedAdaptive, KnownBasis]
@@ -146,10 +136,10 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _split_three(total: int) -> list[int]:
-    base = total // 3
-    rem = total - 3 * base
-    return [base + (1 if i < rem else 0) for i in range(3)]
+def _split(total: int, parts: int) -> list[int]:
+    """``total`` in ``parts`` floor shares, the remainder one each to the
+    earliest; no parts for ``parts == 0``."""
+    return [(total + parts - 1 - i) // parts for i in range(parts)]
 
 
 def _require_positive(shots: list[int], what: str) -> None:
@@ -162,17 +152,8 @@ def _shot_plan(spec: ProtocolSpec, n_total: int) -> tuple[list[int], list[int]]:
     if n_total < 6:
         raise BudgetError(f"need at least 6 samples, got {n_total}")
     n_first = spec.first_phase_budget(n_total)
-    shots1 = _split_three(n_first)
-    _require_positive(shots1, "preliminary phase" if spec.adapted_settings else spec.name)
-    n_final = n_total - n_first
-    shots2: list[int] = []
-    if spec.adapted_settings == 1:
-        if n_final < 1:
-            raise BudgetError("no samples left for the adapted setting")
-        shots2 = [n_final]
-    elif spec.adapted_settings == 3:
-        shots2 = _split_three(n_final)
-        _require_positive(shots2, "adapted phase")
+    shots1, shots2 = _split(n_first, 3), _split(n_total - n_first, spec.adapted_settings)
+    _require_positive(shots1 + shots2, spec.name)
     total = sum(shots1) + sum(shots2)
     if total != n_total:
         raise AssertionError(f"budget leak: measured {total} of {n_total}")

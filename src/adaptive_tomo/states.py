@@ -6,9 +6,12 @@ three Pauli operators) alone: ``check_bloch``, ``mub_axes`` and
 density matrices serve the public API (``protocols.run_protocol``, the
 estimators' ``Estimate``, the fixtures): purity, fidelity, the second-order
 infidelity form and the Chernoff exponent each convert their matrices with
-``density_to_bloch`` and evaluate a closed form of the Bloch vectors.  All
-operations here are pure functions on immutable values and are safe to call
-from any number of threads.
+``density_to_bloch`` and evaluate a closed form of the Bloch vectors.  A
+state is valid exactly when ``check_bloch`` accepts its Bloch vector; for a
+matrix, ``density_to_bloch`` checks the structure (2x2, Hermitian, unit
+trace) and then applies that one rule.  All operations here are pure
+functions on immutable values and are safe to call from any number of
+threads.
 """
 from __future__ import annotations
 
@@ -23,12 +26,10 @@ from .errors import InvalidStateError, RankDeficientStateError
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY = np.eye(2, dtype=complex)
 
-# Physicality tolerances for density matrices.
+# Tolerances of the structure of a density matrix and of the Bloch ball.
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
 BLOCH_NORM_ATOL = 1e-9
 
 # At or below this spectral gap, which equals the Bloch norm |r|, the
@@ -72,33 +73,27 @@ def bloch_to_density(r: Sequence[float]) -> np.ndarray:
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Return the Bloch vector (Tr(rho sigma_x), Tr(rho sigma_y), Tr(rho sigma_z))."""
-    check_density(rho)
-    c = rho[0, 1]
-    return np.array([2.0 * c.real, -2.0 * c.imag, (rho[0, 0] - rho[1, 1]).real])
-
-
-def check_density(rho: np.ndarray) -> None:
-    """Validate Hermiticity, unit trace and positivity of a 2x2 density matrix."""
+    """Return the Bloch vector (Tr(rho sigma_x), Tr(rho sigma_y), Tr(rho sigma_z)),
+    or raise InvalidStateError unless rho is a 2x2 Hermitian unit-trace matrix
+    whose Bloch vector ``check_bloch`` accepts."""
     if rho.shape != (2, 2):
         raise InvalidStateError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    a, b = rho[0, 0], rho[1, 1]
+    a, b, c = rho[0, 0], rho[1, 1], rho[0, 1]
     if abs(a.imag) > HERMITICITY_ATOL or abs(b.imag) > HERMITICITY_ATOL:
         raise InvalidStateError("diagonal entries are not real")
-    if abs(rho[0, 1] - rho[1, 0].conjugate()) > 2 * HERMITICITY_ATOL:
+    if abs(c - rho[1, 0].conjugate()) > 2 * HERMITICITY_ATOL:
         raise InvalidStateError("matrix is not Hermitian")
     if abs(a.real + b.real - 1.0) > TRACE_ATOL:
         raise InvalidStateError(f"trace {a.real + b.real} != 1")
-    if _min_eigenvalue(rho) < EIGENVALUE_FLOOR:
-        raise InvalidStateError("matrix has a negative eigenvalue")
+    r = np.array([2.0 * c.real, -2.0 * c.imag, (a - b).real])
+    check_bloch(r)
+    return r
 
 
-def _min_eigenvalue(rho: np.ndarray) -> float:
-    a = rho[0, 0].real
-    b = rho[1, 1].real
-    c = rho[0, 1]
-    disc = math.sqrt(max((a - b) ** 2 + 4.0 * (c.real**2 + c.imag**2), 0.0))
-    return 0.5 * (a + b - disc)
+def check_density(rho: np.ndarray) -> None:
+    """Raise InvalidStateError unless ``density_to_bloch`` accepts rho: the one
+    validity rule for states is that of ``check_bloch`` on the Bloch vector."""
+    density_to_bloch(rho)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from adaptive_tomo import (
 from adaptive_tomo.estimation import UnderdeterminedError
 from adaptive_tomo.fixtures import EQ7_BLOCH
 from adaptive_tomo.measurement import CountRecord
+from oracles import ball_grid, general_fidelity, oracle_objective, random_in_ball
 
 SEED = 1729
 FIG2_GRID = tuple(int(round(x)) for x in np.geomspace(300, 100_000, 10))
@@ -248,18 +249,18 @@ class TestCriterion8PropertySuite:
 
         # Fidelity closed form vs the square-root definition, 1e4 pairs.
         rng = np.random.default_rng(SEED)
-        rs = self._ball(rng, 10_000)
-        ss = self._ball(rng, 10_000)
+        rs = random_in_ball(rng, 10_000)
+        ss = random_in_ball(rng, 10_000)
         worst = 0.0
         for r, s in zip(rs, ss):
             rho, sigma = bloch_to_density(r), bloch_to_density(s)
-            worst = max(worst, abs(fidelity(rho, sigma) - self._general_fidelity(rho, sigma)))
+            worst = max(worst, abs(fidelity(rho, sigma) - general_fidelity(rho, sigma)))
         parts.append(("fidelity oracle", worst < 1e-10, f"max|diff|={worst:.2e}"))
 
         # Second-order infidelity: cubic remainder.
         worst_ratio = 0.0
         for _ in range(30):
-            rho = bloch_to_density(self._ball(rng, 1)[0] * 0.8)
+            rho = bloch_to_density(random_in_ball(rng, 1)[0] * 0.8)
             h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             delta = (h + h.conj().T) / 2
             delta -= (np.trace(delta).real / 2) * np.eye(2)
@@ -278,7 +279,7 @@ class TestCriterion8PropertySuite:
         # Chernoff sandwich on 1e3 low-infidelity full-rank pairs.
         sandwich_ok, count = True, 0
         while count < 1000:
-            r = self._ball(rng, 1)[0] * 0.95
+            r = random_in_ball(rng, 1)[0] * 0.95
             s = r + rng.normal(scale=0.02, size=3)
             if np.linalg.norm(s) > 0.98:
                 continue
@@ -293,7 +294,7 @@ class TestCriterion8PropertySuite:
 
         # Mutually unbiased triplet invariants.
         mub_ok = True
-        for r in self._ball(rng, 200):
+        for r in random_in_ball(rng, 200):
             triplet = mub_triplet(eigendecompose(bloch_to_density(r)))
             for i in range(3):
                 mub_ok &= abs(np.linalg.norm(triplet.axes[i]) - 1.0) < 1e-10
@@ -303,7 +304,7 @@ class TestCriterion8PropertySuite:
 
         # MLE dominance over a Bloch-ball grid on 100 random datasets.
         dominance_ok = True
-        coarse = self._grid(0.02)
+        coarse = ball_grid(0.02)
         checked = 0
         while checked < 100:
             n_axes = int(rng.integers(3, 7))
@@ -321,10 +322,10 @@ class TestCriterion8PropertySuite:
                 continue
             obj = negative_loglikelihood(est.rho, records)
             center = density_to_bloch(est.rho)
-            local = self._grid(0.002, center=center, half=0.03)
+            local = ball_grid(0.002, center=center, half=0.03)
             best = min(
-                float(np.min(self._objective(records, coarse))),
-                float(np.min(self._objective(records, local))),
+                float(np.min(oracle_objective(records, coarse))),
+                float(np.min(oracle_objective(records, local))),
             )
             dominance_ok &= obj <= best + 1e-6
             checked += 1
@@ -348,35 +349,3 @@ class TestCriterion8PropertySuite:
         parts.append(("fast-tier runtime", elapsed < 30.0, f"{elapsed:.1f}s < 30s"))
         ok = all(p[1] for p in parts)
         check(8, "property suites", ok, "; ".join(f"{n}: {'ok' if g else 'FAIL'} ({d})" for n, g, d in parts))
-
-    @staticmethod
-    def _ball(rng, count):
-        v = rng.normal(size=(count, 3))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return v * (rng.uniform(size=(count, 1)) ** (1.0 / 3.0))
-
-    @staticmethod
-    def _general_fidelity(rho, sigma):
-        def sqrt_psd(m):
-            w, v = np.linalg.eigh(m)
-            return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-        m = sqrt_psd(rho) @ sigma @ sqrt_psd(rho)
-        return float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(m), 0.0, None))) ** 2)
-
-    @staticmethod
-    def _grid(spacing, center=(0.0, 0.0, 0.0), half=1.0):
-        ticks = np.arange(-half, half + 1e-12, spacing)
-        pts = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
-        pts = pts + np.asarray(center)
-        return pts[np.linalg.norm(pts, axis=1) <= 1.0]
-
-    @staticmethod
-    def _objective(records, points):
-        total = np.zeros(len(points))
-        for rec in records:
-            f = rec.n_plus / rec.n_shots
-            ft = (rec.n_plus + 0.5) / (rec.n_shots + 1.0)
-            predicted = 0.5 * (1.0 + points @ rec.intended_axis)
-            total += rec.n_shots * (predicted - f) ** 2 / (ft * (1.0 - ft))
-        return total

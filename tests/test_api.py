@@ -7,18 +7,17 @@ from adaptive_tomo import states
 
 PUBLIC_NAMES = [
     "Adaptive", "AdaptivePow", "BasisTriplet", "BudgetError", "CampaignResult", "CampaignRow",
-    "CampaignSpec", "CountRecord", "EigenDecomposition", "ErrorModel", "Estimate", "FixedError",
-    "FloorPoint", "InsufficientDataError", "InvalidStateError", "KnownBasis",
+    "CampaignSpec", "CountRecord", "EigenDecomposition", "ErrorModel", "Estimate",
+    "FixedError", "FloorPoint", "InsufficientDataError", "InvalidStateError", "KnownBasis",
     "MOUNT_TO_BLOCH_ANGLE", "NAMED_STATES", "NoError", "NoiseFloorResult", "PAULI_AXES",
     "PerExperimentError", "PerSettingError", "ProtocolSpec", "RankDeficientStateError",
     "ReducedAdaptive", "RngContext", "RunResult", "ScalingFit", "Static", "TomographyError",
     "UnderdeterminedError", "UsageError", "alpha_sweep", "bloch_of_ket", "bloch_to_density",
     "born_probability", "campaign_hash", "check_bloch", "check_density", "chernoff_exponent",
-    "density_to_bloch", "eigendecompose", "errors", "estimation", "fidelity", "fit_campaign",
-    "fit_power_law", "fixtures", "harness", "infidelity_quadratic_approx", "linear_inversion",
-    "measurement", "merge_records", "mle", "mub_triplet", "named_state",
-    "negative_loglikelihood", "noise_floor_sweep", "protocol_name", "protocols", "purity",
-    "run_campaign", "run_protocol", "states",
+    "density_to_bloch", "eigendecompose", "fidelity", "fit_campaign", "fit_power_law",
+    "infidelity_quadratic_approx", "linear_inversion", "merge_records", "mle", "mub_triplet",
+    "named_state", "negative_loglikelihood", "noise_floor_sweep", "protocol_name", "purity",
+    "run_campaign", "run_protocol",
 ]
 
 SIGNATURES = {

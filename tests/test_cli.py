@@ -535,13 +535,13 @@ class TestRuntimeFailureExitCodes:
     def test_budget_leak(self, tmp_path, capsys, monkeypatch):
         import adaptive_tomo.protocols as protocols
 
-        monkeypatch.setattr(protocols, "_split_three", lambda total: [total // 3] * 3)
+        monkeypatch.setattr(protocols, "_split", lambda total, parts: [total // 3] * parts)
         self.run_failing(tmp_path, capsys, "AssertionError: budget leak")
 
     def test_scalar_budget_leak(self, monkeypatch):
         import adaptive_tomo.protocols as protocols
         from adaptive_tomo import NoError, RngContext, Static, named_state
 
-        monkeypatch.setattr(protocols, "_split_three", lambda total: [total // 3] * 3)
+        monkeypatch.setattr(protocols, "_split", lambda total, parts: [total // 3] * parts)
         with pytest.raises(AssertionError, match="budget leak"):
             protocols.run_protocol(Static(), named_state("eq7"), 1000, NoError(), RngContext(0))

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from adaptive_tomo import (
 )
 from adaptive_tomo.estimation import hedged_frequency
 from adaptive_tomo.measurement import PAULI_AXES
+from oracles import ball_grid, oracle_objective
 
 X, Y, Z = PAULI_AXES
 
@@ -34,37 +36,9 @@ def pauli_records(counts, shots):
     ]
 
 
-def oracle_objective(records, points):
-    """Evaluate the hedge-weighted quadratic objective on an array of Bloch
-    vectors, straight from its defining formula (test-side oracle)."""
-    points = np.atleast_2d(points)
-    total = np.zeros(len(points))
-    for rec in records:
-        f = rec.n_plus / rec.n_shots
-        ft = (rec.n_plus + 0.5) / (rec.n_shots + 1.0)
-        predicted = 0.5 * (1.0 + points @ rec.intended_axis)
-        total += rec.n_shots * (predicted - f) ** 2 / (ft * (1.0 - ft))
-    return total
-
-
-_COARSE_GRID = None
-
-
+@functools.cache
 def coarse_ball_grid():
-    global _COARSE_GRID
-    if _COARSE_GRID is None:
-        ticks = np.arange(-1.0, 1.0 + 1e-12, 0.02)
-        pts = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1)
-        pts = pts.reshape(-1, 3)
-        _COARSE_GRID = pts[np.linalg.norm(pts, axis=1) <= 1.0]
-    return _COARSE_GRID
-
-
-def local_ball_grid(center, spacing=0.002, half_width=0.03):
-    ticks = np.arange(-half_width, half_width + 1e-12, spacing)
-    pts = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1)
-    pts = pts.reshape(-1, 3) + np.asarray(center)
-    return pts[np.linalg.norm(pts, axis=1) <= 1.0]
+    return ball_grid(0.02)
 
 
 def grid_dominates(records, estimate):
@@ -74,7 +48,7 @@ def grid_dominates(records, estimate):
     center = density_to_bloch(estimate.rho)
     best = min(
         float(np.min(oracle_objective(records, coarse_ball_grid()))),
-        float(np.min(oracle_objective(records, local_ball_grid(center)))),
+        float(np.min(oracle_objective(records, ball_grid(0.002, center, 0.03)))),
     )
     assert obj <= best + 1e-6
 

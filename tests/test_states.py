@@ -19,26 +19,9 @@ from adaptive_tomo import (
     purity,
 )
 from adaptive_tomo.fixtures import EQ7_BLOCH, EQ7_KET, named_state
+from oracles import general_fidelity, random_in_ball
 
 I2 = np.eye(2, dtype=complex)
-
-
-def random_in_ball(rng, count):
-    """Uniform-in-ball Bloch vectors."""
-    v = rng.normal(size=(count, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return v * (rng.uniform(size=(count, 1)) ** (1.0 / 3.0))
-
-
-def sqrt_psd(m):
-    w, v = np.linalg.eigh(m)
-    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def general_fidelity(rho, sigma):
-    """Direct square-root-definition evaluator, used only as a test oracle."""
-    m = sqrt_psd(rho) @ sigma @ sqrt_psd(rho)
-    return float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(m), 0.0, None))) ** 2)
 
 
 def trace_powers(rho, sigma, s):
@@ -124,6 +107,10 @@ class TestBlochDensityConversion:
         for r in random_in_ball(rng, 10_000):
             back = density_to_bloch(bloch_to_density(r))
             assert np.max(np.abs(back - r)) < 1e-12
+        # On the surface and just outside it, within the tolerance of
+        # check_bloch, which both conversions apply.
+        for z in (1.0, 1 + 3e-10, 1 + 1e-9):
+            assert np.array_equal(density_to_bloch(bloch_to_density((0.0, 0.0, z))), (0, 0, z))
 
     def test_malformed_matrices_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -132,6 +119,11 @@ class TestBlochDensityConversion:
             density_to_bloch(np.array([[0.9, 0.0], [0.0, 0.2]], dtype=complex))
         with pytest.raises(InvalidStateError):
             density_to_bloch(np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex))
+        for rho in (np.array([[0.5, math.nan], [math.nan, 0.5]], dtype=complex),
+                    np.array([[math.nan, 0.0], [0.0, 0.5]], dtype=complex)):
+            for function in (density_to_bloch, purity, lambda m: fidelity(m, I2 / 2)):
+                with pytest.raises(InvalidStateError):
+                    function(rho)
 
 
 class TestEigendecompose:
