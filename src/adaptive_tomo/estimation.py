@@ -16,7 +16,9 @@ weights w_k = N_k / (ft_k (1 - ft_k)), the objective of a Bloch vector r is
 y = sqrt(w) (2 f - 1).  Counts of 0 or N give weights near 2 N^2, beside
 weights near 4 N for balanced counts, so the normal equations D^T D r =
 D^T y, whose condition number is the square of D's, lose about eps cond(D)^2
-at large N.  The estimator factors [D | y] instead.
+at large N.  The estimator factors [D | y] instead, or, where a row's axes
+are an orthonormal triplet (static, known-basis and preliminary fits), fits
+it in the triplet's coordinates, where D is diagonal.
 """
 from __future__ import annotations
 
@@ -32,10 +34,14 @@ from .states import bloch_to_density, density_to_bloch
 
 # Version of the fitting arithmetic, recorded in provenance beside the stream
 # version: 1 solved the normal equations, 2 factors the weighted design by QR,
-# 3 factors R at the surface by one-sided Jacobi instead of LAPACK's SVD.
-ESTIMATOR_VERSION = 3
+# 3 factors R at the surface by one-sided Jacobi instead of LAPACK's SVD, 4
+# fits a row whose kept axes form an orthonormal frame in its coordinates.
+ESTIMATOR_VERSION = 4
 BOUNDARY_TOL = 1e-9
 _SPAN_TOL = 1e-9
+# A row's kept axes are a frame when their Gram matrix is within _FRAME_TOL of
+# the identity: exactly for Pauli axes, to about 4 eps for ``mub_axes``.
+_FRAME_TOL = 1e-14
 # Newton's method on the secular equation, used by mle_batch.
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 100
@@ -243,51 +249,96 @@ def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarr
     Record set k has ``n_plus[k, m]`` +1 counts on axis m out of ``shots[m]``
     (an int shared by every set) or ``shots[m][k]`` (an (R,) array), at least
     1 either way.  ``axes`` is (M, 3) when every set shares its axes, or
-    (R, M, 3).  Each row is fitted on its own, so a stacked call returns bit
-    for bit the rows of the separate calls.
+    (R, M, 3).  A shared design is scanned for repeats, checked for span and
+    tested for a frame once per call.  Each row is fitted on its own, so a
+    stacked call, or a shared design broadcast to (R, M, 3), returns bit for
+    bit the rows of the separate calls.
 
     Settings of one row on the same axis are merged as ``merge_records``
     merges them: the first holds the summed counts and the others carry no
     weight.  Axes repeat when every component is equal as a float, so a -0.0
-    component matches 0.0.  Modified Gram-Schmidt on [D | y], vectorised
-    over the rows, gives D = Q R and c = Q^T y; it is backward stable for
-    least squares (Bjorck, BIT 7:1, 1967).  Interior rows solve R r = c.
-    Rows whose solution leaves the ball take Newton's method on the secular
-    equation, to ||r| - 1| < 1e-13, in the right singular basis of R that a
-    one-sided Jacobi iteration on R's columns finds (no rotation for the
-    diagonal R of Pauli axes).
+    component matches 0.0.
+
+    A row whose kept axes are three orthonormal ones a_m (a frame: the Pauli
+    axes, or a ``mub_axes`` triplet) is fitted in the frame's coordinates
+    t_m = a_m . r, where the weighted design is diagonal: R = diag(sqrt(w)),
+    c = y, the interior solution is t = c / sqrt(w) and a surface row takes
+    Newton's method on the secular equation in that basis.  On the Pauli axes
+    this is, bit for bit, the arithmetic of the general path below.
+
+    Any other row (a two-phase final fit) is factored by modified Gram-Schmidt
+    on [D | y], vectorised over the rows, giving D = Q R and c = Q^T y; it is
+    backward stable for least squares (Bjorck, BIT 7:1, 1967).  Interior rows
+    solve R r = c.  Rows whose solution leaves the ball take Newton's method
+    on the secular equation, to ||r| - 1| < 1e-13, in the right singular
+    basis of R that a one-sided Jacobi iteration on R's columns finds.
     Raises UnderdeterminedError if a row's axes do not span Bloch space
     (the first such row), RuntimeError if Newton's method or the Jacobi
     iteration does not converge (naming how many rows failed and by how much).
     """
     n_plus = np.asarray(n_plus)
     n_rows, n_settings = n_plus.shape
-    # Settings-major arrays: (M, R) per quantity, (M, 3, R) for the axes.
-    comps = np.ascontiguousarray(np.broadcast_to(
-        np.asarray(axes, dtype=float), n_plus.shape + (3,)).transpose(1, 2, 0))
+    axes = np.asarray(axes, dtype=float)
+    # Settings-major arrays: (M, R) per quantity, (M, 3, R) for the axes, or
+    # (M, 3, 1) for a shared design.
+    comps = np.ascontiguousarray((axes if axes.ndim == 3 else axes[None]).transpose(1, 2, 0))
     shots = np.stack([np.broadcast_to(n, n_rows) for n in shots])
     plus = n_plus.T.copy()
     x, y, z = comps.transpose(1, 0, 2)
     same = (x[:, None] == x) & (y[:, None] == y) & (z[:, None] == z)
-    kept = np.ones(shots.shape)
+    kept = np.ones((n_settings, comps.shape[2]))
     repeats = np.flatnonzero(np.count_nonzero(same, axis=(0, 1)) > n_settings)
     if repeats.size:
         # Integer sums over the settings on one axis, so exact in any order.
         sub = same[:, :, repeats]
         first = np.argmax(sub, axis=1) == np.arange(n_settings)[:, None]
+        rows = repeats if comps.shape[2] == n_rows else slice(None)
         for counts in (shots, plus):
-            counts[:, repeats] = np.where(
-                first, _sum_settings(sub * counts[:, None, repeats]), counts[:, repeats])
+            counts[:, rows] = np.where(
+                first, _sum_settings(sub * counts[:, None, rows]), counts[:, rows])
         kept[:, repeats] = first
         comps = comps * kept[:, None]
-    _check_span(comps, kept)
+    frame = np.broadcast_to(_check_span(comps, kept), n_rows)
     f = plus / shots
     # ft (1 - ft), with 1 - ft the hedged frequency of the -1 outcome.
     sqrt_w = kept * np.sqrt(
         shots / (hedged_frequency(plus, shots) * hedged_frequency(shots - plus, shots)))
-    work = np.concatenate([comps, (2.0 * f - 1.0)[:, None]], axis=1) * sqrt_w[:, None]
-    # Modified Gram-Schmidt on the columns of [D | y], (M, 4, R): row k of
-    # upper holds R[k, k+1:] and c[k].
+    data = sqrt_w * (2.0 * f - 1.0)
+    out = np.empty((n_rows, 3))
+    for fit, rows in ((_fit_frame, frame), (_fit_general, ~frame)):
+        if rows.all():
+            return fit(comps, sqrt_w, data)
+        if rows.any():
+            out[rows] = fit(comps[..., rows], sqrt_w[:, rows], data[:, rows])
+    return out
+
+
+def _fit_frame(comps, sqrt_w, c):
+    # Rows whose kept axes form a frame, in its coordinates: R = diag(sqrt_w),
+    # beta = sqrt_w c and the basis is the frame itself, so neither
+    # Gram-Schmidt nor Jacobi is needed.  Settings-major arrays as in
+    # mle_batch; returns (n, 3).
+    if len(c) > 3:
+        # The three kept settings, in order; merged repeats carry no weight.
+        order = np.argsort(sqrt_w == 0.0, axis=0, kind="stable")[:3]
+        comps = np.take_along_axis(comps, order[:, None], axis=0)
+        sqrt_w, c = np.take_along_axis(sqrt_w, order, 0), np.take_along_axis(c, order, 0)
+    t = c / sqrt_w
+    r = _sum_settings(t[:, None] * comps)
+    out = np.ascontiguousarray(r.T)
+    outside = np.flatnonzero(np.sqrt(_sum_settings(r * r)) > 1.0)
+    if outside.size:
+        s = sqrt_w[:, outside]
+        frame = comps if comps.shape[2] == 1 else comps[..., outside]
+        out[outside] = _newton_boundary(s * s, frame, s * c[:, outside]).T
+    return out
+
+
+def _fit_general(comps, sqrt_w, c):
+    # Modified Gram-Schmidt on the columns of [D | y], (M, 4, n): row k of
+    # upper holds R[k, k+1:] and c[k].  Settings-major arrays as in
+    # mle_batch; returns (n, 3).
+    work = np.concatenate([comps * sqrt_w[:, None], c[:, None]], axis=1)
     diag, upper = [], []
     for k in range(3):
         col = work[:, k]
@@ -312,16 +363,20 @@ def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarr
     return out
 
 
-def _check_span(comps, kept) -> None:
-    # Unweighted Gram determinant of each row's axes; its square root is the
-    # volume spanned, so near-zero means a rank-deficient axis set.  The
-    # first such row raises, with the null direction of its kept axes.
-    (gxx, gxy, gxz), (_, gyy, gyz), (_, _, gzz) = _sum_settings(comps[:, :, None] * comps[:, None])
+def _check_span(comps, kept) -> np.ndarray:
+    # Unweighted Gram matrix of each row's kept axes.  The square root of its
+    # determinant is the volume spanned, so near-zero means a rank-deficient
+    # axis set: the first such row raises, with the null direction of its
+    # kept axes.  Returns which rows keep exactly three axes with a Gram
+    # matrix within _FRAME_TOL of the identity: an orthonormal frame.
+    gram = _sum_settings(comps[:, :, None] * comps[:, None])
+    (gxx, gxy, gxz), (_, gyy, gyz), (_, _, gzz) = gram
     det = (gxx * (gyy * gzz - gyz * gyz) + gxy * (gxz * gyz - gxy * gzz)
            + gxz * (gxy * gyz - gxz * gyy))
     bad = np.flatnonzero(~(det > _SPAN_TOL))
     if not bad.size:
-        return
+        return ((np.count_nonzero(kept, axis=0) == 3)
+                & (np.abs(gram - np.eye(3)[:, :, None]).max(axis=(0, 1)) <= _FRAME_TOL))
     _, _, vt = np.linalg.svd(comps[kept[:, bad[0]] > 0.0, :, bad[0]])
     null = vt[-1]
     raise UnderdeterminedError(

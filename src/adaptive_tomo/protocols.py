@@ -268,17 +268,18 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
             rng.child(_COUNT_STREAM, phase).generator().binomial(plan[phase], block)
             for rng, plan, block in zip(rngs, plans, np.split(p, len(rngs)))])
 
-    first = mub_axes(r_true[None])[0] if spec.true_basis else np.array(PAULI_AXES)
-    axes = np.broadcast_to(first, (len(shots), 3, 3))
+    # The first-phase triplet is one (3, 3) design shared by every row.
+    design = mub_axes(r_true[None])[0] if spec.true_basis else np.array(PAULI_AXES)
+    axes = np.broadcast_to(design, (len(shots), 3, 3))
     realized, n_plus = measure(axes, 0)
     prelim = None
     if spec.adapted_settings:
-        prelim = mle_batch(axes, shots.T[:3], n_plus)
+        prelim = mle_batch(design, shots.T[:3], n_plus)
         axes2 = mub_axes(prelim)[:, :spec.adapted_settings]
         realized2, n_plus2 = measure(axes2, 1)
-        axes = np.concatenate([axes, axes2], axis=1)
+        design = axes = np.concatenate([axes, axes2], axis=1)
         realized = np.concatenate([realized, realized2], axis=1)
         n_plus = np.concatenate([n_plus, n_plus2], axis=1)
-    bloch_hat = mle_batch(axes, shots.T, n_plus)
+    bloch_hat = mle_batch(design, shots.T, n_plus)
     return BatchResult(axes, realized, prelim, bloch_hat, n_plus,
                        1.0 - fidelity_bloch(bloch_hat, r_true))

@@ -341,7 +341,7 @@ class TestRunCommand:
         payload = json.loads((tmp_path / "out" / "provenance.json").read_text())
         assert config_from_provenance(payload) == expected
         assert payload["stream_version"] == 2
-        assert payload["estimator_version"] == 3
+        assert payload["estimator_version"] == 4
         assert set(payload["environment"]) == {"python", "numpy", "platform", "nproc"}
 
     def test_provenance_with_the_removed_threads_key_still_loads(self):

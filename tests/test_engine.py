@@ -15,11 +15,17 @@ of the one-point ``run_grid`` at each grid point, and ``run_protocol``
 exactly its one-repetition batch.  The fits themselves are held to the same
 hedged objective solved in 50-digit arithmetic (``reference_fit``) and to a
 local grid of the objective around each fit, and the Jacobi factorisation of
-R that the surface fits use to LAPACK's SVD.
+R that the surface fits use to LAPACK's SVD.  Rows whose axes form an
+orthonormal frame (Pauli, signed and permuted Pauli, ``mub_axes`` triplets),
+which ``mle_batch`` fits in the frame's coordinates, are held to the same
+oracles, and stacked with other rows or passed as one shared design they
+must give the fits of their separate calls bit for bit.
 """
+import contextlib
 import math
 import re
 import sys
+import unittest.mock
 import warnings
 
 import mpmath
@@ -449,6 +455,11 @@ def record_batches(draw, n_axes=None):
                                            max_size=n_axes), min_size=rows, max_size=rows)))
     norms = np.linalg.norm(axes, axis=-1, keepdims=True)
     axes = np.where(norms > 1e-3, axes / np.where(norms > 0, norms, 1.0), [0.0, 0.0, 1.0])
+    return (axes,) + draw_counts(draw, n_axes, rows)
+
+
+def draw_counts(draw, n_axes, rows):
+    """Shots shared by the rows and +1 counts (rows, n_axes) of a batch."""
     # Shots up to 1e10, and settings whose counts are 0 or N: the hedged
     # weight of such a setting is about 2 N^2, so a batch can mix weights
     # from 4 to 2e20.
@@ -457,7 +468,47 @@ def record_batches(draw, n_axes=None):
     fractions = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
                               min_size=rows * n_axes, max_size=rows * n_axes))
     n_plus = np.array([round(f * n) for f, n in zip(fractions, shots * rows)]).reshape(rows, -1)
-    return axes, shots, n_plus
+    return shots, n_plus
+
+
+# Bloch vectors whose mub_axes triplets the frame batches measure: any radius
+# from 0 to 1, near the poles, and the exact corners (the centre, the z axis).
+_FRAME_STATES = st.one_of(st.tuples(_DIRECTIONS, st.floats(0.0, 1.0)).map(lambda t: t[0] * t[1]),
+                          _NEAR_POLE, _EXACT)
+
+
+@st.composite
+def frame_batches(draw, repeat=None):
+    """Batches like ``record_batches`` on three orthonormal axes per row, the
+    frames that static, known-basis and preliminary fits measure: the Pauli
+    axes in order, signed and permuted, or a ``mub_axes`` triplet.  Maybe
+    one axis of each row is measured twice, in any position, so that the
+    row keeps three of its four settings once they are merged."""
+    rows = draw(st.integers(1, 3))
+    axes = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["pauli", "signed", "mub"]))
+        if kind == "mub":
+            axes.append(mub_axes(draw(_FRAME_STATES)[None])[0])
+            continue
+        order = draw(st.permutations(range(3))) if kind == "signed" else [0, 1, 2]
+        signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=3, max_size=3)
+                     if kind == "signed" else st.just([1.0] * 3))
+        axes.append(np.array(PAULI_AXES)[order] * np.array(signs)[:, None])
+    axes = np.array(axes)
+    if draw(st.booleans()) if repeat is None else repeat:
+        settings = draw(st.permutations([0, 1, 2, draw(st.integers(0, 2))]))
+        axes = axes[:, settings]
+    return (axes,) + draw_counts(draw, axes.shape[1], rows)
+
+
+@contextlib.contextmanager
+def frame_fits_only():
+    """Fails a fit that reaches the general (Gram-Schmidt and Jacobi) path."""
+    def general(*args):
+        raise AssertionError("a frame row took the general path")
+    with unittest.mock.patch.object(estimation, "_fit_general", general):
+        yield
 
 
 def merged_weights(axes, shots, n_plus):
@@ -544,17 +595,27 @@ def assert_fits_match_reference(got, expected, axes, shots, n_plus):
         assert np.max(np.abs(got[k] - want)) <= tolerance, (k, cond)
 
 
-@settings(settings.get_profile("engine"))
-@given(record_batches())
-def test_batched_final_fit_matches_mle(batch):
+def check_fits_match_reference(axes, shots, n_plus):
     # The maximum-likelihood estimate, computed to 50 digits.
-    axes, shots, n_plus = batch
     expected = reference_fits_or_error(axes, shots, n_plus)
     if expected is None:
         with pytest.raises(UnderdeterminedError):
             mle_batch(axes, shots, n_plus)
         return
     assert_fits_match_reference(mle_batch(axes, shots, n_plus), expected, axes, shots, n_plus)
+
+
+@settings(settings.get_profile("engine"))
+@given(record_batches())
+def test_batched_final_fit_matches_mle(batch):
+    check_fits_match_reference(*batch)
+
+
+@settings(settings.get_profile("engine"))
+@given(frame_batches())
+def test_frame_fits_match_mle(batch):
+    with frame_fits_only():
+        check_fits_match_reference(*batch)
 
 
 def test_reduced_adaptive_at_the_default_cap_fits_every_row():
@@ -565,7 +626,8 @@ def test_reduced_adaptive_at_the_default_cap_fits_every_row():
     assert np.all(np.linalg.norm(batch.bloch_hat, axis=1) <= 1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("protocol", [Adaptive(0.5), ReducedAdaptive(0.5)], ids=repr)
+@pytest.mark.parametrize("protocol", [Static(), KnownBasis(), Adaptive(0.5), ReducedAdaptive(0.5)],
+                         ids=repr)
 @pytest.mark.parametrize("n, tolerance", [(2 * 10**7, 1e-8), (2 * 10**9, 1e-6)])
 def test_large_n_fits_match_the_reference(protocol, n, tolerance):
     batch = run_grid(protocol, EQ7_BLOCH, (n,), NoError(), (RngContext(0),), 40)
@@ -582,12 +644,9 @@ def local_grid_clipped_to_ball(center):
     return points / np.maximum(1.0, np.linalg.norm(points, axis=1, keepdims=True))
 
 
-@settings(settings.get_profile("engine"))
-@given(record_batches())
-def test_fits_stay_in_the_ball_and_beat_a_local_grid(batch):
+def check_fits_beat_a_local_grid(axes, shots, n_plus):
     # Both the batch and ``mle`` on each row's records, which fits them
     # merged and in canonical order.
-    axes, shots, n_plus = batch
     try:
         scalar = [density_to_bloch(mle([CountRecord(a, a, n, int(p)) for a, n, p
                                         in zip(axes[k], shots, n_plus[k])]).rho)
@@ -604,6 +663,19 @@ def test_fits_stay_in_the_ball_and_beat_a_local_grid(batch):
             # to 2e20.
             slack = 1e-9 * (1.0 + values[0]) + 1e-12 * np.linalg.norm(gradients[0])
             assert values[0] <= values[1:].min() + slack
+
+
+@settings(settings.get_profile("engine"))
+@given(record_batches())
+def test_fits_stay_in_the_ball_and_beat_a_local_grid(batch):
+    check_fits_beat_a_local_grid(*batch)
+
+
+@settings(settings.get_profile("engine"))
+@given(frame_batches())
+def test_frame_fits_stay_in_the_ball_and_beat_a_local_grid(batch):
+    with frame_fits_only():
+        check_fits_beat_a_local_grid(*batch)
 
 
 @st.composite
@@ -664,9 +736,7 @@ def stackable_batches(draw):
     return batches
 
 
-@settings(settings.get_profile("engine"))
-@given(stackable_batches())
-def test_per_row_shots_match_separate_fits(batches):
+def check_stack_matches_separate_fits(batches):
     separate = []
     for axes, shots, n_plus in batches:
         try:
@@ -683,6 +753,80 @@ def test_per_row_shots_match_separate_fits(batches):
             mle_batch(axes, list(shots), n_plus)
         return
     assert np.array_equal(mle_batch(axes, list(shots), n_plus), np.concatenate(separate))
+
+
+@settings(settings.get_profile("engine"))
+@given(stackable_batches())
+def test_per_row_shots_match_separate_fits(batches):
+    check_stack_matches_separate_fits(batches)
+
+
+@st.composite
+def frame_and_other_batches(draw):
+    """A frame batch and a batch on as many random axes (three, or four with
+    one repeated frame axis), and maybe one more of either, in any order: a
+    stack that mixes frame and general rows."""
+    repeat = draw(st.booleans())
+    frames, others = frame_batches(repeat), record_batches(4 if repeat else 3)
+    batches = [draw(frames), draw(others)]
+    batches += draw(st.lists(st.one_of(frames, others), max_size=1))
+    return [batches[i] for i in draw(st.permutations(range(len(batches))))]
+
+
+@settings(settings.get_profile("engine"))
+@given(frame_and_other_batches())
+def test_frame_and_general_rows_stack_bit_for_bit(batches):
+    check_stack_matches_separate_fits(batches)
+
+
+def fits_or_error(axes, shots, n_plus):
+    try:
+        return mle_batch(axes, shots, n_plus)
+    except UnderdeterminedError as exc:
+        return str(exc)
+
+
+@settings(settings.get_profile("engine"))
+@given(st.one_of(frame_batches(), record_batches()), st.booleans())
+def test_shared_design_matches_its_broadcast(batch, repeat):
+    # Row 0's axes, maybe with a repeated axis, shared by every row.
+    axes, shots, n_plus = batch
+    design = axes[0].copy()
+    if repeat:
+        design[1] = design[0]
+    shared = fits_or_error(design, shots, n_plus)
+    broadcast = fits_or_error(np.broadcast_to(design, (len(n_plus),) + design.shape), shots,
+                              n_plus)
+    if isinstance(shared, str):
+        assert shared == broadcast
+    else:
+        assert np.array_equal(shared, broadcast)
+
+
+def test_four_axes_with_an_identity_gram_are_not_a_frame():
+    # Half the tetrahedron's vertices (+-1, +-1, +-1): four axes of length
+    # sqrt(3) / 2 whose Gram matrix is exactly the identity.  The fit is the
+    # interior least-squares solution on all four.
+    axes = 0.5 * np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
+                           [-1.0, -1.0, 1.0]])
+    assert np.array_equal(axes.T @ axes, np.eye(3))
+    shots, n_plus = np.array([100, 100, 100, 100]), np.array([60, 45, 52, 43])
+    sqrt_w = np.sqrt(shots * (shots + 1.0) ** 2 / ((n_plus + 0.5) * (shots - n_plus + 0.5)))
+    want = np.linalg.lstsq(sqrt_w[:, None] * axes, sqrt_w * (2.0 * n_plus / shots - 1.0),
+                           rcond=None)[0]
+    assert np.linalg.norm(want) < 1.0
+    assert np.max(np.abs(mle_batch(axes, shots, n_plus[None])[0] - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("design", [
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5), 0.0], [0.0, 1.0, 0.0]],
+], ids=["repeat-leaves-two-axes", "coplanar"])
+def test_shared_rank_deficient_design_raises(design):
+    n_plus = np.array([[3, 5, 7] + [2] * (len(design) - 3), [9, 1, 4] + [6] * (len(design) - 3)])
+    with pytest.raises(UnderdeterminedError, match=r"unconstrained direction ~ \(0.000000, "
+                                                   r"0.000000, [-+]?1.000000\)"):
+        mle_batch(np.array(design), [10] * len(design), n_plus)
 
 
 def jacobi_of(r_mats, c):
@@ -725,8 +869,8 @@ def test_surface_factorisation_matches_lapack(batch):
 
 
 def test_surface_factorisation_is_exact_on_a_diagonal_r():
-    # The static and preliminary fits measure Pauli axes: R is diagonal and
-    # no column rotates.
+    # A diagonal R (orthogonal columns of D) takes no rotation: the
+    # factorisation is exact.
     d, c = np.array([3.0, 1e-5, 7e8]), np.array([0.1, -2.0, 5e3])
     lam, q, beta = jacobi_of([np.diag(d)], [c])
     assert np.array_equal(lam[0], d * d)
@@ -752,9 +896,10 @@ def test_surface_factorisation_raises_no_warning_near_diagonal(r_mat):
 
 
 def test_zero_and_many_sweep_rows_stack_bit_for_bit():
-    # A surface row on Pauli axes (diagonal R: no rotation) beside surface
-    # rows of adapted final fits at N = 1e2, 1e4 and 2e9 (full R: several
-    # sweeps), as separate calls and stacked.  The rows also take 2 to 6
+    # A surface row on Pauli axes measured twice (merged into a frame row,
+    # which takes no Gram-Schmidt or Jacobi) beside surface rows of adapted
+    # final fits at N = 1e2, 1e4 and 2e9 (full R: several Jacobi sweeps), as
+    # separate calls and stacked.  The rows also take 2 to 6
     # Newton steps; one that converges first keeps its multiplier while the
     # others iterate.
     protocol = Adaptive(0.5)
