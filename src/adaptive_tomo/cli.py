@@ -170,18 +170,18 @@ _COMMANDS = {
     "fit": "re-fit an emitted campaign CSV",
     "fixtures": "print the named reference states",
 }
-_ALL = tuple(_COMMANDS)
-_ERROR_COMMANDS = ("run", "sweep-alpha", "sweep-noise")
+# The commands that simulate: each takes a state, seed, reps and error model.
+_SIMULATIONS = ("run", "sweep-alpha", "sweep-noise")
 
 # Every option, declared once: (RunConfig field, flag, value parser, commands
 # that take the flag, help).  The argparse tree, the parsers of flag and
 # config-file values and the accepted config-file keys all derive from it.
 _OPTIONS = (
-    ("out_dir", "--out", str, _ALL, "output directory"),
-    ("seed", "--seed", int, _ALL, "master seed (default 0)"),
-    ("reps", "--reps", int, _ALL, "repetitions per grid point (default 150)"),
-    ("state", "--state", str, _ALL, "named state (eq7, eq10) or Bloch triple x,y,z"),
-    ("gnuplot", "--gnuplot", _parse_bool, _ALL, "also emit a gnuplot script for the CSV"),
+    ("out_dir", "--out", str, _SIMULATIONS + ("fit",), "output directory"),
+    ("seed", "--seed", int, _SIMULATIONS, "master seed (default 0)"),
+    ("reps", "--reps", int, _SIMULATIONS, "repetitions per grid point (default 150)"),
+    ("state", "--state", str, _SIMULATIONS, "named state (eq7, eq10) or Bloch triple x,y,z"),
+    ("gnuplot", "--gnuplot", _parse_bool, ("run",), "also emit a gnuplot script for the CSV"),
     ("protocol", "--protocol", str, ("run",), "|".join(_PROTOCOLS)),
     ("alpha", "--alpha", parse_float, ("run", "sweep-noise"),
      "preliminary fraction for adaptive/reduced"),
@@ -190,9 +190,9 @@ _OPTIONS = (
     ("n_grid", "--n-grid", parse_n_grid, ("run", "sweep-alpha"),
      "comma list or start:stop:count"),
     ("alphas", "--alpha-grid", parse_float_grid, ("sweep-alpha",), "comma list of fractions"),
-    ("model", "--model", str, _ERROR_COMMANDS, "error model: none, 1, 2 or 3"),
+    ("model", "--model", str, _SIMULATIONS, "error model: none, 1, 2 or 3"),
     ("e_value", "--e", parse_float, ("run", "sweep-alpha"), "error magnitude in radians"),
-    ("error_axis", "--error-axis", parse_axis, _ERROR_COMMANDS,
+    ("error_axis", "--error-axis", parse_axis, _SIMULATIONS,
      "fixed rotation axis for model 3 (x,y,z)"),
     ("protocols", "--protocols", _protocol_list, ("sweep-noise",),
      "comma list of " + "|".join(_PROTOCOLS)),

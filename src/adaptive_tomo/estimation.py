@@ -16,9 +16,9 @@ weights w_k = N_k / (ft_k (1 - ft_k)), the objective of a Bloch vector r is
 y = sqrt(w) (2 f - 1).  Counts of 0 or N give weights near 2 N^2, beside
 weights near 4 N for balanced counts, so the normal equations D^T D r =
 D^T y, whose condition number is the square of D's, lose about eps cond(D)^2
-at large N.  The estimator factors [D | y] instead, or, where a row's axes
-are an orthonormal triplet (static, known-basis and preliminary fits), fits
-it in the triplet's coordinates, where D is diagonal.
+at large N.  The estimator factors [D | y] instead, or, where a row is three
+settings on orthonormal axes (static, known-basis and preliminary fits),
+fits it in the triplet's coordinates, where D is diagonal.
 """
 from __future__ import annotations
 
@@ -35,12 +35,13 @@ from .states import bloch_to_density, density_to_bloch
 # Version of the fitting arithmetic, recorded in provenance beside the stream
 # version: 1 solved the normal equations, 2 factors the weighted design by QR,
 # 3 factors R at the surface by one-sided Jacobi instead of LAPACK's SVD, 4
-# fits a row whose kept axes form an orthonormal frame in its coordinates.
+# fits a row of three orthonormal settings in their coordinates.
 ESTIMATOR_VERSION = 4
 BOUNDARY_TOL = 1e-9
 _SPAN_TOL = 1e-9
-# A row's kept axes are a frame when their Gram matrix is within _FRAME_TOL of
-# the identity: exactly for Pauli axes, to about 4 eps for ``mub_axes``.
+# A row of three settings is a frame when their Gram matrix is within
+# _FRAME_TOL of the identity: exactly for Pauli axes, to about 4 eps for
+# ``mub_axes``.
 _FRAME_TOL = 1e-14
 # Newton's method on the secular equation, used by mle_batch.
 _NEWTON_TOL = 1e-13
@@ -93,29 +94,22 @@ def merge_records(records: Iterable[CountRecord]) -> list[tuple[np.ndarray, int,
 def linear_inversion(records: Sequence[CountRecord]) -> np.ndarray:
     """Raw Bloch vector r_k = 2 f_k - 1 from data on the three Pauli axes.
 
-    No ball projection is applied: the result may have norm > 1.  Requires
-    every record to lie on a Pauli axis and every axis to carry shots.
+    The records are merged by ``merge_records``, which drops zero-shot
+    records, and each merged axis is matched to the Pauli axis within 1e-9 of
+    it.  No ball projection is applied: the result may have norm > 1.  Raises
+    InsufficientDataError unless every merged axis is a Pauli axis and every
+    Pauli axis carries shots.
     """
-    totals = {0: [0, 0], 1: [0, 0], 2: [0, 0]}
-    for rec in records:
-        matched = None
-        for k, axis in enumerate(PAULI_AXES):
-            if np.max(np.abs(rec.intended_axis - axis)) <= 1e-9:
-                matched = k
-                break
-        if matched is None:
-            raise InsufficientDataError(
-                f"linear inversion needs Pauli axes only, got {rec.intended_axis}"
-            )
-        totals[matched][0] += rec.n_shots
-        totals[matched][1] += rec.n_plus
-    out = np.empty(3)
-    for k in range(3):
-        shots, plus = totals[k]
-        if shots == 0:
-            raise InsufficientDataError(f"no shots on Pauli axis {k}")
-        out[k] = 2.0 * plus / shots - 1.0
-    return out
+    shots_on, plus_on = [0, 0, 0], [0, 0, 0]
+    for axis, shots, plus in merge_records(records):
+        match = np.flatnonzero(np.max(np.abs(np.array(PAULI_AXES) - axis), axis=1) <= 1e-9)
+        if not match.size:
+            raise InsufficientDataError(f"linear inversion needs Pauli axes only, got {axis}")
+        shots_on[match[0]] += shots
+        plus_on[match[0]] += plus
+    if 0 in shots_on:
+        raise InsufficientDataError(f"no shots on Pauli axis {shots_on.index(0)}")
+    return np.array([2.0 * plus / shots - 1.0 for shots, plus in zip(shots_on, plus_on)])
 
 
 def negative_loglikelihood(rho: np.ndarray, records: Sequence[CountRecord]) -> float:
@@ -259,12 +253,14 @@ def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarr
     weight.  Axes repeat when every component is equal as a float, so a -0.0
     component matches 0.0.
 
-    A row whose kept axes are three orthonormal ones a_m (a frame: the Pauli
-    axes, or a ``mub_axes`` triplet) is fitted in the frame's coordinates
-    t_m = a_m . r, where the weighted design is diagonal: R = diag(sqrt(w)),
-    c = y, the interior solution is t = c / sqrt(w) and a surface row takes
-    Newton's method on the secular equation in that basis.  On the Pauli axes
-    this is, bit for bit, the arithmetic of the general path below.
+    A row of exactly three settings on orthonormal axes a_m (a frame: the
+    Pauli axes, or a ``mub_axes`` triplet) is fitted in the frame's
+    coordinates t_m = a_m . r, where the weighted design is diagonal:
+    R = diag(sqrt(w)), c = y, the interior solution is t = c / sqrt(w) and a
+    surface row takes Newton's method on the secular equation in that basis.
+    On the Pauli axes in order this is, bit for bit, the arithmetic of the
+    general path below, so a two-phase row whose repeats merge down to the
+    Pauli axes, which takes that path, fits as its merged three settings do.
 
     Any other row (a two-phase final fit) is factored by modified Gram-Schmidt
     on [D | y], vectorised over the rows, giving D = Q R and c = Q^T y; it is
@@ -314,15 +310,10 @@ def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarr
 
 
 def _fit_frame(comps, sqrt_w, c):
-    # Rows whose kept axes form a frame, in its coordinates: R = diag(sqrt_w),
-    # beta = sqrt_w c and the basis is the frame itself, so neither
-    # Gram-Schmidt nor Jacobi is needed.  Settings-major arrays as in
+    # Rows of three settings that form a frame, in its coordinates:
+    # R = diag(sqrt_w), beta = sqrt_w c and the basis is the frame itself, so
+    # neither Gram-Schmidt nor Jacobi is needed.  Settings-major arrays as in
     # mle_batch; returns (n, 3).
-    if len(c) > 3:
-        # The three kept settings, in order; merged repeats carry no weight.
-        order = np.argsort(sqrt_w == 0.0, axis=0, kind="stable")[:3]
-        comps = np.take_along_axis(comps, order[:, None], axis=0)
-        sqrt_w, c = np.take_along_axis(sqrt_w, order, 0), np.take_along_axis(c, order, 0)
     t = c / sqrt_w
     r = _sum_settings(t[:, None] * comps)
     out = np.ascontiguousarray(r.T)
@@ -367,16 +358,17 @@ def _check_span(comps, kept) -> np.ndarray:
     # Unweighted Gram matrix of each row's kept axes.  The square root of its
     # determinant is the volume spanned, so near-zero means a rank-deficient
     # axis set: the first such row raises, with the null direction of its
-    # kept axes.  Returns which rows keep exactly three axes with a Gram
-    # matrix within _FRAME_TOL of the identity: an orthonormal frame.
+    # kept axes.  Returns which rows are frames: three settings (so none is
+    # merged away once the span holds) whose Gram matrix is within
+    # _FRAME_TOL of the identity.
     gram = _sum_settings(comps[:, :, None] * comps[:, None])
     (gxx, gxy, gxz), (_, gyy, gyz), (_, _, gzz) = gram
     det = (gxx * (gyy * gzz - gyz * gyz) + gxy * (gxz * gyz - gxy * gzz)
            + gxz * (gxy * gyz - gxz * gyy))
     bad = np.flatnonzero(~(det > _SPAN_TOL))
     if not bad.size:
-        return ((np.count_nonzero(kept, axis=0) == 3)
-                & (np.abs(gram - np.eye(3)[:, :, None]).max(axis=(0, 1)) <= _FRAME_TOL))
+        return (len(comps) == 3) & (
+            np.abs(gram - np.eye(3)[:, :, None]).max(axis=(0, 1)) <= _FRAME_TOL)
     _, _, vt = np.linalg.svd(comps[kept[:, bad[0]] > 0.0, :, bad[0]])
     null = vt[-1]
     raise UnderdeterminedError(

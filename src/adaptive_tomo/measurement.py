@@ -29,7 +29,7 @@ from typing import ClassVar, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidStateError
-from .states import density_to_bloch
+from .states import check_axis, density_to_bloch
 
 # Bloch-sphere rotation angle produced per radian of wave-plate mount error.
 MOUNT_TO_BLOCH_ANGLE = 4.0
@@ -65,8 +65,9 @@ class RngContext:
 
 
 def _check_magnitude(magnitude: float) -> None:
-    if magnitude < 0:
-        raise InvalidStateError("error magnitude must be >= 0")
+    # Written so that NaN fails it too.
+    if not 0.0 <= magnitude < math.inf:
+        raise InvalidStateError(f"error magnitude must be a finite number >= 0, got {magnitude}")
 
 
 # Each error model states its own data: ``name`` (the stem of its
@@ -120,9 +121,7 @@ class FixedError:
 
     def __post_init__(self):
         _check_magnitude(self.magnitude)
-        norm = math.sqrt(sum(x * x for x in self.rotation_axis))
-        if abs(norm - 1.0) > 1e-9:
-            raise InvalidStateError("rotation axis must be a unit vector")
+        check_axis(self.rotation_axis, "rotation axis")
 
 
 ErrorModel = Union[NoError, PerSettingError, PerExperimentError, FixedError]
@@ -150,7 +149,7 @@ class CountRecord:
 
     ``realized_axis`` is the axis actually measured after alignment error;
     estimators must only ever consume ``intended_axis`` (the systematic error
-    is invisible to them, which is the point).
+    is invisible to them, which is the point).  Both must pass ``check_axis``.
     """
 
     intended_axis: np.ndarray
@@ -163,10 +162,8 @@ class CountRecord:
             raise InvalidStateError(
                 f"counts {self.n_plus} outside [0, {self.n_shots}]"
             )
-        ax = self.realized_axis
-        norm = math.sqrt(float(ax[0]) ** 2 + float(ax[1]) ** 2 + float(ax[2]) ** 2)
-        if abs(norm - 1.0) > 1e-9:
-            raise InvalidStateError("realized axis is not a unit vector")
+        check_axis(self.intended_axis, "intended axis")
+        check_axis(self.realized_axis, "realized axis")
 
     @property
     def frequency(self) -> float:

@@ -9,7 +9,8 @@ infidelity form and the Chernoff exponent each convert their matrices with
 ``density_to_bloch`` and evaluate a closed form of the Bloch vectors.  A
 state is valid exactly when ``check_bloch`` accepts its Bloch vector; for a
 matrix, ``density_to_bloch`` checks the structure (2x2, Hermitian, unit
-trace) and then applies that one rule.  All operations here are pure
+trace) and then applies that one rule.  A measurement or rotation axis is
+valid exactly when ``check_axis`` accepts it.  All operations here are pure
 functions on immutable values and are safe to call from any number of
 threads.
 """
@@ -54,6 +55,18 @@ def check_bloch(r: Sequence[float]) -> None:
     # Written so that a NaN norm fails it too.
     if not norm <= 1.0 + BLOCH_NORM_ATOL:
         raise InvalidStateError(f"Bloch vector norm {norm} is not at most 1")
+
+
+def check_axis(axis: Sequence[float], what: str) -> None:
+    """Raise InvalidStateError, naming ``what``, unless axis is a finite
+    3-vector with |axis| = 1 within BLOCH_NORM_ATOL."""
+    if np.shape(axis) != (3,):
+        raise InvalidStateError(f"{what} is not a 3-vector (shape {np.shape(axis)})")
+    x, y, z = float(axis[0]), float(axis[1]), float(axis[2])
+    norm = math.sqrt(x * x + y * y + z * z)
+    # Written so that a NaN norm fails it too.
+    if not abs(norm - 1.0) <= BLOCH_NORM_ATOL:
+        raise InvalidStateError(f"{what} is not a unit vector (norm {norm})")
 
 
 def bloch_to_density(r: Sequence[float]) -> np.ndarray:
@@ -248,17 +261,12 @@ class BasisTriplet:
     axes: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        for ax in self.axes:
-            n = float(np.linalg.norm(ax))
-            if abs(n - 1.0) > 1e-9:
-                raise InvalidStateError(f"axis norm {n} != 1")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                dot = float(np.dot(self.axes[i], self.axes[j]))
-                if abs(dot) > 1e-9:
-                    raise InvalidStateError(
-                        f"axes {i} and {j} not orthogonal (dot={dot})"
-                    )
+        for k, axis in enumerate(self.axes):
+            check_axis(axis, f"axis {k}")
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            dot = float(np.dot(self.axes[i], self.axes[j]))
+            if not abs(dot) <= 1e-9:
+                raise InvalidStateError(f"axes {i} and {j} not orthogonal (dot={dot})")
 
 
 def bloch_of_ket(psi: np.ndarray) -> np.ndarray:

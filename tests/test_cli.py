@@ -117,16 +117,16 @@ class TestParsing:
         assert parse_config(["run", "--config", str(cfg), "--n", "90"]).n_grid == (90,)
 
     def test_each_command_takes_its_flags(self):
-        common = {"--config", "--out", "--seed", "--reps", "--state", "--gnuplot", "-h",
-                  "--help"}
-        error_model = {"--model", "--e", "--error-axis"}
+        common = {"--config", "-h", "--help"}
+        simulation = common | {"--out", "--seed", "--reps", "--state", "--model",
+                               "--error-axis"}
         expected = {
-            "run": common | error_model | {"--protocol", "--alpha", "--exponent", "--n",
-                                           "--n-grid"},
-            "sweep-alpha": common | error_model | {"--alpha-grid", "--n-grid"},
-            "sweep-noise": common | {"--model", "--error-axis", "--protocols", "--e-grid",
-                                     "--alpha", "--n-start", "--n-cap"},
-            "fit": common | {"--csv"},
+            "run": simulation | {"--e", "--gnuplot", "--protocol", "--alpha", "--exponent",
+                                 "--n", "--n-grid"},
+            "sweep-alpha": simulation | {"--e", "--alpha-grid", "--n-grid"},
+            "sweep-noise": simulation | {"--protocols", "--e-grid", "--alpha", "--n-start",
+                                         "--n-cap"},
+            "fit": common | {"--out", "--csv"},
             "fixtures": common,
         }
         sub = next(a for a in cli._build_parser()._actions
@@ -260,10 +260,11 @@ class TestParsing:
 
 
 class TestFixturesCommand:
-    def test_prints_sanity_values(self, capsys, tmp_path):
-        # fixtures writes no file, so it creates no output directory.
-        assert main(["fixtures", "--out", str(tmp_path / "out")]) == 0
-        assert not (tmp_path / "out").exists()
+    def test_prints_sanity_values(self, capsys, tmp_path, monkeypatch):
+        # fixtures writes no file, so it creates nothing in the working directory.
+        monkeypatch.chdir(tmp_path)
+        assert main(["fixtures"]) == 0
+        assert not any(tmp_path.iterdir())
         out = capsys.readouterr().out
         purity_line = [l for l in out.splitlines() if l.startswith("purity(eq10)")][0]
         fid_line = [l for l in out.splitlines() if l.startswith("F(eq10, eq7)")][0]

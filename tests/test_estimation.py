@@ -82,6 +82,12 @@ class TestLinearInversion:
         with pytest.raises(InsufficientDataError):
             linear_inversion([CountRecord(diag, diag, 100, 50)])
 
+    def test_zero_shot_non_pauli_record_is_dropped(self):
+        # merge_records drops zero-shot records, so this one is never matched.
+        diag = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
+        records = pauli_records([75, 85, 75], [100, 100, 100]) + [CountRecord(diag, diag, 0, 0)]
+        assert np.array_equal(linear_inversion(records), linear_inversion(records[:3]))
+
     def test_duplicate_records_pool(self):
         records = pauli_records([75, 85, 75], [100, 100, 100])
         records.append(CountRecord(X, X, 100, 75))

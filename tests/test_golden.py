@@ -1,7 +1,11 @@
 """Golden outputs: the campaign rows of every protocol at two states, a
 noise-floor sweep and an alpha sweep, recomputed and compared exactly, as
 float reprs, with ``golden.json``.  A change that moves any of these numbers,
-by as little as one ulp, fails here.
+by as little as one ulp, fails here.  Beside them the file holds a SHA-256
+of the counts, final fits and infidelities of every run of a small
+``run_grid`` per protocol and state, which a one-ulp move of a single run
+changes although a campaign mean may not, and the stdout and output files
+(all but the environment-dependent ``provenance.json``) of tiny CLI runs.
 
 Regenerate the file with ``PYTHONPATH=src python tests/test_golden.py`` only
 in a change that bumps ``STREAM_VERSION`` or ``ESTIMATOR_VERSION``, or that
@@ -9,9 +13,14 @@ lists the values it moved, with their cause, in CHANGES.md.  numpy does not
 promise the same ``Generator`` streams across its versions (NEP 19), so a
 numpy upgrade is such a cause.
 """
+import contextlib
+import hashlib
+import io
 import itertools
 import json
+import os
 import pathlib
+import tempfile
 
 import numpy as np
 
@@ -20,23 +29,42 @@ from adaptive_tomo import (
     AdaptivePow,
     CampaignSpec,
     KnownBasis,
+    NoError,
     PerSettingError,
     ReducedAdaptive,
+    RngContext,
     Static,
     alpha_sweep,
     noise_floor_sweep,
     protocol_name,
     run_campaign,
 )
-from adaptive_tomo.cli import RunConfig
+from adaptive_tomo.cli import RunConfig, main
 from adaptive_tomo.estimation import ESTIMATOR_VERSION
 from adaptive_tomo.fixtures import EQ7_BLOCH
-from adaptive_tomo.protocols import STREAM_VERSION
+from adaptive_tomo.protocols import STREAM_VERSION, run_grid
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 SEED = 3
 STATES = {"eq7": EQ7_BLOCH, "0.3,0.4,0.2": (0.3, 0.4, 0.2)}
 PROTOCOLS = (Static(), Adaptive(0.5), AdaptivePow(), ReducedAdaptive(0.5), KnownBasis())
+# The golden.json keys of the per-run digests and of the CLI outputs.
+DIGESTS = "run_grid sha256"
+CLI = "cli outputs"
+# Tiny CLI runs, each in its own output directory: (directory, argv).  Paths
+# are relative to the working directory, so that stdout does not name it.
+TINY = ("--reps", "20", "--seed", str(SEED))
+CLI_RUNS = (
+    ("run-static", ["run", "--protocol", "static", "--n-grid", "100,1000,10000", "--gnuplot",
+                    *TINY]),
+    ("run-adaptive", ["run", "--protocol", "adaptive", "--n-grid", "100,1000,10000", *TINY]),
+    ("run-known-basis", ["run", "--protocol", "known-basis", "--n-grid", "100,1000,10000",
+                         *TINY]),
+    ("sweep-alpha", ["sweep-alpha", "--n-grid", "100,1000,10000", *TINY]),
+    ("sweep-noise", ["sweep-noise", "--model", "3", "--e-grid", "0.02,0.04,0.08",
+                     "--n-start", "500", "--n-cap", "16000", *TINY]),
+    ("fit", ["fit", "--csv", "run-static/campaign.csv"]),
+)
 
 
 def reprs(*values):
@@ -72,6 +100,38 @@ def compute():
     return values
 
 
+def run_digests():
+    """SHA-256 of the +1 counts, final Bloch vectors and infidelities of every
+    run of ``run_grid`` at N = 100, 1 000 and 10 000, 20 reps, seed 3, per
+    protocol and state."""
+    values = {}
+    n_grid = (100, 1000, 10000)
+    rngs = [RngContext(SEED, (g,)) for g in range(len(n_grid))]
+    for state, bloch in STATES.items():
+        for protocol in PROTOCOLS:
+            batch = run_grid(protocol, bloch, n_grid, NoError(), rngs, 20)
+            digest = hashlib.sha256(batch.n_plus.astype("<i8").tobytes())
+            digest.update(batch.bloch_hat.astype("<f8").tobytes())
+            digest.update(batch.infidelity.astype("<f8").tobytes())
+            values[f"{protocol_name(protocol)} {state}"] = digest.hexdigest()
+    return values
+
+
+def cli_outputs():
+    """Exit status, stdout and output files of each of ``CLI_RUNS``, run in
+    process in the working directory."""
+    values = {}
+    for out, argv in CLI_RUNS:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            status = main(argv + ["--out", out])
+        values[out] = {"status": status, "stdout": stdout.getvalue()}
+        for name in sorted(os.listdir(out)):
+            if name != "provenance.json":
+                values[out][name] = pathlib.Path(out, name).read_text()
+    return values
+
+
 def leaves(value, path=""):
     """(path, value) of every scalar in a JSON value, in document order."""
     if isinstance(value, dict):
@@ -84,20 +144,50 @@ def leaves(value, path=""):
         yield path, value
 
 
-def test_outputs_match_the_golden_file():
+def load_golden():
+    """The golden values, and the library versions that made them and that
+    run now, for failure messages."""
     golden = json.loads(GOLDEN.read_text())
     numpy_version = golden.pop("numpy")
-    now = json.loads(json.dumps(compute()))
     versions = (f"golden stream_version {golden['stream_version']}, estimator_version "
                 f"{golden['estimator_version']}, numpy {numpy_version}; now "
                 f"{STREAM_VERSION}, {ESTIMATOR_VERSION}, numpy {np.__version__}")
+    return golden, versions
+
+
+def assert_same(golden, now, versions, path=""):
+    now = json.loads(json.dumps(now))
     for (path, want), (path_now, got) in itertools.zip_longest(
-            leaves(golden), leaves(now), fillvalue=(None, None)):
+            leaves(golden, path), leaves(now, path), fillvalue=(None, None)):
         assert (path, want) == (path_now, got), (
             f"first moved value {path or path_now}: golden {want!r}, now {got!r} ({versions})")
 
 
+def test_outputs_match_the_golden_file():
+    golden, versions = load_golden()
+    del golden[DIGESTS], golden[CLI]
+    assert_same(golden, compute(), versions)
+
+
+def test_every_run_matches_its_digest():
+    golden, versions = load_golden()
+    assert_same(golden[DIGESTS], run_digests(), versions, f"/{DIGESTS}")
+
+
+def test_cli_outputs_match_the_golden_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    golden, versions = load_golden()
+    assert_same(golden[CLI], cli_outputs(), versions, f"/{CLI}")
+
+
 if __name__ == "__main__":
-    values = {"numpy": np.__version__, **compute()}
+    values = {"numpy": np.__version__, **compute(), DIGESTS: run_digests()}
+    with tempfile.TemporaryDirectory() as workdir:
+        here = os.getcwd()
+        os.chdir(workdir)
+        try:
+            values[CLI] = cli_outputs()
+        finally:
+            os.chdir(here)
     GOLDEN.write_text("{\n" + ",\n".join(f" {json.dumps(key)}: {json.dumps(value)}"
                                          for key, value in values.items()) + "\n}\n")

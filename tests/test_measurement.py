@@ -186,10 +186,14 @@ class TestPerturbAxes:
         assert np.array_equal(alone, realized_axes(axes, model, draws)[:, 1])
 
     def test_negative_magnitude_rejected(self):
-        with pytest.raises(InvalidStateError):
-            PerSettingError(-0.1)
-        with pytest.raises(InvalidStateError):
-            FixedError(0.1, (2.0, 0.0, 0.0))
+        # Neither a negative nor a non-finite magnitude makes an error model.
+        for model in (PerSettingError, PerExperimentError, FixedError):
+            for magnitude in (-0.1, math.nan, math.inf):
+                with pytest.raises(InvalidStateError):
+                    model(magnitude)
+        for axis in [(2.0, 0.0, 0.0), (math.nan, 0.0, 0.0)]:
+            with pytest.raises(InvalidStateError):
+                FixedError(0.1, axis)
 
 
 class TestMeasureSetting:
@@ -224,5 +228,9 @@ class TestMeasureSetting:
     def test_record_validation(self):
         with pytest.raises(InvalidStateError):
             CountRecord(Z, Z, 10, 11)
-        with pytest.raises(InvalidStateError):
-            CountRecord(Z, np.array([0.0, 0.0, 2.0]), 10, 5)
+        nan = np.array([math.nan, 0.0, 0.0])
+        # Realized and intended axes are unit vectors, and NaN is not one.
+        for intended, realized in [(Z, np.array([0.0, 0.0, 2.0])), (Z, nan), (nan, Z),
+                                   (np.array([0.0, 0.0, 2.0]), Z)]:
+            with pytest.raises(InvalidStateError, match="axis is not a unit vector"):
+                CountRecord(intended, realized, 10, 5)

@@ -421,6 +421,10 @@ class TestMubTriplet:
             BasisTriplet(
                 (np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), np.array([0, 0, 1.0]))
             )
+        with pytest.raises(InvalidStateError):
+            BasisTriplet(
+                (np.array([1.0, 0, 0]), np.array([np.nan, 0, 0]), np.array([0, 0, 1.0]))
+            )
 
     def test_bloch_of_ket_plus_i(self):
         assert np.allclose(
