@@ -8,12 +8,12 @@ sweep-noise  noise-floor sweep over error magnitudes, slope fit per protocol
 fit          re-fit a previously emitted campaign CSV
 fixtures     print the named reference states and their sanity-check values
 
-Every option can also be given in a flat ``key = value`` config file
-(``--config``); a key is the option's RunConfig field or its flag without the
-dashes, with ``-`` and ``_`` interchangeable, and explicit flags override file
-values.  ``--n`` is another spelling of ``--n-grid``.  Numeric grids accept
-either comma lists (``100,1000,10000``) or ``start:stop:count`` for
-log-spaced points; exponents may be fractional (``1e-1.5``).
+A command's options can also be given in a flat ``key = value`` config file
+(``--config``); its keys are its own flags' RunConfig fields or the flags
+without their dashes, with ``-`` and ``_`` interchangeable, and explicit flags
+override file values.  ``--n`` is another spelling of ``--n-grid``.  Numeric
+grids accept either comma lists (``100,1000,10000``) or ``start:stop:count``
+for log-spaced points; exponents may be fractional (``1e-1.5``).
 
 Outputs are written atomically into the output directory (``--out``, or the
 ``ADAPTIVE_TOMO_OUT`` environment variable, or the working directory).  Exit
@@ -25,6 +25,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ from typing import Optional, Sequence, get_args
 import numpy as np
 
 from . import __version__
-from .errors import InvalidStateError, UsageError
+from .errors import TomographyError, UsageError
 from .estimation import ESTIMATOR_VERSION
 from .fixtures import NAMED_STATES, named_state
 from .harness import (
@@ -135,14 +136,8 @@ def parse_float_grid(text: str) -> tuple[float, ...]:
 
 
 def parse_n_grid(text: str) -> tuple[int, ...]:
-    values = [int(round(x)) for x in parse_float_grid(text)]
-    out: list[int] = []
-    for v in values:
-        if not out or v > out[-1]:
-            out.append(v)
-        elif v < out[-1]:
-            raise UsageError(f"sample-size grid {text!r} is not increasing")
-    return tuple(out)
+    """Grid rounded to integers; a point equal to the one before it is dropped."""
+    return tuple(n for n, _ in itertools.groupby(int(round(x)) for x in parse_float_grid(text)))
 
 
 def parse_axis(text: str) -> tuple[float, float, float]:
@@ -175,7 +170,7 @@ _SIMULATIONS = ("run", "sweep-alpha", "sweep-noise")
 
 # Every option, declared once: (RunConfig field, flag, value parser, commands
 # that take the flag, help).  The argparse tree, the parsers of flag and
-# config-file values and the accepted config-file keys all derive from it.
+# config-file values and each command's config-file keys all derive from it.
 _OPTIONS = (
     ("out_dir", "--out", str, _SIMULATIONS + ("fit",), "output directory"),
     ("seed", "--seed", int, _SIMULATIONS, "master seed (default 0)"),
@@ -202,9 +197,11 @@ _OPTIONS = (
     ("csv_path", "--csv", str, ("fit",), "campaign CSV to fit"),
 )
 _PARSERS = {field: parse for field, _, parse, _, _ in _OPTIONS}
-# A config-file key is a field name or a flag without its dashes; "-" and
-# "_" are interchangeable.
-_FILE_KEYS = {key: field for field, flag, *_ in _OPTIONS
+# (command, config-file key) -> field.  A command takes the keys of its own
+# flags: the field name or the flag without its dashes, with "-" and "_"
+# interchangeable.
+_FILE_KEYS = {(command, key): field for field, flag, _, commands, _ in _OPTIONS
+              for command in commands
               for key in (field, flag.lstrip("-").replace("-", "_"))}
 
 
@@ -242,7 +239,7 @@ def _parse_value(field: str, text: str, where: str = ""):
         raise UsageError(f"{where}bad value for {field}: {exc}") from None
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -258,9 +255,9 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        field = _FILE_KEYS.get(key.replace("-", "_"))
+        field = _FILE_KEYS.get((command, key.replace("-", "_")))
         if field is None:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            raise UsageError(f"{path}:{lineno}: {command} takes no key {key!r}")
         values[field] = _parse_value(field, value, f"{path}:{lineno}: ")
     return values
 
@@ -270,7 +267,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     given = {field: _parse_value(field, value) for field, value in vars(ns).items()
              if value is not None and field not in ("command", "config")}
-    merged = {**(_read_config_file(ns.config) if ns.config else {}), **given}
+    merged = {**(_read_config_file(ns.config, ns.command) if ns.config else {}), **given}
     if not merged.get("out_dir"):
         merged["out_dir"] = os.environ.get(OUTPUT_DIR_ENV, ".")
     config = RunConfig(command=ns.command, **merged)
@@ -279,27 +276,20 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
+    # The CLI states only the rules that no library type checks when it is
+    # built; the try at the end builds the types for the rest.
     if config.protocol not in _PROTOCOLS:
         raise UsageError(
             f"protocol must be one of {', '.join(_PROTOCOLS)}, got {config.protocol!r}"
         )
-    if not 0.0 < config.alpha < 1.0:
-        raise UsageError(f"alpha must be in (0, 1), got {config.alpha}")
-    if not 0.0 < config.exponent < 1.0:
-        raise UsageError(f"exponent must be in (0, 1), got {config.exponent}")
-    if config.reps < 2:
-        raise UsageError(f"reps must be >= 2, got {config.reps}")
     if config.model not in _ERROR_MODELS:
         raise UsageError(f"model must be none, 1, 2 or 3, got {config.model!r}")
-    if config.e_value < 0:
-        raise UsageError(f"error magnitude must be >= 0, got {config.e_value}")
+    # _shot_plan checks N >= 6 only once a campaign runs.
     if any(n < 6 for n in config.n_grid):
         raise UsageError(f"sample sizes must be >= 6, got {config.n_grid}")
     if config.command == "sweep-alpha" and len(config.n_grid) < 3:
         raise UsageError(f"sweep-alpha fits a power law and needs >= 3 sample sizes, "
                          f"got {config.n_grid}")
-    if any(not 0.0 < a < 1.0 for a in config.alphas):
-        raise UsageError(f"alpha grid values must be in (0, 1), got {config.alphas}")
     if config.command == "sweep-noise" and config.model == "none":
         raise UsageError("sweep-noise requires --model 1, 2 or 3")
     if not config.protocols:
@@ -307,19 +297,28 @@ def _validate(config: RunConfig) -> None:
     for name in config.protocols:
         if name not in _PROTOCOLS:
             raise UsageError(f"unknown protocol {name!r} in --protocols")
-    if config.e_grid and any(e <= 0 for e in config.e_grid):
+    if any(e <= 0 for e in config.e_grid):
         raise UsageError("e-grid values must be positive")
-    if config.e_grid and any(
-        b <= a for a, b in zip(config.e_grid, config.e_grid[1:])
-    ):
+    if any(b <= a for a, b in zip(config.e_grid, config.e_grid[1:])):
         raise UsageError("e-grid must be strictly increasing")
     if config.n_start < 6:
         raise UsageError(f"n-start must be >= 6, got {config.n_start}")
     if config.n_cap < config.n_start:
         raise UsageError("n-cap must be >= n-start")
-    _resolve_state(config.state)
     if config.command == "fit" and not config.csv_path:
         raise UsageError("fit requires --csv")
+    try:
+        for name in _PROTOCOLS:
+            _protocol(config, name)
+        for alpha in config.alphas:
+            Adaptive(alpha)
+        # The one model that takes both the magnitude and the axis.
+        FixedError(config.e_value, config.error_axis)
+        _campaign_spec(config)
+    except TomographyError as exc:
+        raise UsageError(str(exc)) from None
+    if config.e_value and config.model == "none":
+        raise UsageError(f"--e {config.e_value} needs --model 1, 2 or 3")
 
 
 def _resolve_state(text: str) -> tuple[float, float, float]:
@@ -332,10 +331,7 @@ def _resolve_state(text: str) -> tuple[float, float, float]:
             f"nor a Bloch triple x,y,z"
         )
     bloch = tuple(parse_float(p) for p in parts)
-    try:
-        check_bloch(bloch)
-    except InvalidStateError as exc:
-        raise UsageError(f"state {text!r}: {exc}") from None
+    check_bloch(bloch)
     return bloch
 
 
@@ -413,8 +409,12 @@ def _read_campaign_rows(path: str) -> list[tuple[str, int, float]]:
         required = {"protocol", "N", "mean_infidelity"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise UsageError(f"{path} is not a campaign CSV (needs columns {sorted(required)})")
-        return [(row["protocol"], int(row["N"]), float(row["mean_infidelity"]))
-                for row in reader]
+        try:
+            return [(row["protocol"], int(row["N"]), float(row["mean_infidelity"]))
+                    for row in reader]
+        except (TypeError, ValueError) as exc:
+            # A short row reads None for its missing columns.
+            raise UsageError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _json(payload: dict) -> str:
@@ -454,17 +454,15 @@ def execute(config: RunConfig) -> int:
         print(f"F(eq10, eq7) = {fidelity(eq10, eq7):.4f}")
         return 0
 
-    # fit's input is read before the output directory is made, so that a CSV
-    # which is not a campaign CSV (a usage error) leaves no directory behind.
-    rows = _read_campaign_rows(config.csv_path) if config.command == "fit" else None
-    os.makedirs(config.out_dir, exist_ok=True)
-
+    # fit reads, parses and fits its CSV before the output directory is made,
+    # so that a CSV it cannot use leaves no directory behind.
     if config.command == "fit":
-        fits = _fits_from_rows(rows)
+        fits = _fits_from_rows(_read_campaign_rows(config.csv_path))
         files = {"fit.json": _json({"fits": fits})}
         print(f"fitted {len(fits)} protocol(s) from {config.csv_path}")
+    os.makedirs(config.out_dir, exist_ok=True)
 
-    elif config.command == "run":
+    if config.command == "run":
         result = run_campaign(_campaign_spec(config))
         name = protocol_name(result.spec.protocol)
         for row in result.rows:
@@ -528,7 +526,7 @@ def execute(config: RunConfig) -> int:
         files = {"floors.csv": _floors_csv(results, config),
                  "fit.json": _json({"noise_floors": entries})}
 
-    else:
+    elif config.command != "fit":
         raise UsageError(f"unknown command {config.command!r}")
 
     environment = {"python": platform.python_version(), "numpy": np.__version__,

@@ -105,12 +105,15 @@ class ScalingFit:
 
 def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     """Ordinary least squares on (log x, log y); standard errors from the
-    usual regression formulas.  Requires >= 3 points with positive values."""
+    usual regression formulas.  Requires >= 3 points with positive values
+    and at least two distinct x values."""
     if len(points) < 3:
         raise ValueError(f"need at least 3 points to fit, got {len(points)}")
     for x, y in points:
         if x <= 0 or y <= 0:
             raise ValueError(f"power-law fit needs positive data, got ({x}, {y})")
+    if len({x for x, _ in points}) < 2:
+        raise ValueError("power-law fit needs at least two distinct x values")
     lx = np.log([x for x, _ in points])
     ly = np.log([y for _, y in points])
     n = len(points)

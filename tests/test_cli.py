@@ -87,26 +87,47 @@ class TestParsing:
         assert main(["sweep-noise", "--model", "1", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    # (argv of a command that takes the key, config line, field, value)
     FILE_KEYS = [
-        ("n = 60,120", "n_grid", (60, 120)),
-        ("n-grid = 60,120", "n_grid", (60, 120)),
-        ("alpha-grid = 0.2,0.4", "alphas", (0.2, 0.4)),
-        ("alpha_grid = 0.2,0.4", "alphas", (0.2, 0.4)),
-        ("alphas = 0.2,0.4", "alphas", (0.2, 0.4)),
-        ("e = 0.01", "e_value", 0.01),
-        ("e-value = 0.01", "e_value", 0.01),
-        ("out = results", "out_dir", "results"),
-        ("csv = a.csv", "csv_path", "a.csv"),
-        ("error-axis = 0,0,2", "error_axis", (0.0, 0.0, 1.0)),
-        ("gnuplot = yes", "gnuplot", True),
+        (["run"], "n = 60,120", "n_grid", (60, 120)),
+        (["run"], "n-grid = 60,120", "n_grid", (60, 120)),
+        (["sweep-alpha"], "alpha-grid = 0.2,0.4", "alphas", (0.2, 0.4)),
+        (["sweep-alpha"], "alpha_grid = 0.2,0.4", "alphas", (0.2, 0.4)),
+        (["sweep-alpha"], "alphas = 0.2,0.4", "alphas", (0.2, 0.4)),
+        (["run", "--model", "1"], "e = 0.01", "e_value", 0.01),
+        (["run", "--model", "1"], "e-value = 0.01", "e_value", 0.01),
+        (["run"], "out = results", "out_dir", "results"),
+        (["fit"], "csv = a.csv", "csv_path", "a.csv"),
+        (["run"], "error-axis = 0,0,2", "error_axis", (0.0, 0.0, 1.0)),
+        (["run"], "gnuplot = yes", "gnuplot", True),
     ]
 
-    @pytest.mark.parametrize("line, field, value", FILE_KEYS,
-                             ids=[line.split(" = ")[0] for line, _, _ in FILE_KEYS])
-    def test_config_file_key_is_a_field_or_a_flag(self, line, field, value, tmp_path):
+    @pytest.mark.parametrize("argv, line, field, value", FILE_KEYS,
+                             ids=[line.split(" = ")[0] for _, line, _, _ in FILE_KEYS])
+    def test_config_file_key_is_a_field_or_a_flag(self, argv, line, field, value, tmp_path):
         cfg = tmp_path / "config.txt"
         cfg.write_text(line + "\n")
-        assert getattr(parse_config(["run", "--config", str(cfg)]), field) == value
+        assert getattr(parse_config(argv + ["--config", str(cfg)]), field) == value
+
+    @pytest.mark.parametrize("argv, key", [
+        (["fit", "--csv", "x.csv"], "seed"),
+        (["fit", "--csv", "x.csv"], "reps"),
+        (["fixtures"], "seed"),
+        (["fixtures"], "out"),
+        (["run"], "alpha-grid"),
+        (["sweep-noise", "--model", "1"], "gnuplot"),
+    ], ids=["fit-seed", "fit-reps", "fixtures-seed", "fixtures-out", "run-alpha-grid",
+            "sweep-noise-gnuplot"])
+    def test_config_file_key_of_another_command(self, argv, key, tmp_path, capsys):
+        # A config file sets only what the command's own flags set.
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(f"# comment\n{key} = 1\n")
+        message = f"{cfg}:2: {argv[0]} takes no key '{key}'"
+        with pytest.raises(UsageError) as excinfo:
+            parse_config(argv + ["--config", str(cfg)])
+        assert str(excinfo.value) == message
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_n_is_another_spelling_of_n_grid(self, tmp_path):
         assert parse_config(["run", "--n", "60", "--n-grid", "70,80"]).n_grid == (70, 80)
@@ -133,6 +154,15 @@ class TestParsing:
                    if isinstance(a, argparse._SubParsersAction))
         assert {command: {flag for action in parser._actions for flag in action.option_strings}
                 for command, parser in sub.choices.items()} == expected
+        # A command's config-file keys are exactly its flags' fields and the
+        # flags without their dashes.
+        for command, parser in sub.choices.items():
+            keys = {(command, key): action.dest for action in parser._actions
+                    if action.dest not in ("help", "config")
+                    for key in (action.dest, action.option_strings[0][2:].replace("-", "_"))}
+            assert {k: f for k, f in cli._FILE_KEYS.items() if k[0] == command} == keys
+        assert len(set(cli._FILE_KEYS.values())) == 18
+        assert len({(command, field) for (command, _), field in cli._FILE_KEYS.items()}) == 34
 
     def test_unreadable_config_file_is_a_usage_error(self, tmp_path, capsys):
         latin1 = tmp_path / "latin1.txt"
@@ -176,12 +206,16 @@ class TestParsing:
     USAGE_ERRORS = [
         ("protocol", ["run", "--protocol", "bogus"], "protocol must be one of"),
         ("exponent", ["run", "--exponent", "1.5"], "exponent must be in (0, 1)"),
-        ("reps", ["run", "--reps", "1"], "reps must be >= 2"),
+        ("reps", ["run", "--reps", "1"], "need at least 2 repetitions"),
         ("model", ["run", "--model", "4"], "model must be none, 1, 2 or 3"),
-        ("negative-e", ["run", "--e=-0.1"], "error magnitude must be >= 0"),
+        ("negative-e", ["run", "--e=-0.1"],
+         "error magnitude must be a finite number >= 0, got -0.1"),
+        ("e-without-model", ["run", "--e", "0.05"], "--e 0.05 needs --model 1, 2 or 3"),
+        ("e-without-model-sweep-alpha", ["sweep-alpha", "--model", "none", "--e", "0.05"],
+         "--e 0.05 needs --model 1, 2 or 3"),
         ("n-below-6", ["run", "--n-grid", "5,100"], "sample sizes must be >= 6"),
         ("alpha-grid", ["sweep-alpha", "--alpha-grid", "0.5,1.0"],
-         "alpha grid values must be in (0, 1)"),
+         "alpha must be in (0, 1), got 1.0"),
         ("protocols-name", ["sweep-noise", "--model", "1", "--protocols", "static,bogus"],
          "unknown protocol 'bogus' in --protocols"),
         ("e-grid-zero", ["sweep-noise", "--model", "1", "--e-grid", "0,0.01"],
@@ -198,12 +232,15 @@ class TestParsing:
         ("grid-count", ["run", "--n-grid", "100:1000:x"], "is not an integer"),
         ("grid-bounds", ["run", "--n-grid", "1000:100:3"],
          "needs 0 < start < stop and count >= 2"),
-        ("n-grid-order", ["run", "--n-grid", "200,100"], "is not increasing"),
+        ("n-grid-order", ["run", "--n-grid", "200,100"],
+         "sample-size grid not strictly increasing: (200, 100)"),
         ("axis-length", ["run", "--error-axis", "1,0"], "must be three comma-separated"),
         ("axis-zero", ["run", "--error-axis", "0,0,0"], "axis must be nonzero"),
         ("config-missing", ["run", "--config", "{tmp}/missing.txt"], "not found"),
         ("config-line", ["run", "--config", "{tmp}/no-equals.txt"], "expected 'key = value'"),
         ("csv-columns", ["fit", "--csv", "{tmp}/columns.csv"], "is not a campaign CSV"),
+        ("csv-row", ["fit", "--csv", "{tmp}/row.csv"],
+         "row.csv:3: invalid literal for int() with base 10: 'abc'"),
     ]
 
     @pytest.mark.parametrize("argv, message", [case[1:] for case in USAGE_ERRORS],
@@ -211,6 +248,11 @@ class TestParsing:
     def test_usage_errors(self, argv, message, tmp_path, capsys):
         (tmp_path / "no-equals.txt").write_text("seed 3\n")
         (tmp_path / "columns.csv").write_text("protocol,n\r\nstatic,100\r\n")
+        (tmp_path / "row.csv").write_text(
+            "protocol,N,reps,mean_infidelity,stderr,seed\r\n"
+            "static,100,2,0.1,0.01,0\r\n"
+            "static,abc,2,0.05,0.01,0\r\n"
+        )
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "out" / "deep")]) == 2
         err = capsys.readouterr().err
@@ -388,6 +430,18 @@ class TestRunCommand:
         )
         assert main(["fit", "--csv", str(csv_path), "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("means, ns", [((0.1, 0.05, 0.0), (100, 200, 400)),
+                                           ((0.1, 0.05, 0.02), (100, 100, 100))],
+                             ids=["zero-mean", "one-n"])
+    def test_unfittable_csv_leaves_no_directory(self, means, ns, tmp_path, capsys):
+        csv_path = tmp_path / "campaign.csv"
+        csv_path.write_text("protocol,N,reps,mean_infidelity,stderr,seed\r\n" + "".join(
+            f"static,{n},2,{mean},0.01,0\r\n" for n, mean in zip(ns, means)))
+        assert main(["fit", "--csv", str(csv_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: power-law fit needs ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepCommands:

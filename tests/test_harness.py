@@ -81,6 +81,11 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law([(0, 1.0), (100, 0.1), (1000, 0.01)])
 
+    def test_rejects_a_single_x_value(self):
+        # The slope divides by the spread of log x.
+        with pytest.raises(ValueError, match="at least two distinct x values"):
+            fit_power_law([(100, 0.1), (100, 0.05), (100, 0.02)])
+
 
 class TestRunCampaign:
     def test_row_accounting(self):
