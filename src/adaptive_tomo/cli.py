@@ -16,8 +16,9 @@ grids accept either comma lists (``100,1000,10000``) or ``start:stop:count``
 for log-spaced points; exponents may be fractional (``1e-1.5``).
 
 Outputs are written atomically into the output directory (``--out``, or the
-``ADAPTIVE_TOMO_OUT`` environment variable, or the working directory).  Exit
-status is 0 on success, 2 on usage errors and 1 on any other failure.
+``ADAPTIVE_TOMO_OUT`` environment variable, or the working directory), and
+only after every output is computed, so a command that fails writes nothing.
+Exit status is 0 on success, 2 on usage errors and 1 on any other failure.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import platform
 import re
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence, get_args
 
 import numpy as np
@@ -54,7 +55,7 @@ from .harness import (
 )
 from .measurement import ErrorModel, FixedError, NoError, PerExperimentError, PerSettingError
 from .protocols import STREAM_VERSION, Adaptive, AdaptivePow, ProtocolSpec, protocol_name
-from .states import check_bloch, density_to_bloch, fidelity, purity
+from .states import density_to_bloch, fidelity, purity
 
 OUTPUT_DIR_ENV = "ADAPTIVE_TOMO_OUT"
 
@@ -277,16 +278,13 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
 def _validate(config: RunConfig) -> None:
     # The CLI states only the rules that no library type checks when it is
-    # built; the try at the end builds the types for the rest.
+    # built; the try at the end builds the command's types and campaigns.
     if config.protocol not in _PROTOCOLS:
         raise UsageError(
             f"protocol must be one of {', '.join(_PROTOCOLS)}, got {config.protocol!r}"
         )
     if config.model not in _ERROR_MODELS:
         raise UsageError(f"model must be none, 1, 2 or 3, got {config.model!r}")
-    # _shot_plan checks N >= 6 only once a campaign runs.
-    if any(n < 6 for n in config.n_grid):
-        raise UsageError(f"sample sizes must be >= 6, got {config.n_grid}")
     if config.command == "sweep-alpha" and len(config.n_grid) < 3:
         raise UsageError(f"sweep-alpha fits a power law and needs >= 3 sample sizes, "
                          f"got {config.n_grid}")
@@ -301,8 +299,6 @@ def _validate(config: RunConfig) -> None:
         raise UsageError("e-grid values must be positive")
     if any(b <= a for a, b in zip(config.e_grid, config.e_grid[1:])):
         raise UsageError("e-grid must be strictly increasing")
-    if config.n_start < 6:
-        raise UsageError(f"n-start must be >= 6, got {config.n_start}")
     if config.n_cap < config.n_start:
         raise UsageError("n-cap must be >= n-start")
     if config.command == "fit" and not config.csv_path:
@@ -310,11 +306,16 @@ def _validate(config: RunConfig) -> None:
     try:
         for name in _PROTOCOLS:
             _protocol(config, name)
-        for alpha in config.alphas:
-            Adaptive(alpha)
         # The one model that takes both the magnitude and the axis.
         FixedError(config.e_value, config.error_axis)
-        _campaign_spec(config)
+        spec = _campaign_spec(config)
+        if config.command == "sweep-alpha":
+            for alpha in config.alphas:
+                replace(spec, protocol=Adaptive(alpha))
+        # A ladder's first rung stands for it: a protocol that splits N splits 2N.
+        if config.command == "sweep-noise":
+            for name in config.protocols:
+                replace(spec, protocol=_protocol(config, name), n_grid=(config.n_start,))
     except TomographyError as exc:
         raise UsageError(str(exc)) from None
     if config.e_value and config.model == "none":
@@ -330,9 +331,7 @@ def _resolve_state(text: str) -> tuple[float, float, float]:
             f"state {text!r} is neither a named state {sorted(NAMED_STATES)} "
             f"nor a Bloch triple x,y,z"
         )
-    bloch = tuple(parse_float(p) for p in parts)
-    check_bloch(bloch)
-    return bloch
+    return tuple(parse_float(p) for p in parts)
 
 
 def _protocol(config: RunConfig, name: str) -> ProtocolSpec:
@@ -405,20 +404,19 @@ def _fits_from_rows(rows: Sequence[tuple[str, int, float]]) -> list[dict]:
 def _read_campaign_rows(path: str) -> list[tuple[str, int, float]]:
     """(protocol, N, mean infidelity) of every row of a campaign CSV."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         required = {"protocol", "N", "mean_infidelity"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise UsageError(f"{path} is not a campaign CSV (needs columns {sorted(required)})")
         try:
-            return [(row["protocol"], int(row["N"]), float(row["mean_infidelity"]))
+            return [(row["protocol"], int(row["N"]), parse_float(row["mean_infidelity"]))
                     for row in reader]
-        except (TypeError, ValueError) as exc:
-            # A short row reads None for its missing columns.
+        except ValueError as exc:
             raise UsageError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def config_from_provenance(data: dict) -> RunConfig:
@@ -454,15 +452,12 @@ def execute(config: RunConfig) -> int:
         print(f"F(eq10, eq7) = {fidelity(eq10, eq7):.4f}")
         return 0
 
-    # fit reads, parses and fits its CSV before the output directory is made,
-    # so that a CSV it cannot use leaves no directory behind.
     if config.command == "fit":
         fits = _fits_from_rows(_read_campaign_rows(config.csv_path))
         files = {"fit.json": _json({"fits": fits})}
         print(f"fitted {len(fits)} protocol(s) from {config.csv_path}")
-    os.makedirs(config.out_dir, exist_ok=True)
 
-    if config.command == "run":
+    elif config.command == "run":
         result = run_campaign(_campaign_spec(config))
         name = protocol_name(result.spec.protocol)
         for row in result.rows:
@@ -486,7 +481,7 @@ def execute(config: RunConfig) -> int:
         files = {"campaign.csv": _campaign_csv([result for _, result, _ in sweep]),
                  "fit.json": _json({"alpha_sweep": entries})}
 
-    elif config.command == "sweep-noise":
+    else:  # sweep-noise
         e_grid = config.e_grid or tuple(float(x) for x in np.geomspace(1e-3, 3e-2, 5))
         results = noise_floor_sweep(
             lambda e: _error_model(config, e),
@@ -526,9 +521,6 @@ def execute(config: RunConfig) -> int:
         files = {"floors.csv": _floors_csv(results, config),
                  "fit.json": _json({"noise_floors": entries})}
 
-    elif config.command != "fit":
-        raise UsageError(f"unknown command {config.command!r}")
-
     environment = {"python": platform.python_version(), "numpy": np.__version__,
                    "platform": platform.platform(), "nproc": os.cpu_count()}
     files["provenance.json"] = _json({"artifact_version": __version__,
@@ -536,6 +528,8 @@ def execute(config: RunConfig) -> int:
                                       "estimator_version": ESTIMATOR_VERSION,
                                       "environment": environment,
                                       "config": asdict(config)})
+    # Made only once every output is computed: a failed command leaves none.
+    os.makedirs(config.out_dir, exist_ok=True)
     for filename, data in files.items():
         _atomic_write(os.path.join(config.out_dir, filename), data)
     return 0

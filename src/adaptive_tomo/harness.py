@@ -19,12 +19,16 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .measurement import ErrorModel, NoError, RngContext, error_model_name
-from .protocols import Adaptive, ProtocolSpec, protocol_name, run_grid
+from .protocols import Adaptive, ProtocolSpec, _shot_plan, protocol_name, run_grid
+from .states import check_bloch
 
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """One Monte Carlo campaign: protocol, true state, N grid, repetitions."""
+    """One Monte Carlo campaign: protocol, true state, N grid, repetitions.
+    Building one refuses a campaign that cannot run: a grid not strictly
+    increasing, reps < 2, a state outside the Bloch ball (``check_bloch``) or
+    an N that the protocol cannot split (``_shot_plan``'s BudgetError)."""
 
     protocol: ProtocolSpec
     state_bloch: tuple[float, float, float]
@@ -40,6 +44,9 @@ class CampaignSpec:
             raise InvalidStateError(f"sample-size grid not strictly increasing: {self.n_grid}")
         if self.reps < 2:
             raise InvalidStateError("need at least 2 repetitions")
+        check_bloch(self.state_bloch)
+        for n in self.n_grid:
+            _shot_plan(self.protocol, n)
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,8 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
 
     The whole grid is one vectorised pass (``protocols.run_grid``) on the
     Bloch vector ``spec.state_bloch``, in which grid point i still draws from
-    its own streams.  A state outside the Bloch ball, or not finite, raises
-    InvalidStateError before anything is drawn.
+    its own streams.  The spec refused, when it was built, a state outside
+    the Bloch ball and an N its protocol cannot split.
     """
     digest = campaign_hash(spec)
     label = int.from_bytes(bytes.fromhex(digest[:16]), "big")
@@ -105,13 +112,13 @@ class ScalingFit:
 
 def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     """Ordinary least squares on (log x, log y); standard errors from the
-    usual regression formulas.  Requires >= 3 points with positive values
-    and at least two distinct x values."""
+    usual regression formulas.  Requires >= 3 points with positive finite
+    values and at least two distinct x values."""
     if len(points) < 3:
         raise ValueError(f"need at least 3 points to fit, got {len(points)}")
     for x, y in points:
-        if x <= 0 or y <= 0:
-            raise ValueError(f"power-law fit needs positive data, got ({x}, {y})")
+        if not (0 < x < math.inf and 0 < y < math.inf):
+            raise ValueError(f"power-law fit needs positive finite data, got ({x}, {y})")
     if len({x for x, _ in points}) < 2:
         raise ValueError("power-law fit needs at least two distinct x values")
     lx = np.log([x for x, _ in points])

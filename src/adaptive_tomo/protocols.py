@@ -142,21 +142,15 @@ def _split(total: int, parts: int) -> list[int]:
     return [(total + parts - 1 - i) // parts for i in range(parts)]
 
 
-def _require_positive(shots: list[int], what: str) -> None:
-    if min(shots) < 1:
-        raise BudgetError(f"{what} split {shots} leaves a setting without shots")
-
-
 def _shot_plan(spec: ProtocolSpec, n_total: int) -> tuple[list[int], list[int]]:
     """Per-setting shots of the first phase and of the adapted phase."""
     if n_total < 6:
         raise BudgetError(f"need at least 6 samples, got {n_total}")
     n_first = spec.first_phase_budget(n_total)
     shots1, shots2 = _split(n_first, 3), _split(n_total - n_first, spec.adapted_settings)
-    _require_positive(shots1 + shots2, spec.name)
-    total = sum(shots1) + sum(shots2)
-    if total != n_total:
-        raise AssertionError(f"budget leak: measured {total} of {n_total}")
+    if min(shots1 + shots2) < 1:
+        raise BudgetError(f"{protocol_name(spec)} at N={n_total}: split {shots1 + shots2} "
+                          f"leaves a setting without shots")
     return shots1, shots2
 
 
@@ -242,12 +236,15 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
     The state is a Bloch vector throughout, and the infidelity is
     ``fidelity_bloch``'s; the arithmetic between draws acts on each row
     alone.  ``r_true`` is checked (``check_bloch``) and every shot plan is
-    worked out before anything is drawn, so a bad state or the first bad N
-    raises.
+    worked out, and checked to spend exactly its N, before anything is
+    drawn, so a bad state, the first bad N or a leaked budget raises.
     """
     check_bloch(r_true)
     r_true = np.asarray(r_true, dtype=float)
     plans = [_shot_plan(spec, n) for n in n_grid]
+    for n, (shots1, shots2) in zip(n_grid, plans):
+        if sum(shots1) + sum(shots2) != n:
+            raise AssertionError(f"budget leak: measured {sum(shots1) + sum(shots2)} of {n}")
     # Per-row shots of every setting, (rows, M).
     shots = np.repeat([shots1 + shots2 for shots1, shots2 in plans], reps, axis=0)
     draws = None

@@ -199,9 +199,11 @@ class TestParsing:
             # Rejected while parsing, before any campaign runs.
             with pytest.raises(UsageError):
                 parse_config(argv)
-        assert main(argv + ["--out", str(tmp_path)]) == status
+        assert main(argv + ["--out", str(tmp_path / "out")]) == status
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        # A command that fails writes nothing.
+        assert not (tmp_path / "out").exists()
 
     USAGE_ERRORS = [
         ("protocol", ["run", "--protocol", "bogus"], "protocol must be one of"),
@@ -213,7 +215,14 @@ class TestParsing:
         ("e-without-model", ["run", "--e", "0.05"], "--e 0.05 needs --model 1, 2 or 3"),
         ("e-without-model-sweep-alpha", ["sweep-alpha", "--model", "none", "--e", "0.05"],
          "--e 0.05 needs --model 1, 2 or 3"),
-        ("n-below-6", ["run", "--n-grid", "5,100"], "sample sizes must be >= 6"),
+        ("n-below-6", ["run", "--n-grid", "5,100"], "need at least 6 samples, got 5"),
+        ("run-budget", ["run", "--protocol", "adaptive", "--alpha", "0.01", "--n-grid",
+                        "100,1000", "--reps", "2"], "leaves a setting without shots"),
+        ("sweep-alpha-budget", ["sweep-alpha", "--alpha-grid", "0.5,0.01", "--n-grid",
+                                "100,200,400", "--reps", "2"], "leaves a setting without shots"),
+        ("sweep-noise-budget", ["sweep-noise", "--model", "1", "--protocols", "adaptive",
+                                "--alpha", "0.05", "--n-start", "6", "--n-cap", "100",
+                                "--reps", "2"], "leaves a setting without shots"),
         ("alpha-grid", ["sweep-alpha", "--alpha-grid", "0.5,1.0"],
          "alpha must be in (0, 1), got 1.0"),
         ("protocols-name", ["sweep-noise", "--model", "1", "--protocols", "static,bogus"],
@@ -222,7 +231,8 @@ class TestParsing:
          "e-grid values must be positive"),
         ("e-grid-order", ["sweep-noise", "--model", "1", "--e-grid", "0.02,0.01"],
          "e-grid must be strictly increasing"),
-        ("n-start", ["sweep-noise", "--model", "1", "--n-start", "5"], "n-start must be >= 6"),
+        ("n-start", ["sweep-noise", "--model", "1", "--n-start", "5"],
+         "need at least 6 samples, got 5"),
         ("n-cap", ["sweep-noise", "--model", "1", "--n-start", "1000", "--n-cap", "500"],
          "n-cap must be >= n-start"),
         ("fit-csv", ["fit"], "fit requires --csv"),
@@ -241,6 +251,7 @@ class TestParsing:
         ("csv-columns", ["fit", "--csv", "{tmp}/columns.csv"], "is not a campaign CSV"),
         ("csv-row", ["fit", "--csv", "{tmp}/row.csv"],
          "row.csv:3: invalid literal for int() with base 10: 'abc'"),
+        ("csv-nan", ["fit", "--csv", "{tmp}/nan.csv"], "nan.csv:3: number 'nan' is not finite"),
     ]
 
     @pytest.mark.parametrize("argv, message", [case[1:] for case in USAGE_ERRORS],
@@ -252,6 +263,12 @@ class TestParsing:
             "protocol,N,reps,mean_infidelity,stderr,seed\r\n"
             "static,100,2,0.1,0.01,0\r\n"
             "static,abc,2,0.05,0.01,0\r\n"
+        )
+        (tmp_path / "nan.csv").write_text(
+            "protocol,N,reps,mean_infidelity,stderr,seed\r\n"
+            "static,100,2,0.1,0.01,0\r\n"
+            "static,200,2,nan,0.01,0\r\n"
+            "static,400,2,0.02,0.01,0\r\n"
         )
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "out" / "deep")]) == 2
@@ -518,11 +535,12 @@ class TestRuntimeFailureExitCodes:
     ARGV = ["run", "--protocol", "adaptive", "--n", "1000", "--reps", "20", "--seed", "4"]
 
     def run_failing(self, tmp_path, capsys, error):
-        assert main(self.ARGV + ["--out", str(tmp_path)]) == 1
+        assert main(self.ARGV + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert error in err
         assert "protocol=adaptive" in err and "n_grid=(1000,)" in err
+        assert not (tmp_path / "out").exists()
 
     def test_unanticipated_exception(self, tmp_path, capsys, monkeypatch):
         def broken(spec):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from adaptive_tomo import (
     Adaptive,
     AdaptivePow,
+    BudgetError,
     CampaignSpec,
     FixedError,
     InvalidStateError,
@@ -80,6 +82,11 @@ class TestFitPowerLaw:
             fit_power_law([(10, 1.0), (100, 0.1), (1000, 0.0)])
         with pytest.raises(ValueError):
             fit_power_law([(0, 1.0), (100, 0.1), (1000, 0.01)])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive finite data"):
+                fit_power_law([(10, 1.0), (100, bad), (1000, 0.01)])
+            with pytest.raises(ValueError, match="positive finite data"):
+                fit_power_law([(10, 1.0), (bad, 0.1), (1000, 0.01)])
 
     def test_rejects_a_single_x_value(self):
         # The slope divides by the spread of log x.
@@ -184,6 +191,14 @@ class TestRunCampaign:
             CampaignSpec(Static(), EQ7_BLOCH, (100, 50), reps=2)
         with pytest.raises(InvalidStateError):
             CampaignSpec(Static(), EQ7_BLOCH, (100,), reps=1)
+        # A campaign its protocol cannot run is refused when it is built.
+        with pytest.raises(BudgetError, match=re.escape(
+                "adaptive(alpha=0.01) at N=100: split [1, 0, 0, 33, 33, 33] leaves a setting")):
+            CampaignSpec(Adaptive(0.01), EQ7_BLOCH, (100, 1000), reps=2)
+        with pytest.raises(BudgetError, match="need at least 6 samples, got 5"):
+            CampaignSpec(Static(), EQ7_BLOCH, (5, 100), reps=2)
+        with pytest.raises(InvalidStateError):
+            CampaignSpec(Static(), (0.8, 0.8, 0.0), (100,), reps=2)
 
     def test_known_basis_matches_adaptive_exponent(self):
         grid = tuple(int(round(x)) for x in np.geomspace(300, 100_000, 10))
