@@ -198,6 +198,9 @@ _OPTIONS = (
     ("csv_path", "--csv", str, ("fit",), "campaign CSV to fit"),
 )
 _PARSERS = {field: parse for field, _, parse, _, _ in _OPTIONS}
+_FLAGS = {field: flag for field, flag, _, _, _ in _OPTIONS}
+# The fields that parameterise a protocol (alpha, exponent).
+_PROTOCOL_PARAMS = {f.name for cls in _PROTOCOLS.values() for f in fields(cls)}
 # (command, config-file key) -> field.  A command takes the keys of its own
 # flags: the field name or the flag without its dashes, with "-" and "_"
 # interchangeable.
@@ -266,19 +269,22 @@ def _read_config_file(path: str, command: str) -> dict:
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Resolve argv (and any --config file) into a validated RunConfig."""
     ns = _build_parser().parse_args(argv)
-    given = {field: _parse_value(field, value) for field, value in vars(ns).items()
+    flags = {field: _parse_value(field, value) for field, value in vars(ns).items()
              if value is not None and field not in ("command", "config")}
-    merged = {**(_read_config_file(ns.config, ns.command) if ns.config else {}), **given}
+    merged = {**(_read_config_file(ns.config, ns.command) if ns.config else {}), **flags}
+    given = set(merged)
     if not merged.get("out_dir"):
         merged["out_dir"] = os.environ.get(OUTPUT_DIR_ENV, ".")
     config = RunConfig(command=ns.command, **merged)
-    _validate(config)
+    _validate(config, given)
     return config
 
 
-def _validate(config: RunConfig) -> None:
+def _validate(config: RunConfig, given: set[str]) -> None:
     # The CLI states only the rules that no library type checks when it is
-    # built; the try at the end builds the command's types and campaigns.
+    # built; the try builds the command's types and campaigns.  ``given``
+    # holds the fields set by a flag or a config-file key: one that the
+    # command would not use is refused.
     if config.protocol not in _PROTOCOLS:
         raise UsageError(
             f"protocol must be one of {', '.join(_PROTOCOLS)}, got {config.protocol!r}"
@@ -312,14 +318,26 @@ def _validate(config: RunConfig) -> None:
         if config.command == "sweep-alpha":
             for alpha in config.alphas:
                 replace(spec, protocol=Adaptive(alpha))
-        # A ladder's first rung stands for it: a protocol that splits N splits 2N.
+        # A ladder's first and last rungs stand for it: a protocol that splits
+        # N splits 2N, and no rung gives a setting more shots than the last.
         if config.command == "sweep-noise":
             for name in config.protocols:
-                replace(spec, protocol=_protocol(config, name), n_grid=(config.n_start,))
+                first = replace(spec, protocol=_protocol(config, name), n_grid=(config.n_start,))
+                doublings = (config.n_cap // config.n_start).bit_length() - 1
+                replace(first, n_grid=(config.n_start << doublings,))
     except TomographyError as exc:
         raise UsageError(str(exc)) from None
     if config.e_value and config.model == "none":
         raise UsageError(f"--e {config.e_value} needs --model 1, 2 or 3")
+    if "error_axis" in given and config.model != "3":
+        raise UsageError(f"--error-axis needs --model 3, got --model {config.model}")
+    chosen = config.protocols if config.command == "sweep-noise" else (config.protocol,)
+    unused = given & _PROTOCOL_PARAMS - {f.name for name in chosen
+                                         for f in fields(_PROTOCOLS[name])}
+    if unused:
+        field = min(unused)
+        raise UsageError(f"{_FLAGS[field]} {getattr(config, field)} is used by none of the "
+                         f"protocols {', '.join(chosen)}")
 
 
 def _resolve_state(text: str) -> tuple[float, float, float]:

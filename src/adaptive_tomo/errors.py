@@ -31,7 +31,8 @@ class UnderdeterminedError(TomographyError):
 
 
 class BudgetError(TomographyError):
-    """A protocol cannot allot at least one shot to every required setting."""
+    """A protocol cannot allot at least one shot to every required setting,
+    or would allot a setting more shots than the sampler can draw."""
 
 
 class UsageError(TomographyError):

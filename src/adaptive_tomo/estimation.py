@@ -224,12 +224,13 @@ def _newton_boundary(lam, q, beta) -> np.ndarray:
     for _ in range(_NEWTON_MAX_ITER):
         d = lam + mu
         t = beta / d
-        n2 = _sum_settings(t * t)
+        t2 = t * t
+        n2 = _sum_settings(t2)
         norm = np.sqrt(n2)
         keep = ~(np.abs(norm - 1.0) < _NEWTON_TOL)
         if not keep.any():
             return _sum_settings(q * t[:, None])
-        step = mu + n2 * (norm - 1.0) / _sum_settings(t * t / d)
+        step = mu + n2 * (norm - 1.0) / _sum_settings(t2 / d)
         np.maximum(step, 0.5 * (mu - floor), out=mu, where=keep)
     gap = np.abs(np.sqrt(_sum_settings((beta / (lam + mu)) ** 2)) - 1.0)
     raise RuntimeError(
@@ -360,14 +361,15 @@ def _check_span(comps, kept) -> np.ndarray:
     # axis set: the first such row raises, with the null direction of its
     # kept axes.  Returns which rows are frames: three settings (so none is
     # merged away once the span holds) whose Gram matrix is within
-    # _FRAME_TOL of the identity.
+    # _FRAME_TOL of the identity.  A design of other than three settings
+    # has no frame row, and its Gram matrices are not tested.
     gram = _sum_settings(comps[:, :, None] * comps[:, None])
     (gxx, gxy, gxz), (_, gyy, gyz), (_, _, gzz) = gram
     det = (gxx * (gyy * gzz - gyz * gyz) + gxy * (gxz * gyz - gxy * gzz)
            + gxz * (gxy * gyz - gxz * gyy))
     bad = np.flatnonzero(~(det > _SPAN_TOL))
     if not bad.size:
-        return (len(comps) == 3) & (
+        return len(comps) == 3 and (
             np.abs(gram - np.eye(3)[:, :, None]).max(axis=(0, 1)) <= _FRAME_TOL)
     _, _, vt = np.linalg.svd(comps[kept[:, bad[0]] > 0.0, :, bad[0]])
     null = vt[-1]

@@ -40,6 +40,7 @@ PAULI_AXES = (
     np.array([0.0, 0.0, 1.0]),
 )
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
@@ -59,8 +60,17 @@ class RngContext:
         return RngContext(self.seed, self.labels + tuple(int(x) for x in labels))
 
     def generator(self) -> np.random.Generator:
-        entropy = [self.seed & _MASK64]
-        entropy.extend(label & _MASK64 for label in self.labels)
+        # PCG64 seeded by SeedSequence on the list of the seed and labels,
+        # each mod 2**64.  SeedSequence turns that list into uint32 words,
+        # least significant first and at least one per value; given those
+        # words directly it fills the same pool without that conversion.
+        words = []
+        for value in (self.seed, *self.labels):
+            value &= _MASK64
+            words.append(value & _MASK32)
+            if value >> 32:
+                words.append(value >> 32)
+        entropy = np.array(words, dtype=np.uint32)
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
@@ -219,6 +229,13 @@ def realized_axes(
     the direction at angle chi in a fixed basis of the perpendicular plane.
     ``draws`` then holds each axis's standard normal and chi in [0, 2 pi), as
     arrays that broadcast against ``intended[..., 0]``.
+
+    The result has the broadcast shape of the axes and the draws.  So a
+    design shared by every row is passed once, as an (M, 3) array, with
+    (rows, M) draws: what depends on the axis alone (the turn of
+    ``FixedError``, the basis of the perpendicular plane) is worked out once
+    per setting, and each row's result is bit for bit that of the design
+    broadcast to (rows, M, 3).
     """
     if model.magnitude == 0.0:
         return intended

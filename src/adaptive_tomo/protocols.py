@@ -142,16 +142,26 @@ def _split(total: int, parts: int) -> list[int]:
     return [(total + parts - 1 - i) // parts for i in range(parts)]
 
 
+# The most shots one setting can take: numpy's binomial draws int64 counts.
+_MAX_SETTING_SHOTS = 2**63 - 1
+
+
 def _shot_plan(spec: ProtocolSpec, n_total: int) -> tuple[list[int], list[int]]:
     """Per-setting shots of the first phase and of the adapted phase."""
     if n_total < 6:
         raise BudgetError(f"need at least 6 samples, got {n_total}")
-    n_first = spec.first_phase_budget(n_total)
-    shots1, shots2 = _split(n_first, 3), _split(n_total - n_first, spec.adapted_settings)
-    if min(shots1 + shots2) < 1:
-        raise BudgetError(f"{protocol_name(spec)} at N={n_total}: split {shots1 + shots2} "
-                          f"leaves a setting without shots")
-    return shots1, shots2
+    # No protocol measures more than six settings, so past six times the
+    # limit some setting is beyond it (and the split could overflow a float).
+    if n_total <= 6 * _MAX_SETTING_SHOTS:
+        n_first = spec.first_phase_budget(n_total)
+        shots1, shots2 = _split(n_first, 3), _split(n_total - n_first, spec.adapted_settings)
+        if min(shots1 + shots2) < 1:
+            raise BudgetError(f"{protocol_name(spec)} at N={n_total}: split {shots1 + shots2} "
+                              f"leaves a setting without shots")
+        if max(shots1 + shots2) <= _MAX_SETTING_SHOTS:
+            return shots1, shots2
+    raise BudgetError(f"{protocol_name(spec)} at N={n_total}: a setting would take more "
+                      f"than the sampler's 2**63 - 1 shots")
 
 
 def run_protocol(spec: ProtocolSpec, rho_true: np.ndarray, n_total: int,
@@ -255,11 +265,14 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
                  np.concatenate([gen.uniform(0.0, 2.0 * math.pi, (reps, width)) for gen in gens]))
 
     def measure(intended: np.ndarray, phase: int) -> tuple[np.ndarray, np.ndarray]:
+        # ``intended`` is (rows, M, 3), or one (M, 3) design shared by every row.
+        width = intended.shape[-2]
         phase_draws = draws
         if draws is not None and error_model.draws_per == "setting":
-            settings = slice(3 * phase, 3 * phase + intended.shape[1])
+            settings = slice(3 * phase, 3 * phase + width)
             phase_draws = (draws[0][:, settings], draws[1][:, settings])
-        realized = realized_axes(intended, error_model, phase_draws)
+        realized = np.broadcast_to(realized_axes(intended, error_model, phase_draws),
+                                   (len(shots), width, 3))
         p = born_probabilities(realized, r_true)
         return realized, np.concatenate([
             rng.child(_COUNT_STREAM, phase).generator().binomial(plan[phase], block)
@@ -268,7 +281,7 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
     # The first-phase triplet is one (3, 3) design shared by every row.
     design = mub_axes(r_true[None])[0] if spec.true_basis else np.array(PAULI_AXES)
     axes = np.broadcast_to(design, (len(shots), 3, 3))
-    realized, n_plus = measure(axes, 0)
+    realized, n_plus = measure(design, 0)
     prelim = None
     if spec.adapted_settings:
         prelim = mle_batch(design, shots.T[:3], n_plus)

@@ -292,6 +292,12 @@ def mub_triplet(eig: EigenDecomposition) -> BasisTriplet:
     return BasisTriplet((axis1, axis2, axis3))
 
 
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a . b over a last axis of length 3, summed left to right: the bits of
+    # np.sum(a * b, axis=-1) without its reduction machinery.
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def mub_axes(r: np.ndarray) -> np.ndarray:
     """The axes of ``mub_triplet(eigendecompose(bloch_to_density(r_k)))`` for
     each row r_k of an (R, 3) array, as an (R, 3, 3) array, in closed form.
@@ -306,7 +312,7 @@ def mub_axes(r: np.ndarray) -> np.ndarray:
     rho below about 1e-12.
     """
     r = np.asarray(r, dtype=float)
-    norm = np.sqrt(np.sum(r * r, axis=1))
+    norm = np.sqrt(_dot3(r, r))
     with np.errstate(divide="ignore", invalid="ignore"):
         x, y, z = (r / norm[:, None]).T
         rho = np.sqrt(x * x + y * y)
@@ -337,7 +343,7 @@ def fidelity_bloch(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
-    det_r = np.maximum(1.0 - np.sum(r * r, axis=-1), 0.0)
-    det_s = np.maximum(1.0 - np.sum(s * s, axis=-1), 0.0)
-    f = 0.5 * (1.0 + np.sum(r * s, axis=-1) + np.sqrt(det_r * det_s))
+    det_r = np.maximum(1.0 - _dot3(r, r), 0.0)
+    det_s = np.maximum(1.0 - _dot3(s, s), 0.0)
+    f = 0.5 * (1.0 + _dot3(r, s) + np.sqrt(det_r * det_s))
     return np.minimum(np.maximum(f, 0.0), 1.0)

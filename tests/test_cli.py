@@ -98,7 +98,7 @@ class TestParsing:
         (["run", "--model", "1"], "e-value = 0.01", "e_value", 0.01),
         (["run"], "out = results", "out_dir", "results"),
         (["fit"], "csv = a.csv", "csv_path", "a.csv"),
-        (["run"], "error-axis = 0,0,2", "error_axis", (0.0, 0.0, 1.0)),
+        (["run", "--model", "3"], "error-axis = 0,0,2", "error_axis", (0.0, 0.0, 1.0)),
         (["run"], "gnuplot = yes", "gnuplot", True),
     ]
 
@@ -191,7 +191,7 @@ class TestParsing:
         (["run", "--error-axis", "nan,0,0", "--model", "3", "--e", "0.1"], 2),
         (["sweep-noise", "--model", "1", "--e-grid", "0.01,nan"], 2),
         (["run", "--n", "1e400"], 2),
-        (["run", "--n", "1e30", "--reps", "2"], 1),
+        (["run", "--n", "1e30", "--reps", "2"], 2),
     ], ids=["e-nan", "e-inf", "state-nan", "axis-nan", "e-grid-nan", "n-overflow",
             "n-beyond-sampler"])
     def test_non_finite_or_overflowing_numbers(self, argv, status, tmp_path, capsys):
@@ -252,12 +252,42 @@ class TestParsing:
         ("csv-row", ["fit", "--csv", "{tmp}/row.csv"],
          "row.csv:3: invalid literal for int() with base 10: 'abc'"),
         ("csv-nan", ["fit", "--csv", "{tmp}/nan.csv"], "nan.csv:3: number 'nan' is not finite"),
+        # A per-setting share beyond numpy's int64 binomial, at the last rung
+        # of the noise ladder below --n-cap.
+        ("n-cap-beyond-sampler", ["sweep-noise", "--model", "1", "--protocols", "static",
+                                  "--e-grid", "0.01", "--reps", "2", "--n-cap", "1" + "0" * 30],
+         "static at N=618970019642690137449562112000: a setting would take more than "
+         "the sampler's 2**63 - 1 shots"),
+        # A flag or config-file key the command would not use.  Each of these
+        # runs at small reps where it is accepted.
+        ("error-axis-model-none", ["run", "--error-axis", "0,0,1", "--n", "60", "--reps", "2"],
+         "--error-axis needs --model 3, got --model none"),
+        ("error-axis-model-1", ["run", "--model", "1", "--e", "0.01", "--error-axis", "0,0,1",
+                                "--n", "60", "--reps", "2"],
+         "--error-axis needs --model 3, got --model 1"),
+        ("error-axis-model-2", ["sweep-alpha", "--config", "{tmp}/axis.txt", "--model", "2",
+                                "--e", "0.01", "--n-grid", "60,120,240", "--reps", "2"],
+         "--error-axis needs --model 3, got --model 2"),
+        ("alpha-static", ["run", "--alpha", "0.3", "--n", "60", "--reps", "2"],
+         "--alpha 0.3 is used by none of the protocols static"),
+        ("alpha-config-adaptive-pow", ["run", "--protocol", "adaptive-pow", "--config",
+                                       "{tmp}/alpha.txt", "--n", "60", "--reps", "2"],
+         "--alpha 0.3 is used by none of the protocols adaptive-pow"),
+        ("alpha-sweep-noise", ["sweep-noise", "--model", "1", "--protocols", "static,known-basis",
+                               "--alpha", "0.3", "--e-grid", "0.01", "--reps", "2",
+                               "--n-cap", "4000"],
+         "--alpha 0.3 is used by none of the protocols static, known-basis"),
+        ("exponent-adaptive", ["run", "--protocol", "adaptive", "--exponent", "0.5",
+                               "--n", "60", "--reps", "2"],
+         "--exponent 0.5 is used by none of the protocols adaptive"),
     ]
 
     @pytest.mark.parametrize("argv, message", [case[1:] for case in USAGE_ERRORS],
                              ids=[case[0] for case in USAGE_ERRORS])
     def test_usage_errors(self, argv, message, tmp_path, capsys):
         (tmp_path / "no-equals.txt").write_text("seed 3\n")
+        (tmp_path / "axis.txt").write_text("error-axis = 0,0,1\n")
+        (tmp_path / "alpha.txt").write_text("alpha = 0.3\n")
         (tmp_path / "columns.csv").write_text("protocol,n\r\nstatic,100\r\n")
         (tmp_path / "row.csv").write_text(
             "protocol,N,reps,mean_infidelity,stderr,seed\r\n"

@@ -64,7 +64,7 @@ from adaptive_tomo import (
 from adaptive_tomo import estimation, states
 from adaptive_tomo.estimation import mle_batch
 from adaptive_tomo.fixtures import EQ7_BLOCH
-from adaptive_tomo.measurement import MOUNT_TO_BLOCH_ANGLE, PAULI_AXES, _cross
+from adaptive_tomo.measurement import MOUNT_TO_BLOCH_ANGLE, PAULI_AXES, _cross, realized_axes
 from adaptive_tomo.protocols import _ALIGN_STREAM, _COUNT_STREAM, _shot_plan, run_grid
 from adaptive_tomo.states import fidelity_bloch, mub_axes
 
@@ -332,6 +332,21 @@ def test_shot_plans_spend_the_budget_or_raise(n, alpha, exponent):
         assert min(shots1 + shots2) >= 1
 
 
+def test_shot_plans_stop_at_the_samplers_limit():
+    # numpy's binomial draws int64 counts: a setting of 2**63 - 1 shots is
+    # drawn, one more is refused before anything is drawn, and so is an N
+    # too large to split in floats.
+    limit = 2**63 - 1
+    assert max(sum(_shot_plan(Static(), 3 * limit), [])) == limit
+    run_grid(Static(), EQ7_BLOCH, (3 * limit,), NoError(), [RngContext(SEED)], REPS)
+    beyond = [(Static(), 3 * limit + 1), (KnownBasis(), 3 * limit + 1),
+              (ReducedAdaptive(0.5), 6 * limit)]
+    beyond += [(protocol, n) for protocol in PROTOCOLS for n in (6 * limit + 1, 10**400)]
+    for protocol, n in beyond:
+        with pytest.raises(BudgetError, match=re.escape("the sampler's 2**63 - 1 shots")):
+            _shot_plan(protocol, n)
+
+
 @pytest.mark.parametrize("seed", [0, 1, SEED, 2**32 - 1, 2**32, 2**64 - 1, -5])
 @pytest.mark.parametrize("label", [0, 7, 2**32 - 1, 2**32, LABEL, 2**64 - 1])
 def test_stream_states_match_seed_sequence(seed, label):
@@ -422,6 +437,53 @@ def test_mub_axes_orthonormal_at_the_corners(rows):
         norm = np.linalg.norm(row)
         if norm > 1e-9:
             assert np.max(np.abs(frame[0] - row / norm)) <= 1e-12, row
+
+
+@pytest.mark.parametrize("model", MODELS + (FixedError(0.3, (0.0, 0.0, 1.0)),), ids=repr)
+def test_shared_design_realized_axes_match_their_broadcast(model):
+    # realized_axes turns a shared (M, 3) design once per setting; each row
+    # must be bit for bit that of the design broadcast over the rows.  The
+    # last model's rotation axis is parallel to Pauli z, which is not turned.
+    rows = 40
+    gen = np.random.default_rng(SEED)
+    designs = [np.array(PAULI_AXES), mub_axes(np.array([EQ7_BLOCH]))[0],
+               mub_axes(np.array([[0.3, 0.4, 0.2]]))[0][:1]]
+    for design in designs:
+        width = len(design)
+        # Per-setting draws as run_grid slices them out of a wider array,
+        # per-experiment draws shared by every setting.
+        wide = [gen.standard_normal((rows, width + 3)),
+                gen.uniform(0.0, 2 * math.pi, (rows, width + 3))]
+        for draws in ((wide[0][:, :width], wide[1][:, :width]),
+                      (gen.standard_normal((rows, 1)), gen.uniform(0.0, 2 * math.pi, (rows, 1)))):
+            draws = draws if model.draws_per else None
+            shared = realized_axes(design, model, draws)
+            broadcast = realized_axes(np.broadcast_to(design, (rows, width, 3)), model, draws)
+            shared = np.broadcast_to(shared, broadcast.shape)
+            assert shared.tobytes() == np.ascontiguousarray(broadcast).tobytes()
+    if model == FixedError(0.3, (0.0, 0.0, 1.0)):
+        assert np.array_equal(realized_axes(designs[0], model)[2], PAULI_AXES[2])
+
+
+def test_length_three_sums_match_np_sum(monkeypatch):
+    # fidelity_bloch and mub_axes sum their length-3 products left to right,
+    # which is bit for bit what np.sum does over that axis.
+    gen = np.random.default_rng(SEED)
+    mixed = gen.normal(size=(300, 3))
+    mixed *= gen.uniform(size=(300, 1)) / np.linalg.norm(mixed, axis=1, keepdims=True)
+    pure = mixed / np.linalg.norm(mixed, axis=1, keepdims=True)
+    degenerate = np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 1.0],
+                           [0.0, -0.0, -0.3], [1e-12, 0.0, 0.0], [1e-9, 0.0, 0.999]])
+    r = np.concatenate([mixed, pure, degenerate])
+    s = np.roll(r, 1, axis=0)
+
+    def outputs():
+        return (mub_axes(r), fidelity_bloch(r, s), fidelity_bloch(r, np.array(EQ7_BLOCH)))
+
+    fast = outputs()
+    monkeypatch.setattr(states, "_dot3", lambda a, b: np.sum(a * b, axis=-1))
+    for got, want in zip(fast, outputs()):
+        assert got.tobytes() == want.tobytes()
 
 
 def matrix_fidelity(rho, sigma):
