@@ -44,6 +44,7 @@ from .measurement import (
     PerSettingError,
     RngContext,
     born_probability,
+    protocol_name,
 )
 from .protocols import (
     Adaptive,
@@ -53,7 +54,6 @@ from .protocols import (
     ReducedAdaptive,
     RunResult,
     Static,
-    protocol_name,
     run_protocol,
 )
 from .states import (

@@ -44,6 +44,7 @@ from .errors import TomographyError, UsageError
 from .estimation import ESTIMATOR_VERSION
 from .fixtures import NAMED_STATES, named_state
 from .harness import (
+    MIN_FIT_POINTS,
     CampaignResult,
     CampaignSpec,
     NoiseFloorResult,
@@ -51,6 +52,7 @@ from .harness import (
     alpha_sweep,
     fit_power_law,
     noise_floor_sweep,
+    noise_ladder,
     run_campaign,
 )
 from .measurement import ErrorModel, FixedError, NoError, PerExperimentError, PerSettingError
@@ -89,7 +91,7 @@ class RunConfig:
     out_dir: str = ""
     alphas: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
     protocols: tuple[str, ...] = ("static", "adaptive")
-    e_grid: tuple[float, ...] = ()
+    e_grid: tuple[float, ...] = tuple(float(x) for x in np.geomspace(1e-3, 3e-2, 5))
     n_start: int = 1000
     n_cap: int = 20_000_000
     csv_path: str = ""
@@ -282,38 +284,25 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
 def _validate(config: RunConfig, given: set[str]) -> None:
     # The CLI states only the rules that no library type checks when it is
-    # built; the try builds the command's types and campaigns.  ``given``
-    # holds the fields set by a flag or a config-file key: one that the
-    # command would not use is refused.
-    if config.protocol not in _PROTOCOLS:
-        raise UsageError(
-            f"protocol must be one of {', '.join(_PROTOCOLS)}, got {config.protocol!r}"
-        )
+    # built; the try builds the command's campaigns.  ``given`` holds the
+    # fields set by a flag or a config-file key: one that the command would
+    # not use is refused.
     if config.model not in _ERROR_MODELS:
         raise UsageError(f"model must be none, 1, 2 or 3, got {config.model!r}")
-    if config.command == "sweep-alpha" and len(config.n_grid) < 3:
-        raise UsageError(f"sweep-alpha fits a power law and needs >= 3 sample sizes, "
-                         f"got {config.n_grid}")
+    if config.command == "sweep-alpha" and len(config.n_grid) < MIN_FIT_POINTS:
+        raise UsageError(f"sweep-alpha fits a power law and needs >= {MIN_FIT_POINTS} sample "
+                         f"sizes, got {config.n_grid}")
     if config.command == "sweep-noise" and config.model == "none":
         raise UsageError("sweep-noise requires --model 1, 2 or 3")
     if not config.protocols:
         raise UsageError("--protocols names no protocol")
-    for name in config.protocols:
-        if name not in _PROTOCOLS:
-            raise UsageError(f"unknown protocol {name!r} in --protocols")
     if any(e <= 0 for e in config.e_grid):
         raise UsageError("e-grid values must be positive")
     if any(b <= a for a, b in zip(config.e_grid, config.e_grid[1:])):
         raise UsageError("e-grid must be strictly increasing")
-    if config.n_cap < config.n_start:
-        raise UsageError("n-cap must be >= n-start")
     if config.command == "fit" and not config.csv_path:
         raise UsageError("fit requires --csv")
     try:
-        for name in _PROTOCOLS:
-            _protocol(config, name)
-        # The one model that takes both the magnitude and the axis.
-        FixedError(config.e_value, config.error_axis)
         spec = _campaign_spec(config)
         if config.command == "sweep-alpha":
             for alpha in config.alphas:
@@ -321,10 +310,10 @@ def _validate(config: RunConfig, given: set[str]) -> None:
         # A ladder's first and last rungs stand for it: a protocol that splits
         # N splits 2N, and no rung gives a setting more shots than the last.
         if config.command == "sweep-noise":
+            ladder = noise_ladder(config.n_start, config.n_cap)
             for name in config.protocols:
-                first = replace(spec, protocol=_protocol(config, name), n_grid=(config.n_start,))
-                doublings = (config.n_cap // config.n_start).bit_length() - 1
-                replace(first, n_grid=(config.n_start << doublings,))
+                for n in (ladder[0], ladder[-1]):
+                    replace(spec, protocol=_protocol(config, name), n_grid=(n,))
     except TomographyError as exc:
         raise UsageError(str(exc)) from None
     if config.e_value and config.model == "none":
@@ -354,6 +343,9 @@ def _resolve_state(text: str) -> tuple[float, float, float]:
 
 def _protocol(config: RunConfig, name: str) -> ProtocolSpec:
     # Parameters come from the RunConfig fields of the same name.
+    if name not in _PROTOCOLS:
+        raise UsageError(f"unknown protocol {name!r}: protocol must be one of "
+                         f"{', '.join(_PROTOCOLS)}")
     cls = _PROTOCOLS[name]
     return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
@@ -392,18 +384,29 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _campaign_csv(results: Sequence[CampaignResult]) -> str:
+def _csv(header: Sequence[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["protocol", "N", "reps", "mean_infidelity", "stderr", "seed"])
-    for result in results:
-        name = protocol_name(result.spec.protocol)
-        for row in result.rows:
-            writer.writerow(
-                [name, row.n, row.reps, _fmt(row.mean_infidelity), _fmt(row.stderr),
-                 result.seed]
-            )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def _campaign_csv(results: Sequence[CampaignResult]) -> str:
+    return _csv(["protocol", "N", "reps", "mean_infidelity", "stderr", "seed"],
+                ([protocol_name(result.spec.protocol), row.n, row.reps,
+                  _fmt(row.mean_infidelity), _fmt(row.stderr), result.seed]
+                 for result in results for row in result.rows))
+
+
+def _floors_csv(results: Sequence[NoiseFloorResult], seed: int) -> str:
+    return _csv(
+        ["protocol", "E", "converged", "floor_infidelity", "n_at_floor", "stderr", "seed"],
+        ([protocol_name(result.protocol), _fmt(pt.error_magnitude), int(pt.converged),
+          "" if pt.floor_infidelity is None else _fmt(pt.floor_infidelity),
+          "" if pt.n_at_floor is None else pt.n_at_floor,
+          "" if pt.stderr is None else _fmt(pt.stderr), seed]
+         for result in results for pt in result.points))
 
 
 def _fit_entry(name: str, fit: ScalingFit) -> dict:
@@ -411,12 +414,12 @@ def _fit_entry(name: str, fit: ScalingFit) -> dict:
 
 
 def _fits_from_rows(rows: Sequence[tuple[str, int, float]]) -> list[dict]:
-    # A protocol with fewer than 3 rows has no power-law fit and no entry.
+    # A protocol with fewer than MIN_FIT_POINTS rows has no fit and no entry.
     grouped: dict[str, list[tuple[int, float]]] = {}
     for name, n, mean in rows:
         grouped.setdefault(name, []).append((n, mean))
     return [_fit_entry(name, fit_power_law(points)) for name, points in grouped.items()
-            if len(points) >= 3]
+            if len(points) >= MIN_FIT_POINTS]
 
 
 def _read_campaign_rows(path: str) -> list[tuple[str, int, float]]:
@@ -444,6 +447,9 @@ def config_from_provenance(data: dict) -> RunConfig:
            for key, value in data["config"].items()}
     # Provenance written before the no-op ``threads`` option was removed.
     raw.pop("threads", None)
+    # Provenance written while an empty e_grid stood for the default grid.
+    if raw.get("e_grid") == ():
+        del raw["e_grid"]
     return RunConfig(**raw)
 
 
@@ -500,10 +506,9 @@ def execute(config: RunConfig) -> int:
                  "fit.json": _json({"alpha_sweep": entries})}
 
     else:  # sweep-noise
-        e_grid = config.e_grid or tuple(float(x) for x in np.geomspace(1e-3, 3e-2, 5))
         results = noise_floor_sweep(
             lambda e: _error_model(config, e),
-            e_grid,
+            config.e_grid,
             [_protocol(config, name) for name in config.protocols],
             _resolve_state(config.state),
             reps=config.reps,
@@ -536,7 +541,7 @@ def execute(config: RunConfig) -> int:
             entries.append(entry)
             slope = "n/a" if result.slope_fit is None else f"{result.slope_fit.p:.3f}"
             print(f"{name}: floor slope vs E = {slope}")
-        files = {"floors.csv": _floors_csv(results, config),
+        files = {"floors.csv": _floors_csv(results, config.seed),
                  "fit.json": _json({"noise_floors": entries})}
 
     environment = {"python": platform.python_version(), "numpy": np.__version__,
@@ -551,29 +556,6 @@ def execute(config: RunConfig) -> int:
     for filename, data in files.items():
         _atomic_write(os.path.join(config.out_dir, filename), data)
     return 0
-
-
-def _floors_csv(results: Sequence[NoiseFloorResult], config: RunConfig) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["protocol", "E", "converged", "floor_infidelity", "n_at_floor", "stderr", "seed"]
-    )
-    for result in results:
-        name = protocol_name(result.protocol)
-        for pt in result.points:
-            writer.writerow(
-                [
-                    name,
-                    _fmt(pt.error_magnitude),
-                    int(pt.converged),
-                    "" if pt.floor_infidelity is None else _fmt(pt.floor_infidelity),
-                    "" if pt.n_at_floor is None else pt.n_at_floor,
-                    "" if pt.stderr is None else _fmt(pt.stderr),
-                    config.seed,
-                ]
-            )
-    return buf.getvalue()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

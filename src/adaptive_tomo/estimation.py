@@ -69,6 +69,12 @@ def hedged_frequency(n_plus: int, n_shots: int) -> float:
     return (n_plus + 0.5) / (n_shots + 1.0)
 
 
+def _hedge(n_plus, n_shots):
+    # ft (1 - ft), with 1 - ft the hedged frequency of the -1 outcome, not a
+    # subtraction that loses its digits at counts of N.
+    return hedged_frequency(n_plus, n_shots) * hedged_frequency(n_shots - n_plus, n_shots)
+
+
 def merge_records(records: Iterable[CountRecord]) -> list[tuple[np.ndarray, int, int]]:
     """Sum counts of records sharing an identical intended axis.
 
@@ -118,11 +124,8 @@ def negative_loglikelihood(rho: np.ndarray, records: Sequence[CountRecord]) -> f
     total = 0.0
     for axis, shots, plus in merge_records(records):
         f = plus / shots
-        # 1 - ft is the hedged frequency of the -1 outcome, not a subtraction
-        # that loses its digits at counts of N.
-        hedge = hedged_frequency(plus, shots) * hedged_frequency(shots - plus, shots)
         predicted = 0.5 * (1.0 + float(np.dot(axis, r)))
-        total += shots * (predicted - f) ** 2 / hedge
+        total += shots * (predicted - f) ** 2 / _hedge(plus, shots)
     return total
 
 
@@ -297,9 +300,7 @@ def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarr
         comps = comps * kept[:, None]
     frame = np.broadcast_to(_check_span(comps, kept), n_rows)
     f = plus / shots
-    # ft (1 - ft), with 1 - ft the hedged frequency of the -1 outcome.
-    sqrt_w = kept * np.sqrt(
-        shots / (hedged_frequency(plus, shots) * hedged_frequency(shots - plus, shots)))
+    sqrt_w = kept * np.sqrt(shots / _hedge(plus, shots))
     data = sqrt_w * (2.0 * f - 1.0)
     out = np.empty((n_rows, 3))
     for fit, rows in ((_fit_frame, frame), (_fit_general, ~frame)):

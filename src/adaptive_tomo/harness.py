@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidStateError
-from .measurement import ErrorModel, NoError, RngContext, error_model_name
+from .measurement import ErrorModel, NoError, RngContext
 from .protocols import Adaptive, ProtocolSpec, _shot_plan, protocol_name, run_grid
 from .states import check_bloch
 
@@ -72,7 +72,7 @@ def campaign_hash(spec: CampaignSpec) -> str:
             "state=({!r},{!r},{!r})".format(*(float(x) for x in spec.state_bloch)),
             f"grid={[int(n) for n in spec.n_grid]!r}",
             f"reps={spec.reps}",
-            f"err={error_model_name(spec.error_model)}",
+            f"err={protocol_name(spec.error_model)}",
             f"seed={spec.seed}",
         ]
     )
@@ -99,6 +99,10 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
     return CampaignResult(spec=spec, rows=rows, spec_hash=digest, seed=spec.seed)
 
 
+# The fewest points that a power-law fit takes.
+MIN_FIT_POINTS = 3
+
+
 @dataclass(frozen=True)
 class ScalingFit:
     """Least-squares power law y = beta * x^p fitted on log-log pairs."""
@@ -112,10 +116,10 @@ class ScalingFit:
 
 def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     """Ordinary least squares on (log x, log y); standard errors from the
-    usual regression formulas.  Requires >= 3 points with positive finite
-    values and at least two distinct x values."""
-    if len(points) < 3:
-        raise ValueError(f"need at least 3 points to fit, got {len(points)}")
+    usual regression formulas.  Requires >= MIN_FIT_POINTS points with
+    positive finite values and at least two distinct x values."""
+    if len(points) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit, got {len(points)}")
     for x, y in points:
         if not (0 < x < math.inf and 0 < y < math.inf):
             raise ValueError(f"power-law fit needs positive finite data, got ({x}, {y})")
@@ -194,22 +198,33 @@ class NoiseFloorResult:
 _FLAT_SLOPE = math.log(1.1) / math.log(2.0)
 
 
+def noise_ladder(n_start: int, n_cap: int) -> list[int]:
+    """The sample sizes of a noise-floor search: ``n_start`` doubled while it
+    is at most ``n_cap``.  Raises InvalidStateError unless
+    1 <= n_start <= n_cap."""
+    if not 1 <= n_start <= n_cap:
+        raise InvalidStateError(f"noise ladder needs 1 <= n_start <= n_cap, got "
+                                f"n_start={n_start}, n_cap={n_cap}")
+    return [n_start << k for k in range((n_cap // n_start).bit_length())]
+
+
 def noise_floor_sweep(
     model_factory: Callable[[float], ErrorModel],
     e_grid: Sequence[float],
     protocols: Sequence[ProtocolSpec],
     state_bloch: tuple[float, float, float],
     *,
-    reps: int = 150,
+    reps: int = CampaignSpec.reps,
     seed: int = 0,
     n_start: int = 1000,
     n_cap: int = 20_000_000,
 ) -> list[NoiseFloorResult]:
     """Locate the infidelity floor vs error magnitude and fit its slope.
 
-    For each error magnitude E the sample size is doubled from ``n_start``
-    until the last three points of the ladder are flat, or ``n_cap`` is
-    exceeded (reported as not converged; E = 0 never converges).  Flat means
+    For each error magnitude E the campaigns climb ``noise_ladder(n_start,
+    n_cap)`` until the last three points run are flat; a ladder that runs out
+    first is reported as not converged (E = 0 never converges), and an empty
+    one raises its InvalidStateError before any campaign runs.  Flat means
     that the weighted least-squares slope s of ln(mean) against ln(N) over
     those three points, with weights (mean/stderr)^2, satisfies
     |s| < ln(1.1)/ln 2 (the mean moves by less than 10% per doubling) and
@@ -218,26 +233,26 @@ def noise_floor_sweep(
     the three points, with their standard errors pooled, and ``n_at_floor``
     is the largest N of the three.  Per protocol, the slope of log(floor) vs
     log(E) is fitted over the converged magnitudes; ``slope_fit`` is None
-    when fewer than three are available.  A campaign's RuntimeError is
-    raised again naming its protocol, E and N.
+    when fewer than MIN_FIT_POINTS are available.  A campaign's RuntimeError
+    is raised again naming its protocol, E and N.
     """
+    sizes = noise_ladder(n_start, n_cap)
     results = []
     for protocol in protocols:
         points = []
         for e_value in e_grid:
             model = model_factory(float(e_value))
-            ladder: list[CampaignRow] = []
+            rows: list[CampaignRow] = []
             point = FloorPoint(float(e_value), False, None, None, None)
-            n = n_start
-            while n <= n_cap:
+            for n in sizes:
                 spec = CampaignSpec(protocol, state_bloch, (n,), reps=reps, error_model=model,
                                     seed=seed)
                 try:
-                    ladder.append(run_campaign(spec).rows[0])
+                    rows.append(run_campaign(spec).rows[0])
                 except RuntimeError as exc:
                     raise RuntimeError(f"{exc}; at {protocol_name(protocol)}, "
                                        f"E={float(e_value)!r}, N={n}") from exc
-                last = ladder[-3:]
+                last = rows[-3:]
                 if len(last) == 3 and all(row.stderr > 0.0 for row in last):
                     x = np.log([row.n for row in last])
                     y = np.log([row.mean_infidelity for row in last])
@@ -252,13 +267,12 @@ def noise_floor_sweep(
                             math.sqrt(sum(row.stderr**2 for row in last)) / 3.0,
                         )
                         break
-                n *= 2
             points.append(point)
         fittable = [
             (pt.error_magnitude, pt.floor_infidelity)
             for pt in points
             if pt.converged and pt.floor_infidelity and pt.floor_infidelity > 0
         ]
-        fit = fit_power_law(fittable) if len(fittable) >= 3 else None
+        fit = fit_power_law(fittable) if len(fittable) >= MIN_FIT_POINTS else None
         results.append(NoiseFloorResult(protocol, tuple(points), fit))
     return results

@@ -81,7 +81,7 @@ def _check_magnitude(magnitude: float) -> None:
 
 
 # Each error model states its own data: ``name`` (the stem of its
-# ``error_model_name``) and ``draws_per``, how often a random model draws a
+# ``protocol_name``) and ``draws_per``, how often a random model draws a
 # fresh misalignment: once per "setting", once per "experiment", or never
 # (None).  A model with a nonzero magnitude that never draws tilts every axis
 # by a fixed rotation.
@@ -136,21 +136,24 @@ class FixedError:
 
 ErrorModel = Union[NoError, PerSettingError, PerExperimentError, FixedError]
 
-# How each error-model field is spelled in ``error_model_name``.
+# How a field is spelled in ``protocol_name``: an error model's by its label
+# here, a protocol's by its own name.
 _NAME_LABELS = {"magnitude": "E", "rotation_axis": "axis"}
+
+
+def protocol_name(spec) -> str:
+    """Canonical printable name of a protocol or an error model, stable across
+    runs: the class's ``name``, then each dataclass field as a float (a tuple
+    field as its floats), for CSV and for ``harness.campaign_hash``."""
+    params = ",".join(f"{_NAME_LABELS.get(f.name, f.name)}={_name_value(getattr(spec, f.name))}"
+                      for f in fields(spec))
+    return f"{spec.name}({params})" if params else spec.name
 
 
 def _name_value(value) -> str:
     if np.ndim(value) == 0:
         return repr(float(value))
     return "(" + ",".join(repr(float(x)) for x in value) + ")"
-
-
-def error_model_name(model: ErrorModel) -> str:
-    """Canonical printable name for an error model (used in hashing and CSV)."""
-    params = ",".join(f"{_NAME_LABELS[f.name]}={_name_value(getattr(model, f.name))}"
-                      for f in fields(model))
-    return f"{model.name}({params})" if params else model.name
 
 
 @dataclass(frozen=True)
@@ -181,11 +184,9 @@ class CountRecord:
 
 
 def born_probability(rho: np.ndarray, axis: Sequence[float]) -> float:
-    """Probability of the +1 outcome when measuring along a unit Bloch axis."""
-    r = density_to_bloch(rho)
-    dot = float(axis[0]) * r[0] + float(axis[1]) * r[1] + float(axis[2]) * r[2]
-    p = 0.5 * (1.0 + dot)
-    return min(max(p, 0.0), 1.0)
+    """Probability of the +1 outcome when measuring along a unit Bloch axis:
+    ``born_probabilities`` of the axis on ``density_to_bloch(rho)``."""
+    return float(born_probabilities(np.asarray(axis, dtype=float), density_to_bloch(rho)))
 
 
 def _cross(a, b) -> tuple[float, float, float]:

@@ -22,7 +22,7 @@ floor shares per setting, with the remainder given to the earliest settings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
@@ -35,6 +35,7 @@ from .measurement import (
     ErrorModel,
     RngContext,
     born_probabilities,
+    protocol_name,
     realized_axes,
 )
 from .states import bloch_to_density, check_bloch, density_to_bloch, fidelity_bloch, mub_axes
@@ -124,12 +125,6 @@ class RunResult:
     records: tuple[CountRecord, ...]
     infidelity: float
     total_shots: int
-
-
-def protocol_name(spec: ProtocolSpec) -> str:
-    """Canonical printable name, stable across runs (used in CSV and hashing)."""
-    params = ",".join(f"{f.name}={float(getattr(spec, f.name))!r}" for f in fields(spec))
-    return f"{spec.name}({params})" if params else spec.name
 
 
 def _round_half_up(x: float) -> int:

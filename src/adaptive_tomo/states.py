@@ -45,14 +45,19 @@ POSITIVITY_TOL = 1e-8
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _norm3(v: Sequence[float], what: str) -> float:
+    # The shape test and norm of ``check_bloch`` and ``check_axis``, whose
+    # bounds are written so that a NaN norm fails them too.
+    if np.shape(v) != (3,):
+        raise InvalidStateError(f"{what} is not a 3-vector (shape {np.shape(v)})")
+    x, y, z = float(v[0]), float(v[1]), float(v[2])
+    return math.sqrt(x * x + y * y + z * z)
+
+
 def check_bloch(r: Sequence[float]) -> None:
     """Raise InvalidStateError unless r is a finite Bloch 3-vector with
     |r| <= 1 within BLOCH_NORM_ATOL."""
-    if np.shape(r) != (3,):
-        raise InvalidStateError(f"expected a Bloch 3-vector, got shape {np.shape(r)}")
-    x, y, z = float(r[0]), float(r[1]), float(r[2])
-    norm = math.sqrt(x * x + y * y + z * z)
-    # Written so that a NaN norm fails it too.
+    norm = _norm3(r, "Bloch vector")
     if not norm <= 1.0 + BLOCH_NORM_ATOL:
         raise InvalidStateError(f"Bloch vector norm {norm} is not at most 1")
 
@@ -60,11 +65,7 @@ def check_bloch(r: Sequence[float]) -> None:
 def check_axis(axis: Sequence[float], what: str) -> None:
     """Raise InvalidStateError, naming ``what``, unless axis is a finite
     3-vector with |axis| = 1 within BLOCH_NORM_ATOL."""
-    if np.shape(axis) != (3,):
-        raise InvalidStateError(f"{what} is not a 3-vector (shape {np.shape(axis)})")
-    x, y, z = float(axis[0]), float(axis[1]), float(axis[2])
-    norm = math.sqrt(x * x + y * y + z * z)
-    # Written so that a NaN norm fails it too.
+    norm = _norm3(axis, what)
     if not abs(norm - 1.0) <= BLOCH_NORM_ATOL:
         raise InvalidStateError(f"{what} is not a unit vector (norm {norm})")
 
@@ -151,7 +152,7 @@ def eigendecompose(rho: np.ndarray) -> EigenDecomposition:
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    if abs(v[0]) > 1e-12:
+    if v[0] != 0.0:
         v = v * (v[0].conjugate() / abs(v[0]))
         return np.array([complex(abs(v[0]), 0.0), v[1]])
     v = v * (v[1].conjugate() / abs(v[1]))
@@ -307,9 +308,8 @@ def mub_axes(r: np.ndarray) -> np.ndarray:
     divides by zero the row takes the scalar construction's frame there: the
     computational frame (z, x, y) at |r_k| <= DEGENERACY_GAP, and (sign(z) z,
     x, sign(z) y) on the z axis (rho = 0).  Elsewhere it agrees with the
-    scalar construction to about 1e-15, except in a thin cone about the z
-    axis, where the scalar phase convention takes the pole frame already for
-    rho below about 1e-12.
+    scalar construction to about 1e-15, down to a rho at which x^2 + y^2
+    underflows.
     """
     r = np.asarray(r, dtype=float)
     norm = np.sqrt(_dot3(r, r))

@@ -191,9 +191,10 @@ class TestParsing:
         (["run", "--error-axis", "nan,0,0", "--model", "3", "--e", "0.1"], 2),
         (["sweep-noise", "--model", "1", "--e-grid", "0.01,nan"], 2),
         (["run", "--n", "1e400"], 2),
+        (["run", "--e", "1e400.5", "--model", "1"], 2),
         (["run", "--n", "1e30", "--reps", "2"], 2),
     ], ids=["e-nan", "e-inf", "state-nan", "axis-nan", "e-grid-nan", "n-overflow",
-            "n-beyond-sampler"])
+            "e-fractional-exponent-overflow", "n-beyond-sampler"])
     def test_non_finite_or_overflowing_numbers(self, argv, status, tmp_path, capsys):
         if status == 2:
             # Rejected while parsing, before any campaign runs.
@@ -207,11 +208,15 @@ class TestParsing:
 
     USAGE_ERRORS = [
         ("protocol", ["run", "--protocol", "bogus"], "protocol must be one of"),
-        ("exponent", ["run", "--exponent", "1.5"], "exponent must be in (0, 1)"),
+        ("exponent", ["run", "--protocol", "adaptive-pow", "--exponent", "1.5"],
+         "exponent must be in (0, 1)"),
+        ("exponent-static", ["run", "--exponent", "1.5"],
+         "--exponent 1.5 is used by none of the protocols static"),
         ("reps", ["run", "--reps", "1"], "need at least 2 repetitions"),
         ("model", ["run", "--model", "4"], "model must be none, 1, 2 or 3"),
-        ("negative-e", ["run", "--e=-0.1"],
+        ("negative-e", ["run", "--model", "1", "--e=-0.1"],
          "error magnitude must be a finite number >= 0, got -0.1"),
+        ("negative-e-model-none", ["run", "--e=-0.1"], "--e -0.1 needs --model 1, 2 or 3"),
         ("e-without-model", ["run", "--e", "0.05"], "--e 0.05 needs --model 1, 2 or 3"),
         ("e-without-model-sweep-alpha", ["sweep-alpha", "--model", "none", "--e", "0.05"],
          "--e 0.05 needs --model 1, 2 or 3"),
@@ -226,7 +231,8 @@ class TestParsing:
         ("alpha-grid", ["sweep-alpha", "--alpha-grid", "0.5,1.0"],
          "alpha must be in (0, 1), got 1.0"),
         ("protocols-name", ["sweep-noise", "--model", "1", "--protocols", "static,bogus"],
-         "unknown protocol 'bogus' in --protocols"),
+         "unknown protocol 'bogus': protocol must be one of static, adaptive, adaptive-pow, "
+         "reduced-adaptive, known-basis"),
         ("e-grid-zero", ["sweep-noise", "--model", "1", "--e-grid", "0,0.01"],
          "e-grid values must be positive"),
         ("e-grid-order", ["sweep-noise", "--model", "1", "--e-grid", "0.02,0.01"],
@@ -234,7 +240,9 @@ class TestParsing:
         ("n-start", ["sweep-noise", "--model", "1", "--n-start", "5"],
          "need at least 6 samples, got 5"),
         ("n-cap", ["sweep-noise", "--model", "1", "--n-start", "1000", "--n-cap", "500"],
-         "n-cap must be >= n-start"),
+         "noise ladder needs 1 <= n_start <= n_cap, got n_start=1000, n_cap=500"),
+        ("n-start-zero", ["sweep-noise", "--model", "1", "--n-start", "0"],
+         "noise ladder needs 1 <= n_start <= n_cap, got n_start=0, n_cap=20000000"),
         ("fit-csv", ["fit"], "fit requires --csv"),
         ("sweep-noise-model", ["sweep-noise", "--protocols", "static"],
          "sweep-noise requires --model 1, 2 or 3"),
@@ -451,6 +459,14 @@ class TestRunCommand:
             ["run", "--protocol", "adaptive-pow", "--n-grid", "60,120", "--reps", "2",
              "--seed", "11", "--out", "results"])
 
+    def test_provenance_records_the_default_e_grid(self, tmp_path, capsys):
+        assert main(["sweep-noise", "--model", "1", "--protocols", "static", "--reps", "2",
+                     "--n-start", "100", "--n-cap", "400", "--out", str(tmp_path)]) == 0
+        provenance = json.loads((tmp_path / "provenance.json").read_text())
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        ran = [floor["e"] for floor in fit["noise_floors"][0]["floors"]]
+        assert len(ran) == 5 and provenance["config"]["e_grid"] == ran
+
     def test_error_model_flags(self, tmp_path, capsys):
         assert main(["run", "--model", "3", "--e", "0.01",
                      "--error-axis", "0,1,0", "--n", "120", "--reps", "2",
@@ -615,6 +631,12 @@ class TestRuntimeFailureExitCodes:
         assert main(self.ARGV + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: FileExistsError: ") and "protocol=adaptive" in err
+        # An output file that cannot be replaced: its temporary file is removed.
+        out = tmp_path / "out"
+        (out / "campaign.csv").mkdir(parents=True)
+        assert main(self.ARGV + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: IsADirectoryError: ")
+        assert [path.name for path in out.iterdir()] == ["campaign.csv"]
 
     def test_diverged_boundary_search(self, tmp_path, capsys, monkeypatch):
         import adaptive_tomo.protocols as protocols

@@ -384,8 +384,14 @@ def test_closed_form_triplets():
     for r, got in zip(ties, mub_axes(ties)):
         assert np.max(np.abs(got - scalar_axes(r))) <= 1e-14
 
-    # Near a pole the closed form itself still holds.
-    near_pole = np.array([[1e-8, 0.0, 0.9], [0.0, -3e-11, -0.4]])
+    # Near a pole the closed form itself still holds, down to directions
+    # 1e-13 rad from either pole.
+    tilts = np.array([1e-13, 1e-12, 1e-6])
+    near_pole = np.concatenate([
+        [[1e-8, 0.0, 0.9], [0.0, -3e-11, -0.4]],
+        *(0.5 * np.stack([np.sin(tilts) * np.cos(1.0), np.sin(tilts) * np.sin(1.0),
+                          pole * np.cos(tilts)], axis=1) for pole in (1.0, -1.0)),
+    ])
     for r, got in zip(near_pole, mub_axes(near_pole)):
         assert np.max(np.abs(got - scalar_axes(r))) <= 1e-14
 

@@ -141,6 +141,11 @@ class TestNegativeLoglikelihood:
 
 
 class TestMle:
+    def test_no_record_with_shots_rejected(self):
+        for records in ([], [CountRecord(Z, Z, 0, 0)]):
+            with pytest.raises(InsufficientDataError, match="no records with shots"):
+                mle(records)
+
     def test_interior_solution(self):
         est = mle(pauli_records([600, 600, 600], [1000, 1000, 1000]))
         assert np.allclose(density_to_bloch(est.rho), (0.2, 0.2, 0.2), atol=1e-12)

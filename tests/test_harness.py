@@ -29,7 +29,7 @@ from adaptive_tomo import (
 )
 from adaptive_tomo import estimation
 from adaptive_tomo.fixtures import EQ7_BLOCH
-from adaptive_tomo.measurement import error_model_name
+from adaptive_tomo.harness import noise_ladder
 from adaptive_tomo.protocols import run_grid
 
 
@@ -165,7 +165,7 @@ class TestRunCampaign:
         ]
         models = [NoError(), PerSettingError(0.01), PerExperimentError(0.02), FixedError(0.005),
                   FixedError(0.01, (0, 0.6, 0.8))]
-        assert [error_model_name(m) for m in models] == [
+        assert [protocol_name(m) for m in models] == [
             "none",
             "per-setting(E=0.01)",
             "per-experiment(E=0.02)",
@@ -185,6 +185,8 @@ class TestRunCampaign:
         ]
 
     def test_spec_validation(self):
+        with pytest.raises(InvalidStateError, match="empty sample-size grid"):
+            CampaignSpec(Static(), EQ7_BLOCH, (), reps=2)
         with pytest.raises(InvalidStateError):
             CampaignSpec(Static(), EQ7_BLOCH, (100, 100), reps=2)
         with pytest.raises(InvalidStateError):
@@ -252,6 +254,17 @@ class TestAlphaSweep:
 
 
 class TestNoiseFloorSweep:
+    def test_ladder_doubles_up_to_the_cap(self):
+        assert noise_ladder(1000, 1000) == [1000]
+        assert noise_ladder(1000, 7999) == [1000, 2000, 4000]
+        assert noise_ladder(1000, 8000) == [1000, 2000, 4000, 8000]
+
+    def test_empty_ladder_rejected(self):
+        for n_start, n_cap in ((1000, 500), (0, 500), (-4, 500)):
+            with pytest.raises(InvalidStateError, match="noise ladder needs 1 <= n_start"):
+                noise_floor_sweep(PerSettingError, [0.05], [Static()], EQ7_BLOCH,
+                                  n_start=n_start, n_cap=n_cap)
+
     def test_solver_failure_names_the_point(self, monkeypatch):
         monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
         with pytest.raises(RuntimeError, match=r"^boundary Newton iteration did not converge: "

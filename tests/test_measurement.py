@@ -234,3 +234,6 @@ class TestMeasureSetting:
                                    (np.array([0.0, 0.0, 2.0]), Z)]:
             with pytest.raises(InvalidStateError, match="axis is not a unit vector"):
                 CountRecord(intended, realized, 10, 5)
+        with pytest.raises(InvalidStateError,
+                           match=r"intended axis is not a 3-vector \(shape \(2,\)\)"):
+            CountRecord(np.array([0.0, 1.0]), Z, 10, 5)

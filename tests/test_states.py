@@ -81,7 +81,7 @@ class TestBlochDensityConversion:
     def test_check_bloch_needs_three_components(self):
         check_bloch(np.array([0.0, 0.6, -0.8]))
         for r in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4), [[0.1, 0.2, 0.3]]):
-            with pytest.raises(InvalidStateError):
+            with pytest.raises(InvalidStateError, match="Bloch vector is not a 3-vector"):
                 check_bloch(r)
 
     def test_bloch_of_identity_over_two(self):
@@ -101,6 +101,8 @@ class TestBlochDensityConversion:
         )
         assert np.allclose(density_to_bloch(rho), expected, atol=1e-15)
         assert np.allclose(density_to_bloch(rho), (0.4020, 0.7248, 0.5422), atol=1e-12)
+        with pytest.raises(KeyError, match="unknown state 'eq99'"):
+            named_state("eq99")
 
     def test_round_trip_on_random_states(self):
         rng = np.random.default_rng(7)
@@ -113,6 +115,10 @@ class TestBlochDensityConversion:
             assert np.array_equal(density_to_bloch(bloch_to_density((0.0, 0.0, z))), (0, 0, z))
 
     def test_malformed_matrices_rejected(self):
+        with pytest.raises(InvalidStateError, match=r"expected a 2x2 matrix, got shape \(3, 3\)"):
+            density_to_bloch(np.eye(3, dtype=complex) / 3)
+        with pytest.raises(InvalidStateError, match="diagonal entries are not real"):
+            density_to_bloch(np.array([[0.5 + 0.1j, 0.0], [0.0, 0.5 - 0.1j]]))
         with pytest.raises(InvalidStateError):
             density_to_bloch(np.array([[0.9, 0.2], [0.3, 0.1]], dtype=complex))
         with pytest.raises(InvalidStateError):
@@ -314,6 +320,12 @@ class TestInfidelityQuadraticApprox:
                 want = eigenbasis_quadratic_form(rho, eps * delta)
                 got = infidelity_quadratic_approx(rho, eps * delta)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), r
+
+    def test_perturbation_must_be_traceless_hermitian(self):
+        with pytest.raises(InvalidStateError, match="perturbation must be traceless"):
+            infidelity_quadratic_approx(I2 / 2, np.diag([0.1, 0.0 + 0j]))
+        with pytest.raises(InvalidStateError, match="perturbation must be Hermitian"):
+            infidelity_quadratic_approx(I2 / 2, np.array([[0.0, 0.1], [0.0, 0.0 + 0j]]))
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficientStateError):
