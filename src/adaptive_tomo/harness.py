@@ -1,12 +1,12 @@
 """Monte Carlo campaigns, power-law fits, and the two sweep drivers.
 
 A campaign repeats a protocol R times at every sample size in a grid and
-aggregates mean infidelity with its standard error.  The random streams of a
-grid point are labelled by (campaign hash, grid index).  All R x grid runs
-are simulated together as arrays (``protocols.run_grid``); each grid point
-draws from its own streams as ``protocols.run_grid`` declares.  The true
-state goes in as the campaign's Bloch vector, and no density matrix is built
-on the way to the infidelities.
+aggregates mean infidelity with its standard error.  All R x grid runs are
+simulated together as arrays by ``protocols.run_grid``, from the children of
+one stream labelled (campaign hash, 0) as ``run_grid`` declares; a one-point
+campaign thus draws what it drew when each grid point i had its own stream
+(campaign hash, i).  The true state goes in as the campaign's Bloch vector,
+and no density matrix is built on the way to the infidelities.
 """
 from __future__ import annotations
 
@@ -83,16 +83,15 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
     """Run reps x grid independent experiments and aggregate per grid point.
 
     The whole grid is one vectorised pass (``protocols.run_grid``) on the
-    Bloch vector ``spec.state_bloch``, in which grid point i still draws from
-    its own streams.  The spec refused, when it was built, a state outside
-    the Bloch ball and an N its protocol cannot split.
+    Bloch vector ``spec.state_bloch`` and the stream (seed, (hash label, 0)).
+    The spec refused, when it was built, a state outside the Bloch ball and
+    an N its protocol cannot split.
     """
     digest = campaign_hash(spec)
     label = int.from_bytes(bytes.fromhex(digest[:16]), "big")
-    rngs = [RngContext(spec.seed, (label, i)) for i in range(len(spec.n_grid))]
-    infidelities = run_grid(
-        spec.protocol, spec.state_bloch, spec.n_grid, spec.error_model, rngs, spec.reps,
-    ).infidelity.reshape(len(spec.n_grid), spec.reps)
+    rng = RngContext(spec.seed, (label, 0))
+    infidelities = run_grid(spec.protocol, spec.state_bloch, spec.n_grid, spec.error_model, rng,
+                            spec.reps).infidelity.reshape(len(spec.n_grid), spec.reps)
     stderrs = infidelities.std(axis=1, ddof=1) / math.sqrt(spec.reps)
     rows = tuple(CampaignRow(n, float(mean), float(stderr), spec.reps)
                  for n, mean, stderr in zip(spec.n_grid, infidelities.mean(axis=1), stderrs))

@@ -164,15 +164,14 @@ def run_protocol(spec: ProtocolSpec, rho_true: np.ndarray, n_total: int,
     """Simulate one experiment of ``n_total`` samples and reconstruct a state.
 
     This is ``run_grid`` on ``density_to_bloch(rho_true)`` with the one-point
-    grid ``(n_total,)``, the one stream ``rng`` and one repetition, so it
-    draws the counts that a campaign on that Bloch vector draws on that
-    stream; it is where the engine meets density matrices, on the way in and
-    for the ``RunResult``.  The records hold the intended axes, realized axes,
+    grid ``(n_total,)``, the stream ``rng`` and one repetition; it is where
+    the engine meets density matrices, on the way in and for the
+    ``RunResult``.  The records hold the intended axes, realized axes,
     shots and counts of its settings; ``rho_prelim`` is the preliminary fit
     that chose the adapted triplet (None for one-phase protocols) and
     ``rho_hat`` the final fit.
     """
-    batch = run_grid(spec, density_to_bloch(rho_true), (n_total,), error_model, (rng,), 1)
+    batch = run_grid(spec, density_to_bloch(rho_true), (n_total,), error_model, rng, 1)
     shots = sum(_shot_plan(spec, n_total), [])
     records = tuple(map(CountRecord, batch.axes[0], batch.realized[0], shots,
                         batch.n_plus[0].tolist()))
@@ -183,7 +182,7 @@ def run_protocol(spec: ProtocolSpec, rho_true: np.ndarray, n_total: int,
 
 # Version of the random-stream layout declared in ``run_grid``; recorded in
 # provenance so that numbers from different layouts are not compared.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 # Leading stream labels, so alignment draws and photon counts never collide.
 _ALIGN_STREAM = 1
@@ -212,26 +211,29 @@ class BatchResult:
 
 
 def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
-             error_model: ErrorModel, rngs: Sequence[RngContext], reps: int) -> BatchResult:
+             error_model: ErrorModel, rng: RngContext, reps: int) -> BatchResult:
     """``reps`` independent experiments of ``n_grid[g]`` samples at every grid
-    point g, with stream ``rngs[g]``, on the true state with Bloch vector
-    ``r_true``, simulated as one vectorised pass over the stacked rows: rows
-    ``g * reps`` to ``(g + 1) * reps`` are grid point g's and depend only on
-    ``n_grid[g]``, ``rngs[g]`` and the shared arguments.  ``run_protocol`` is
-    its one-point, one-repetition case.
+    point g, on the true state with Bloch vector ``r_true``, simulated as one
+    vectorised pass over the stacked rows: rows ``g * reps`` to ``(g + 1) *
+    reps`` are grid point g's.  ``run_protocol`` is its one-point,
+    one-repetition case.
 
-    Random streams (layout ``STREAM_VERSION`` 2), all children of grid point
-    g's ``rng = rngs[g]``:
+    Random streams (layout ``STREAM_VERSION`` 3), children of ``rng``:
 
     * the counts of phase k (0 = first phase, 1 = adapted phase) are one call
       ``rng.child(_COUNT_STREAM, k).generator().binomial(shots, p)``, with
-      ``shots`` the phase's per-setting list and ``p`` of shape (reps,
-      settings of the phase), filled in C order;
+      ``shots`` and ``p`` of shape (rows, settings of the phase), rows in
+      grid order, filled in C order;
     * the misalignments of a random error model come from
-      ``rng.child(_ALIGN_STREAM).generator()``: one ``standard_normal((reps,
-      w))`` call, then one ``uniform(0, 2 pi, (reps, w))`` call, where w is
+      ``rng.child(_ALIGN_STREAM).generator()``: one ``standard_normal((rows,
+      w))`` call, then one ``uniform(0, 2 pi, (rows, w))`` call, where w is
       the number of settings of both phases under per-setting error and 1
       (shared by every setting) under per-experiment error.
+
+    A one-point grid draws as under layout 2, but grid points no longer draw
+    independently: each one's draws follow those of the rows before it.  A
+    campaign keys its stream on its whole grid (``harness.campaign_hash``),
+    so nothing outside ``run_grid`` sees this.
 
     The first phase measures the Pauli frame, or under ``KnownBasis`` the
     triplet ``mub_axes`` of ``r_true``.  The preliminary estimate is
@@ -254,24 +256,21 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
     shots = np.repeat([shots1 + shots2 for shots1, shots2 in plans], reps, axis=0)
     draws = None
     if error_model.magnitude != 0.0 and error_model.draws_per is not None:
-        width = shots.shape[1] if error_model.draws_per == "setting" else 1
-        gens = [rng.child(_ALIGN_STREAM).generator() for rng in rngs]
-        draws = (np.concatenate([gen.standard_normal((reps, width)) for gen in gens]),
-                 np.concatenate([gen.uniform(0.0, 2.0 * math.pi, (reps, width)) for gen in gens]))
+        size = (len(shots), shots.shape[1] if error_model.draws_per == "setting" else 1)
+        gen = rng.child(_ALIGN_STREAM).generator()
+        draws = (gen.standard_normal(size), gen.uniform(0.0, 2.0 * math.pi, size))
 
     def measure(intended: np.ndarray, phase: int) -> tuple[np.ndarray, np.ndarray]:
         # ``intended`` is (rows, M, 3), or one (M, 3) design shared by every row.
         width = intended.shape[-2]
+        settings = slice(3 * phase, 3 * phase + width)
         phase_draws = draws
         if draws is not None and error_model.draws_per == "setting":
-            settings = slice(3 * phase, 3 * phase + width)
             phase_draws = (draws[0][:, settings], draws[1][:, settings])
         realized = np.broadcast_to(realized_axes(intended, error_model, phase_draws),
                                    (len(shots), width, 3))
-        p = born_probabilities(realized, r_true)
-        return realized, np.concatenate([
-            rng.child(_COUNT_STREAM, phase).generator().binomial(plan[phase], block)
-            for rng, plan, block in zip(rngs, plans, np.split(p, len(rngs)))])
+        gen = rng.child(_COUNT_STREAM, phase).generator()
+        return realized, gen.binomial(shots[:, settings], born_probabilities(realized, r_true))
 
     # The first-phase triplet is one (3, 3) design shared by every row.
     design = mub_axes(r_true[None])[0] if spec.true_basis else np.array(PAULI_AXES)

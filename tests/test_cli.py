@@ -438,7 +438,7 @@ class TestRunCommand:
         assert main(argv) == 0
         payload = json.loads((tmp_path / "out" / "provenance.json").read_text())
         assert config_from_provenance(payload) == expected
-        assert payload["stream_version"] == 2
+        assert payload["stream_version"] == 3
         assert payload["estimator_version"] == 4
         assert set(payload["environment"]) == {"python", "numpy", "platform", "nproc"}
 

@@ -1,18 +1,19 @@
 """The batched campaign engine against the scalar reference path, and its
 fits against a high-precision solve.
 
-``protocols.run_grid`` simulates all repetitions of a grid point as arrays
-on the true state's Bloch vector, drawing every random number from the
+``protocols.run_grid`` simulates all repetitions of a sample-size grid as
+arrays on the true state's Bloch vector, drawing every random number from the
 streams its docstring declares.  The reference below redraws those numbers
-one scalar call at a time from the same streams, perturbs each axis with the
-scalar ``realized_axis`` defined here and requires identical counts; on
+one scalar call at a time from the same streams, one generator per phase
+continued across the grid points, perturbs each axis with the scalar
+``realized_axis`` defined here and requires identical counts; on
 those counts the density-matrix routines (the one-record-set fit ``mle``,
 ``mub_triplet`` and ``fidelity``) must reproduce the batch's first-phase and
 adapted axes, estimates and infidelities up to the rounding of the batched
-fits, and a campaign must complete with those routines disabled.  A grid
-pass over several sample sizes must give, block by block, exactly the rows
-of the one-point ``run_grid`` at each grid point, and ``run_protocol``
-exactly its one-repetition batch.  The fits themselves are held to the same
+fits, and a campaign must complete with those routines disabled.  The first
+grid point of a pass without random misalignments must be exactly the
+one-point ``run_grid`` on the same stream, and ``run_protocol`` exactly its
+one-repetition batch.  The fits themselves are held to the same
 hedged objective solved in 50-digit arithmetic (``reference_fit``) and to a
 local grid of the objective around each fit, and the Jacobi factorisation of
 R that the surface fits use to LAPACK's SVD.  Rows whose axes form an
@@ -135,51 +136,54 @@ def realized_axis(intended, model, normal=0.0, chi=0.0):
 
 
 def reference_realized_axes(model, rng, axes):
-    """Realized axes of ``axes`` (reps, M, 3), with every misalignment drawn
+    """Realized axes of ``axes`` (rows, M, 3), with every misalignment drawn
     by a scalar call from the declared stream, in C order."""
-    reps, m = axes.shape[:2]
-    normal = chi = np.zeros((reps, m))
+    rows, m = axes.shape[:2]
+    normal = chi = np.zeros((rows, m))
     if model.magnitude != 0.0 and model.draws_per is not None:
         width = m if model.draws_per == "setting" else 1
         gen = rng.child(_ALIGN_STREAM).generator()
-        normal = [[gen.standard_normal() for _ in range(width)] for _ in range(reps)]
-        chi = [[gen.uniform(0.0, 2.0 * math.pi) for _ in range(width)] for _ in range(reps)]
+        normal = [[gen.standard_normal() for _ in range(width)] for _ in range(rows)]
+        chi = [[gen.uniform(0.0, 2.0 * math.pi) for _ in range(width)] for _ in range(rows)]
         if width == 1:
             normal, chi = ([row * m for row in draws] for draws in (normal, chi))
     return [[realized_axis(axes[j, s], model, normal[j][s], chi[j][s]) for s in range(m)]
-            for j in range(reps)]
+            for j in range(rows)]
 
 
-def check_against_reference(protocol, rho, n, model, rng, reps):
-    """Run one grid point on the Bloch vector of ``rho`` and check it against
-    the scalar reference on ``rho``; returns the batch, or None where both
-    paths raise the same BudgetError."""
+def check_against_reference(protocol, rho, n_grid, model, rng, reps):
+    """Run the grid ``n_grid`` on the Bloch vector of ``rho`` and check it
+    against the scalar reference on ``rho``; returns the batch, or None where
+    both paths raise the BudgetError of the first bad N."""
     try:
-        batch = run_grid(protocol, density_to_bloch(rho), (n,), model, (rng,), reps)
+        batch = run_grid(protocol, density_to_bloch(rho), n_grid, model, rng, reps)
     except BudgetError as exc:
         with pytest.raises(BudgetError, match=re.escape(str(exc))):
-            run_protocol(protocol, rho, n, model, rng.child(0))
+            for n in n_grid:
+                run_protocol(protocol, rho, n, model, rng.child(0))
         return None
     if protocol.true_basis:
         triplet = mub_triplet(eigendecompose(rho)).axes
         assert np.max(np.abs(batch.axes[:, :3] - triplet)) <= 1e-14, density_to_bloch(rho)
-    shots = sum(_shot_plan(protocol, n), [])
+    # Per-row shots of every setting, grid points in order.
+    shots = [sum(_shot_plan(protocol, n), []) for n in n_grid for _ in range(reps)]
+    m = len(shots[0])
     realized = reference_realized_axes(model, rng, batch.axes)
-    counts = np.empty((reps, len(shots)), dtype=np.int64)
-    for phase, settings_ in enumerate((range(3), range(3, len(shots)))):
+    counts = np.empty((len(shots), m), dtype=np.int64)
+    for phase, settings_ in enumerate((range(3), range(3, m))):
         gen = rng.child(_COUNT_STREAM, phase).generator()
-        for j in range(reps):
+        for j in range(len(shots)):
             for s in settings_:
-                counts[j, s] = gen.binomial(shots[s], born_probability(rho, realized[j][s]))
-    where = f"{protocol} {model} {density_to_bloch(rho)} N={n}"
+                counts[j, s] = gen.binomial(shots[j][s], born_probability(rho, realized[j][s]))
+    where = f"{protocol} {model} {density_to_bloch(rho)} N={list(n_grid)}"
     assert np.array_equal(batch.realized, np.array(realized)), where
     assert np.array_equal(batch.n_plus, counts), where
-    for j in range(reps):
-        records = [CountRecord(batch.axes[j, s], realized[j][s], shots[s], int(counts[j, s]))
-                   for s in range(len(shots))]
-        if len(shots) > 3:
+    for j in range(len(shots)):
+        records = [CountRecord(batch.axes[j, s], realized[j][s], shots[j][s], int(counts[j, s]))
+                   for s in range(m)]
+        if m > 3:
             triplet = mub_triplet(eigendecompose(mle(records[:3]).rho)).axes
-            assert np.max(np.abs(batch.axes[j, 3:] - triplet[:len(shots) - 3])) <= 1e-8, where
+            assert np.max(np.abs(batch.axes[j, 3:] - triplet[:m - 3])) <= 1e-8, where
         est = mle(records)
         assert np.max(np.abs(batch.bloch_hat[j] - density_to_bloch(est.rho))) <= 1e-8, where
         assert abs(batch.infidelity[j] - (1.0 - fidelity(est.rho, rho))) <= 1e-6, where
@@ -195,7 +199,7 @@ def test_batch_matches_scalar_reference(protocol):
             for grid in GRIDS:
                 for i, n in enumerate(grid):
                     rng = RngContext(SEED, (LABEL, i))
-                    checked += check_against_reference(protocol, rho, n, model, rng,
+                    checked += check_against_reference(protocol, rho, (n,), model, rng,
                                                        REPS) is not None
     assert checked > 0
 
@@ -205,12 +209,12 @@ def test_campaign_reduces_the_reference_runs():
                         error_model=PerSettingError(0.01))
     result = run_campaign(spec)
     label = int(campaign_hash(spec)[:16], 16)
-    rho = bloch_to_density(EQ7_BLOCH)
+    batch = check_against_reference(spec.protocol, bloch_to_density(EQ7_BLOCH), spec.n_grid,
+                                    spec.error_model, RngContext(SEED, (label, 0)), spec.reps)
     for i, row in enumerate(result.rows):
-        batch = check_against_reference(spec.protocol, rho, row.n, spec.error_model,
-                                        RngContext(SEED, (label, i)), spec.reps)
-        assert row.mean_infidelity == float(np.mean(batch.infidelity))
-        assert row.stderr == float(np.std(batch.infidelity, ddof=1) / math.sqrt(spec.reps))
+        block = batch.infidelity[i * spec.reps:(i + 1) * spec.reps]
+        assert row.mean_infidelity == float(np.mean(block))
+        assert row.stderr == float(np.std(block, ddof=1) / math.sqrt(spec.reps))
 
 
 def test_campaigns_build_no_density_matrix(monkeypatch):
@@ -250,7 +254,7 @@ def test_run_protocol_is_the_one_rep_batch(protocol):
             for i, n in enumerate((7, 300)):
                 rng = RngContext(SEED, (LABEL, i))
                 try:
-                    batch = run_grid(protocol, density_to_bloch(rho), (n,), model, (rng,), 1)
+                    batch = run_grid(protocol, density_to_bloch(rho), (n,), model, rng, 1)
                 except BudgetError as exc:
                     with pytest.raises(BudgetError, match=re.escape(str(exc))):
                         run_protocol(protocol, rho, n, model, rng)
@@ -277,39 +281,47 @@ def test_run_protocol_is_the_one_rep_batch(protocol):
     assert checked > 0
 
 
-def batch_or_error(protocol, state, n, model, rng):
-    try:
-        return run_grid(protocol, state, (n,), model, (rng,), REPS)
-    except BudgetError as exc:
-        return str(exc)
+def first_budget_error(protocol, grid):
+    """The BudgetError message of the first N of ``grid`` that ``protocol``
+    cannot split, or None."""
+    for n in grid:
+        try:
+            _shot_plan(protocol, n)
+        except BudgetError as exc:
+            return str(exc)
+    return None
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS, ids=repr)
-def test_grid_pass_matches_per_point_batches(protocol):
+def test_grid_pass_matches_the_reference(protocol):
+    # A grid pass matches the scalar reference, which continues one generator
+    # per phase across the grid points.  Its first grid point is the
+    # one-point pass on the same stream, except under a random error model,
+    # whose angles follow the normal draws of every row.  A grid with a bad
+    # N raises that N's BudgetError before it builds a generator.
+    rng = RngContext(SEED, (LABEL, 0))
     checked = 0
     for model in MODELS:
         for state in STATES:
             for grid in GRIDS:
-                rngs = [RngContext(SEED, (LABEL, g)) for g in range(len(grid))]
-                points = [batch_or_error(protocol, state, n, model, rng)
-                          for n, rng in zip(grid, rngs)]
-                errors = [point for point in points if isinstance(point, str)]
-                if errors:
-                    with pytest.raises(BudgetError, match=re.escape(errors[0])):
-                        run_grid(protocol, state, grid, model, rngs, REPS)
-                # The grid points that do run, with the streams they own.
-                good = [g for g, point in enumerate(points) if not isinstance(point, str)]
+                error = first_budget_error(protocol, grid)
+                if error is not None:
+                    with unittest.mock.patch.object(RngContext, "generator",
+                                                    side_effect=AssertionError("drew")), \
+                            pytest.raises(BudgetError, match=re.escape(error)):
+                        run_grid(protocol, state, grid, model, rng, REPS)
+                good = [n for n in grid if first_budget_error(protocol, (n,)) is None]
                 if not good:
                     continue
-                stacked = run_grid(protocol, state, [grid[g] for g in good], model,
-                                   [rngs[g] for g in good], REPS)
-                for block, g in enumerate(good):
-                    rows = slice(block * REPS, (block + 1) * REPS)
-                    for field in ("axes", "n_plus", "bloch_hat", "infidelity"):
-                        assert np.array_equal(getattr(stacked, field)[rows],
-                                              getattr(points[g], field)), (
-                            f"{field} {model} {state} N={grid[g]}")
-                    checked += 1
+                rho = bloch_to_density(state)
+                batch = check_against_reference(protocol, rho, good, model, rng, REPS)
+                if model.draws_per is None:
+                    first = run_grid(protocol, density_to_bloch(rho), good[:1], model, rng, REPS)
+                    for field in ("axes", "realized", "n_plus", "bloch_hat", "infidelity"):
+                        assert np.array_equal(getattr(batch, field)[:REPS],
+                                              getattr(first, field)), (
+                            f"{field} {model} {state} N={good[0]}")
+                checked += 1
     assert checked > 0
 
 
@@ -324,8 +336,7 @@ def test_shot_plans_spend_the_budget_or_raise(n, alpha, exponent):
         except BudgetError as exc:
             # The grid pass checks every plan before it draws.
             with pytest.raises(BudgetError, match=re.escape(str(exc))):
-                run_grid(protocol, EQ7_BLOCH, (n, 2 * n), NoError(), [RngContext(SEED)] * 2,
-                         REPS)
+                run_grid(protocol, EQ7_BLOCH, (n, 2 * n), NoError(), RngContext(SEED), REPS)
             continue
         assert sum(shots1) + sum(shots2) == n
         assert len(shots1) == 3 and len(shots2) == protocol.adapted_settings
@@ -338,7 +349,7 @@ def test_shot_plans_stop_at_the_samplers_limit():
     # too large to split in floats.
     limit = 2**63 - 1
     assert max(sum(_shot_plan(Static(), 3 * limit), [])) == limit
-    run_grid(Static(), EQ7_BLOCH, (3 * limit,), NoError(), [RngContext(SEED)], REPS)
+    run_grid(Static(), EQ7_BLOCH, (3 * limit,), NoError(), RngContext(SEED), REPS)
     beyond = [(Static(), 3 * limit + 1), (KnownBasis(), 3 * limit + 1),
               (ReducedAdaptive(0.5), 6 * limit)]
     beyond += [(protocol, n) for protocol in PROTOCOLS for n in (6 * limit + 1, 10**400)]
@@ -351,7 +362,7 @@ def test_shot_plans_stop_at_the_samplers_limit():
 @pytest.mark.parametrize("label", [0, 7, 2**32 - 1, 2**32, LABEL, 2**64 - 1])
 def test_stream_states_match_seed_sequence(seed, label):
     # Each stream that run_grid declares is PCG64 seeded by numpy's
-    # SeedSequence on (seed mod 2**64, campaign label, grid index, stream
+    # SeedSequence on (seed mod 2**64, the labels of run_grid's stream, stream
     # labels), for seeds and labels on both sides of 2**32; with the
     # reference test this pins a seed's numbers to numpy's documented seeding.
     rng = RngContext(seed, (label, 3))
@@ -695,7 +706,7 @@ def test_reduced_adaptive_at_the_default_cap_fits_every_row():
     # At N = 2e7, the default n_cap of sweep-noise, the adapted axis carries
     # counts of 0 or N and hedged weights near 8e14.
     batch = run_grid(ReducedAdaptive(0.5), EQ7_BLOCH, (2 * 10**7,), NoError(),
-                     (RngContext(0),), 4000)
+                     RngContext(0), 4000)
     assert np.all(np.linalg.norm(batch.bloch_hat, axis=1) <= 1.0 + 1e-12)
 
 
@@ -703,7 +714,7 @@ def test_reduced_adaptive_at_the_default_cap_fits_every_row():
                          ids=repr)
 @pytest.mark.parametrize("n, tolerance", [(2 * 10**7, 1e-8), (2 * 10**9, 1e-6)])
 def test_large_n_fits_match_the_reference(protocol, n, tolerance):
-    batch = run_grid(protocol, EQ7_BLOCH, (n,), NoError(), (RngContext(0),), 40)
+    batch = run_grid(protocol, EQ7_BLOCH, (n,), NoError(), RngContext(0), 40)
     shots = sum(_shot_plan(protocol, n), [])
     for axes, counts, fit in zip(batch.axes, batch.n_plus, batch.bloch_hat):
         assert np.max(np.abs(fit - reference_fit(axes, shots, counts))) <= tolerance
@@ -978,7 +989,7 @@ def test_zero_and_many_sweep_rows_stack_bit_for_bit():
     protocol = Adaptive(0.5)
     axes, shots, n_plus = [], [], []
     for n in (10**2, 10**4, 2 * 10**9):
-        batch = run_grid(protocol, EQ7_BLOCH, (n,), NoError(), (RngContext(0),), 6)
+        batch = run_grid(protocol, EQ7_BLOCH, (n,), NoError(), RngContext(0), 6)
         axes.append(batch.axes)
         shots.append(np.tile(sum(_shot_plan(protocol, n), []), (6, 1)))
         n_plus.append(batch.n_plus)
@@ -1002,7 +1013,7 @@ def test_zero_and_many_sweep_rows_stack_bit_for_bit():
 def test_surface_solve_failure_names_its_rows(monkeypatch, cap, message):
     # One adapted final-fit row on the surface, with the named cap at 0.
     protocol, n = Adaptive(0.5), 10**4
-    batch = run_grid(protocol, EQ7_BLOCH, (n,), NoError(), (RngContext(0),), 1)
+    batch = run_grid(protocol, EQ7_BLOCH, (n,), NoError(), RngContext(0), 1)
     monkeypatch.setattr(estimation, cap, 0)
     with pytest.raises(RuntimeError,
                        match="^boundary Newton iteration did not converge: .*" + message):

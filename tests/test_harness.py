@@ -125,7 +125,7 @@ class TestRunCampaign:
         many = run_campaign(CampaignSpec(Static(), EQ7_BLOCH, grid, reps=200, seed=9))
         label = int(few.spec_hash[:16], 16)
         infidelity = run_grid(Static(), EQ7_BLOCH, (grid[0],), NoError(),
-                              (RngContext(9, (label, 0)),), 50).infidelity
+                              RngContext(9, (label, 0)), 50).infidelity
         assert few.rows[0].stderr == float(np.std(infidelity, ddof=1) / math.sqrt(50))
         ratios = [a.stderr / b.stderr for a, b in zip(few.rows, many.rows)]
         ratio = math.exp(np.mean(np.log(ratios)))
@@ -140,9 +140,10 @@ class TestRunCampaign:
                             error_model=PerSettingError(0.01))
         result = run_campaign(spec)
         label = int(result.spec_hash[:16], 16)
+        infidelity = run_grid(spec.protocol, spec.state_bloch, spec.n_grid, spec.error_model,
+                              RngContext(spec.seed, (label, 0)), reps).infidelity
         for i, row in enumerate(result.rows):
-            block = run_grid(spec.protocol, spec.state_bloch, (row.n,), spec.error_model,
-                             (RngContext(spec.seed, (label, i)),), reps).infidelity
+            block = infidelity[i * reps:(i + 1) * reps]
             assert row.mean_infidelity == float(np.mean(block))
             assert row.stderr == float(np.std(block, ddof=1) / math.sqrt(reps))
 

@@ -77,7 +77,7 @@ class TestSampleCounts:
 
     def test_certain_outcomes(self):
         for z, expected in ((1.0, 100), (-1.0, 0)):
-            batch = run_grid(Static(), (0.0, 0.0, z), (300,), NoError(), (RngContext(1),), 50)
+            batch = run_grid(Static(), (0.0, 0.0, z), (300,), NoError(), RngContext(1), 50)
             assert np.all(batch.n_plus[:, 2] == expected)
 
     def test_binomial_moments(self):
@@ -93,9 +93,9 @@ class TestSampleCounts:
     def test_bit_reproducible(self):
         rng = RngContext(3).child(9, 9)
         first = run_grid(Adaptive(0.5), (0.3, 0.4, 0.2), (1000,), PerSettingError(0.01),
-                         (rng,), 20)
+                         rng, 20)
         again = run_grid(Adaptive(0.5), (0.3, 0.4, 0.2), (1000,), PerSettingError(0.01),
-                         (rng,), 20)
+                         rng, 20)
         assert np.array_equal(first.realized, again.realized)
         assert np.array_equal(first.n_plus, again.n_plus)
 
@@ -143,7 +143,7 @@ class TestPerturbAxes:
         assert np.allclose(out, (math.sin(phi), 0.0, math.cos(phi)), atol=1e-12)
 
     def test_fixed_model_identical_across_experiments(self):
-        batch = run_grid(Adaptive(0.5), EQ7_BLOCH, (600,), FixedError(0.02), (RngContext(8),),
+        batch = run_grid(Adaptive(0.5), EQ7_BLOCH, (600,), FixedError(0.02), RngContext(8),
                          50)
         first_phase = batch.realized[:, :3]
         assert np.array_equal(first_phase, np.broadcast_to(first_phase[0], first_phase.shape))
@@ -157,7 +157,7 @@ class TestPerturbAxes:
         # Mount errors are Normal(0, E^2), so the root-mean-square tilt over
         # many settings approaches MOUNT_TO_BLOCH_ANGLE * E.
         e = math.radians(0.5)
-        batch = run_grid(Static(), EQ7_BLOCH, (30,), PerSettingError(e), (RngContext(10),),
+        batch = run_grid(Static(), EQ7_BLOCH, (30,), PerSettingError(e), RngContext(10),
                          1000)
         angles = angle_between(batch.axes, batch.realized)
         rms = math.sqrt(np.mean(np.square(angles)))
@@ -166,13 +166,13 @@ class TestPerturbAxes:
     def test_per_setting_draws_independent_per_setting(self):
         # Every setting of both phases tilts by its own angle.
         batch = run_grid(Adaptive(0.5), EQ7_BLOCH, (600,), PerSettingError(0.05),
-                         (RngContext(11),), 3)
+                         RngContext(11), 3)
         tilts = angle_between(batch.axes, batch.realized)
         assert len(set(tilts.ravel().tolist())) == tilts.size
 
     def test_per_experiment_shares_one_draw(self):
         model = PerExperimentError(0.05)
-        batch = run_grid(Adaptive(0.5), EQ7_BLOCH, (600,), model, (RngContext(12),), 3)
+        batch = run_grid(Adaptive(0.5), EQ7_BLOCH, (600,), model, RngContext(12), 3)
         tilts = angle_between(batch.axes, batch.realized)
         # One (angle, plane-parameter) draw for the whole experiment: every
         # setting of both phases is tilted by the same angle.
