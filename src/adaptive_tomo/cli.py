@@ -33,7 +33,6 @@ import os
 import platform
 import re
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence, get_args
 
@@ -373,7 +372,10 @@ def _fmt(x: float) -> str:
 
 def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=False)
+    # Mode 0o666 less the umask, as for any new file; ``os.replace`` keeps
+    # the mode, so mkstemp's 0o600 would leave every output owner-only.
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)

@@ -3,15 +3,16 @@
 A campaign repeats a protocol R times at every sample size in a grid and
 aggregates mean infidelity with its standard error.  All R x grid runs are
 simulated together as arrays by ``protocols.run_grid``, from the children of
-one stream labelled (campaign hash, 0) as ``run_grid`` declares; a one-point
-campaign thus draws what it drew when each grid point i had its own stream
-(campaign hash, i).  The true state goes in as the campaign's Bloch vector,
-and no density matrix is built on the way to the infidelities.
+one stream labelled (campaign hash, 0), drawn as ``run_grid`` declares
+(stream layout 4: a grid point's repetitions of one setting back to back).
+The true state goes in as the campaign's Bloch vector, and no density
+matrix is built on the way to the infidelities.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -27,8 +28,9 @@ from .states import check_bloch
 class CampaignSpec:
     """One Monte Carlo campaign: protocol, true state, N grid, repetitions.
     Building one refuses a campaign that cannot run: a grid not strictly
-    increasing, reps < 2, a state outside the Bloch ball (``check_bloch``) or
-    an N that the protocol cannot split (``_shot_plan``'s BudgetError)."""
+    increasing, reps not an integer of at least 2, a state outside the Bloch
+    ball (``check_bloch``) or an N that is not an integer or that the
+    protocol cannot split (``_shot_plan``'s BudgetError)."""
 
     protocol: ProtocolSpec
     state_bloch: tuple[float, float, float]
@@ -42,6 +44,8 @@ class CampaignSpec:
             raise InvalidStateError("empty sample-size grid")
         if any(b >= a for a, b in zip(self.n_grid[1:], self.n_grid)):
             raise InvalidStateError(f"sample-size grid not strictly increasing: {self.n_grid}")
+        if not isinstance(self.reps, numbers.Integral):
+            raise InvalidStateError(f"reps must be an integer, got {self.reps!r}")
         if self.reps < 2:
             raise InvalidStateError("need at least 2 repetitions")
         check_bloch(self.state_bloch)

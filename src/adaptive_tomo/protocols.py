@@ -22,6 +22,7 @@ floor shares per setting, with the remainder given to the earliest settings.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence, Union
 
@@ -143,6 +144,8 @@ _MAX_SETTING_SHOTS = 2**63 - 1
 
 def _shot_plan(spec: ProtocolSpec, n_total: int) -> tuple[list[int], list[int]]:
     """Per-setting shots of the first phase and of the adapted phase."""
+    if not isinstance(n_total, numbers.Integral):
+        raise BudgetError(f"N must be an integer, got {n_total!r}")
     if n_total < 6:
         raise BudgetError(f"need at least 6 samples, got {n_total}")
     # No protocol measures more than six settings, so past six times the
@@ -182,7 +185,7 @@ def run_protocol(spec: ProtocolSpec, rho_true: np.ndarray, n_total: int,
 
 # Version of the random-stream layout declared in ``run_grid``; recorded in
 # provenance so that numbers from different layouts are not compared.
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 # Leading stream labels, so alignment draws and photon counts never collide.
 _ALIGN_STREAM = 1
@@ -218,22 +221,26 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
     reps`` are grid point g's.  ``run_protocol`` is its one-point,
     one-repetition case.
 
-    Random streams (layout ``STREAM_VERSION`` 3), children of ``rng``:
+    Random streams (layout ``STREAM_VERSION`` 4), children of ``rng``:
 
     * the counts of phase k (0 = first phase, 1 = adapted phase) are one call
       ``rng.child(_COUNT_STREAM, k).generator().binomial(shots, p)``, with
-      ``shots`` and ``p`` of shape (rows, settings of the phase), rows in
-      grid order, filled in C order;
+      ``shots`` and ``p`` of shape (grid points, settings of the phase,
+      reps), filled in C order: a grid point's repetitions of one setting
+      are drawn back to back;
     * the misalignments of a random error model come from
       ``rng.child(_ALIGN_STREAM).generator()``: one ``standard_normal((rows,
       w))`` call, then one ``uniform(0, 2 pi, (rows, w))`` call, where w is
       the number of settings of both phases under per-setting error and 1
       (shared by every setting) under per-experiment error.
 
-    A one-point grid draws as under layout 2, but grid points no longer draw
-    independently: each one's draws follow those of the rows before it.  A
-    campaign keys its stream on its whole grid (``harness.campaign_hash``),
-    so nothing outside ``run_grid`` sees this.
+    Where the repetitions of a grid point share a setting's shots and
+    probability (a shared design, no random misalignment), numpy's binomial
+    keeps its setup across their draws.  Grid point 0's draws are a prefix
+    of each stream, and a grid of one repetition draws as under layout 3
+    (rows, then settings), as every ``run_protocol`` call does.  Grid points
+    do not draw independently, which nothing outside ``run_grid`` sees: a
+    campaign keys its stream on its whole grid (``harness.campaign_hash``).
 
     The first phase measures the Pauli frame, or under ``KnownBasis`` the
     triplet ``mub_axes`` of ``r_true``.  The preliminary estimate is
@@ -267,10 +274,18 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
         phase_draws = draws
         if draws is not None and error_model.draws_per == "setting":
             phase_draws = (draws[0][:, settings], draws[1][:, settings])
-        realized = np.broadcast_to(realized_axes(intended, error_model, phase_draws),
-                                   (len(shots), width, 3))
+        realized = realized_axes(intended, error_model, phase_draws)
+        # A shared design without draws has its probabilities once per setting.
+        p = np.broadcast_to(born_probabilities(realized, r_true), (len(shots), width))
+
+        def by_point(a: np.ndarray) -> np.ndarray:
+            # (rows, w) -> (grid points, w, reps): the repetitions innermost.
+            return a.reshape(len(n_grid), reps, width).swapaxes(1, 2)
+
         gen = rng.child(_COUNT_STREAM, phase).generator()
-        return realized, gen.binomial(shots[:, settings], born_probabilities(realized, r_true))
+        n_plus = gen.binomial(by_point(shots[:, settings]), by_point(p))
+        return (np.broadcast_to(realized, (len(shots), width, 3)),
+                n_plus.swapaxes(1, 2).reshape(len(shots), width))
 
     # The first-phase triplet is one (3, 3) design shared by every row.
     design = mub_axes(r_true[None])[0] if spec.true_basis else np.array(PAULI_AXES)

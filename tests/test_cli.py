@@ -1,6 +1,8 @@
 import argparse
 import csv
 import json
+import os
+import stat
 
 import pytest
 
@@ -390,6 +392,20 @@ class TestRunCommand:
         assert len(fields[3].split(b".")[-1]) >= 12 or b"e" in fields[3]
         assert 0.0 <= mean < 1.0
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_outputs_are_created_under_the_umask(self, umask, tmp_path, capsys):
+        # Every output file gets mode 0o666 less the umask, as a new file
+        # would, and no temporary file is left behind.
+        old = os.umask(umask)
+        try:
+            assert main(["run", "--n-grid", "60,120,240", "--reps", "2", "--gnuplot",
+                         "--out", str(tmp_path)]) == 0
+        finally:
+            os.umask(old)
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+        names = ["campaign.csv", "campaign.gp", "fit.json", "provenance.json"]
+        assert modes == dict.fromkeys(names, 0o666 & ~umask)
+
     def test_stdout_summary(self, tmp_path, capsys):
         main(["run", "--n", "600", "--reps", "2", "--out", str(tmp_path)])
         out = capsys.readouterr().out
@@ -438,7 +454,7 @@ class TestRunCommand:
         assert main(argv) == 0
         payload = json.loads((tmp_path / "out" / "provenance.json").read_text())
         assert config_from_provenance(payload) == expected
-        assert payload["stream_version"] == 3
+        assert payload["stream_version"] == 4
         assert payload["estimator_version"] == 4
         assert set(payload["environment"]) == {"python", "numpy", "platform", "nproc"}
 

@@ -3,24 +3,26 @@ fits against a high-precision solve.
 
 ``protocols.run_grid`` simulates all repetitions of a sample-size grid as
 arrays on the true state's Bloch vector, drawing every random number from the
-streams its docstring declares.  The reference below redraws those numbers
-one scalar call at a time from the same streams, one generator per phase
-continued across the grid points, perturbs each axis with the scalar
-``realized_axis`` defined here and requires identical counts; on
-those counts the density-matrix routines (the one-record-set fit ``mle``,
-``mub_triplet`` and ``fidelity``) must reproduce the batch's first-phase and
-adapted axes, estimates and infidelities up to the rounding of the batched
-fits, and a campaign must complete with those routines disabled.  The first
-grid point of a pass without random misalignments must be exactly the
-one-point ``run_grid`` on the same stream, and ``run_protocol`` exactly its
-one-repetition batch.  The fits themselves are held to the same
-hedged objective solved in 50-digit arithmetic (``reference_fit``) and to a
-local grid of the objective around each fit, and the Jacobi factorisation of
-R that the surface fits use to LAPACK's SVD.  Rows whose axes form an
-orthonormal frame (Pauli, signed and permuted Pauli, ``mub_axes`` triplets),
-which ``mle_batch`` fits in the frame's coordinates, are held to the same
-oracles, and stacked with other rows or passed as one shared design they
-must give the fits of their separate calls bit for bit.
+streams its docstring declares.  The reference below redraws those numbers one
+scalar call at a time from the same streams, one generator per phase drawing
+grid point by grid point, then setting by setting, then repetition by
+repetition, perturbs each axis with the scalar ``realized_axis`` defined here
+and requires identical counts; on those counts the density-matrix routines
+(the one-record-set fit ``mle``, ``mub_triplet`` and ``fidelity``) must
+reproduce the batch's first-phase and adapted axes, estimates and infidelities
+up to the rounding of the batched fits, and a campaign must complete with
+those routines disabled.  The first grid point of a pass without random
+misalignments must be exactly the one-point ``run_grid`` on the same stream, a
+grid of one repetition per point must draw its counts in C order over (rows,
+settings), and ``run_protocol`` must be exactly its one-repetition batch.  The
+fits themselves are held to the same hedged objective solved in 50-digit
+arithmetic (``reference_fit``) and to a local grid of the objective around
+each fit, and the Jacobi factorisation of R that the surface fits use to
+LAPACK's SVD.  Rows whose axes form an orthonormal frame (Pauli, signed and
+permuted Pauli, ``mub_axes`` triplets), which ``mle_batch`` fits in the
+frame's coordinates, are held to the same oracles, and stacked with other rows
+or passed as one shared design they must give the fits of their separate calls
+bit for bit.
 """
 import contextlib
 import math
@@ -65,7 +67,8 @@ from adaptive_tomo import (
 from adaptive_tomo import estimation, states
 from adaptive_tomo.estimation import mle_batch
 from adaptive_tomo.fixtures import EQ7_BLOCH
-from adaptive_tomo.measurement import MOUNT_TO_BLOCH_ANGLE, PAULI_AXES, _cross, realized_axes
+from adaptive_tomo.measurement import (MOUNT_TO_BLOCH_ANGLE, PAULI_AXES, _cross,
+                                      born_probabilities, realized_axes)
 from adaptive_tomo.protocols import _ALIGN_STREAM, _COUNT_STREAM, _shot_plan, run_grid
 from adaptive_tomo.states import fidelity_bloch, mub_axes
 
@@ -172,9 +175,11 @@ def check_against_reference(protocol, rho, n_grid, model, rng, reps):
     counts = np.empty((len(shots), m), dtype=np.int64)
     for phase, settings_ in enumerate((range(3), range(3, m))):
         gen = rng.child(_COUNT_STREAM, phase).generator()
-        for j in range(len(shots)):
+        for g in range(len(n_grid)):
             for s in settings_:
-                counts[j, s] = gen.binomial(shots[j][s], born_probability(rho, realized[j][s]))
+                for j in range(g * reps, (g + 1) * reps):
+                    counts[j, s] = gen.binomial(shots[j][s],
+                                                born_probability(rho, realized[j][s]))
     where = f"{protocol} {model} {density_to_bloch(rho)} N={list(n_grid)}"
     assert np.array_equal(batch.realized, np.array(realized)), where
     assert np.array_equal(batch.n_plus, counts), where
@@ -294,11 +299,12 @@ def first_budget_error(protocol, grid):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS, ids=repr)
 def test_grid_pass_matches_the_reference(protocol):
-    # A grid pass matches the scalar reference, which continues one generator
-    # per phase across the grid points.  Its first grid point is the
-    # one-point pass on the same stream, except under a random error model,
-    # whose angles follow the normal draws of every row.  A grid with a bad
-    # N raises that N's BudgetError before it builds a generator.
+    # A grid pass matches the scalar reference, which draws each phase grid
+    # point by grid point, setting by setting, repetition by repetition from
+    # one generator.  Its first grid point is the one-point pass on the same
+    # stream, except under a random error model, whose angles follow the
+    # normal draws of every row.  A grid with a bad N raises that N's
+    # BudgetError before it builds a generator.
     rng = RngContext(SEED, (LABEL, 0))
     checked = 0
     for model in MODELS:
@@ -323,6 +329,25 @@ def test_grid_pass_matches_the_reference(protocol):
                             f"{field} {model} {state} N={good[0]}")
                 checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("model", MODELS, ids=repr)
+def test_one_rep_grids_draw_counts_in_row_order(model):
+    # With one repetition per grid point, the (grid points, settings, reps)
+    # order of the counts is C order over (rows, settings), the order of
+    # stream layout 3: one binomial call per phase on the batch's own shots
+    # and realized axes redraws its counts.
+    rng = RngContext(SEED, (LABEL, 0))
+    grid = (30, 300, 5000, 123457)
+    for protocol in PROTOCOLS:
+        batch = run_grid(protocol, EQ7_BLOCH, grid, model, rng, 1)
+        shots = np.array([sum(_shot_plan(protocol, n), []) for n in grid])
+        p = born_probabilities(batch.realized, np.array(EQ7_BLOCH))
+        counts = np.concatenate([
+            rng.child(_COUNT_STREAM, phase).generator().binomial(shots[:, settings_],
+                                                                 p[:, settings_])
+            for phase, settings_ in enumerate((slice(0, 3), slice(3, None)))], axis=1)
+        assert np.array_equal(batch.n_plus, counts), protocol
 
 
 @settings(settings.get_profile("engine"))

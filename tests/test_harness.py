@@ -203,6 +203,25 @@ class TestRunCampaign:
         with pytest.raises(InvalidStateError):
             CampaignSpec(Static(), (0.8, 0.8, 0.0), (100,), reps=2)
 
+    def test_integral_float_grid_is_refused(self):
+        with pytest.raises(BudgetError, match=re.escape("N must be an integer, got 100.0")):
+            CampaignSpec(Static(), EQ7_BLOCH, (100.0, 200.0), reps=2)
+
+    def test_fractional_n_is_refused(self):
+        with pytest.raises(BudgetError, match=re.escape("N must be an integer, got 100.5")):
+            CampaignSpec(Static(), EQ7_BLOCH, (100.5, 200), reps=2)
+
+    def test_fractional_reps_are_refused(self):
+        with pytest.raises(InvalidStateError, match=re.escape("reps must be an integer, got 2.5")):
+            CampaignSpec(Static(), EQ7_BLOCH, (100, 200), reps=2.5)
+
+    def test_numpy_integers_are_accepted(self):
+        spec = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (100, 200), reps=3, seed=5)
+        numpy_spec = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (np.int64(100), np.int32(200)),
+                                  reps=np.int64(3), seed=5)
+        assert campaign_hash(numpy_spec) == campaign_hash(spec)
+        assert run_campaign(numpy_spec).rows == run_campaign(spec).rows
+
     def test_known_basis_matches_adaptive_exponent(self):
         grid = tuple(int(round(x)) for x in np.geomspace(300, 100_000, 10))
         adaptive = fit_campaign(

@@ -16,6 +16,7 @@ from adaptive_tomo import (
     named_state,
     run_protocol,
 )
+from adaptive_tomo.protocols import run_grid
 from adaptive_tomo.states import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 ALL_PROTOCOLS = (Static(), Adaptive(0.5), AdaptivePow(), ReducedAdaptive(), KnownBasis())
@@ -51,6 +52,14 @@ class TestBudgetAccounting:
     def test_too_small_budget(self):
         with pytest.raises(BudgetError):
             run_protocol(Static(), named_state("eq7"), 5, NoError(), RngContext(4))
+
+    def test_non_integer_budget(self):
+        # run_grid, run_protocol and CampaignSpec share _shot_plan's rule.
+        for n in (100.0, 100.5):
+            with pytest.raises(BudgetError, match="N must be an integer"):
+                run_grid(Static(), (0.0, 0.0, 0.5), (n,), NoError(), RngContext(4), 2)
+            with pytest.raises(BudgetError, match="N must be an integer"):
+                run_protocol(Static(), named_state("eq7"), n, NoError(), RngContext(4))
 
     def test_lopsided_alpha_budget_error(self):
         with pytest.raises(BudgetError):
