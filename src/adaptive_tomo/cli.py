@@ -91,8 +91,8 @@ class RunConfig:
     alphas: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
     protocols: tuple[str, ...] = ("static", "adaptive")
     e_grid: tuple[float, ...] = tuple(float(x) for x in np.geomspace(1e-3, 3e-2, 5))
-    n_start: int = 1000
-    n_cap: int = 20_000_000
+    n_start: int = noise_floor_sweep.__kwdefaults__["n_start"]
+    n_cap: int = noise_floor_sweep.__kwdefaults__["n_cap"]
     csv_path: str = ""
     gnuplot: bool = False
 
@@ -309,6 +309,8 @@ def _validate(config: RunConfig, given: set[str]) -> None:
         # A ladder's first and last rungs stand for it: a protocol that splits
         # N splits 2N, and no rung gives a setting more shots than the last.
         if config.command == "sweep-noise":
+            for e in config.e_grid:
+                _error_model(config, e)
             ladder = noise_ladder(config.n_start, config.n_cap)
             for name in config.protocols:
                 for n in (ladder[0], ladder[-1]):
@@ -443,16 +445,15 @@ def _json(payload: dict) -> str:
 
 
 def config_from_provenance(data: dict) -> RunConfig:
-    """Rebuild the resolved RunConfig from a provenance JSON payload."""
+    """Rebuild the resolved RunConfig from a provenance JSON payload; UsageError,
+    naming both versions, if its stream or estimator version is not the engine's."""
+    for key, version in (("stream_version", STREAM_VERSION),
+                         ("estimator_version", ESTIMATOR_VERSION)):
+        if data.get(key) != version:
+            raise UsageError(f"provenance has {key} {data.get(key)}, this engine {version}")
     # JSON writes every tuple field as a list.
-    raw = {key: tuple(value) if isinstance(value, list) else value
-           for key, value in data["config"].items()}
-    # Provenance written before the no-op ``threads`` option was removed.
-    raw.pop("threads", None)
-    # Provenance written while an empty e_grid stood for the default grid.
-    if raw.get("e_grid") == ():
-        del raw["e_grid"]
-    return RunConfig(**raw)
+    return RunConfig(**{key: tuple(value) if isinstance(value, list) else value
+                        for key, value in data["config"].items()})
 
 
 _GNUPLOT = """set logscale xy

@@ -16,9 +16,9 @@ weights w_k = N_k / (ft_k (1 - ft_k)), the objective of a Bloch vector r is
 y = sqrt(w) (2 f - 1).  Counts of 0 or N give weights near 2 N^2, beside
 weights near 4 N for balanced counts, so the normal equations D^T D r =
 D^T y, whose condition number is the square of D's, lose about eps cond(D)^2
-at large N.  The estimator factors [D | y] instead, or, where a row is three
-settings on orthonormal axes (static, known-basis and preliminary fits),
-fits it in the triplet's coordinates, where D is diagonal.
+at large N.  The estimator factors [D | y] instead, or, where all rows share
+three orthonormal settings (static, known-basis and preliminary fits), fits
+them in the triplet's coordinates, where D is diagonal.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .states import bloch_to_density, density_to_bloch
 ESTIMATOR_VERSION = 4
 BOUNDARY_TOL = 1e-9
 _SPAN_TOL = 1e-9
-# A row of three settings is a frame when their Gram matrix is within
+# A shared design of three settings is a frame when their Gram matrix is within
 # _FRAME_TOL of the identity: exactly for Pauli axes, to about 4 eps for
 # ``mub_axes``.
 _FRAME_TOL = 1e-14
@@ -247,31 +247,34 @@ def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarr
     Record set k has ``n_plus[k, m]`` +1 counts on axis m out of ``shots[m]``
     (an int shared by every set) or ``shots[m][k]`` (an (R,) array), at least
     1 either way.  ``axes`` is (M, 3) when every set shares its axes, or
-    (R, M, 3).  A shared design is scanned for repeats, checked for span and
-    tested for a frame once per call.  Each row is fitted on its own, so a
-    stacked call, or a shared design broadcast to (R, M, 3), returns bit for
-    bit the rows of the separate calls.
+    (R, M, 3).  A shared design is scanned for repeats and checked for span
+    once per call.  Each row is fitted on its own, so a stacked call returns
+    bit for bit the rows of the separate calls.
 
     Settings of one row on the same axis are merged as ``merge_records``
     merges them: the first holds the summed counts and the others carry no
     weight.  Axes repeat when every component is equal as a float, so a -0.0
     component matches 0.0.
 
-    A row of exactly three settings on orthonormal axes a_m (a frame: the
-    Pauli axes, or a ``mub_axes`` triplet) is fitted in the frame's
-    coordinates t_m = a_m . r, where the weighted design is diagonal:
-    R = diag(sqrt(w)), c = y, the interior solution is t = c / sqrt(w) and a
-    surface row takes Newton's method on the secular equation in that basis.
-    On the Pauli axes in order this is, bit for bit, the arithmetic of the
-    general path below, so a two-phase row whose repeats merge down to the
-    Pauli axes, which takes that path, fits as its merged three settings do.
+    One rule picks the fit path, once per call, from the design's shape.  A
+    shared (M, 3) design of exactly three settings whose Gram matrix is
+    within 1e-14 of the identity (a frame: the Pauli axes, or a ``mub_axes``
+    triplet) is fitted in the frame's coordinates t_m = a_m . r, where the
+    weighted design is diagonal: R = diag(sqrt(w)), c = y, the interior
+    solution is t = c / sqrt(w) and a surface row takes Newton's method on
+    the secular equation in that basis.  On the Pauli axes in order this is,
+    bit for bit, the arithmetic of the general path below, so a two-phase
+    row whose repeats merge down to the Pauli axes fits as its merged three
+    settings do, and the Pauli design broadcast to (R, M, 3) as it does
+    shared; another frame broadcast differs by rounding.
 
-    Any other row (a two-phase final fit) is factored by modified Gram-Schmidt
-    on [D | y], vectorised over the rows, giving D = Q R and c = Q^T y; it is
-    backward stable for least squares (Bjorck, BIT 7:1, 1967).  Interior rows
-    solve R r = c.  Rows whose solution leaves the ball take Newton's method
-    on the secular equation, to ||r| - 1| < 1e-13, in the right singular
-    basis of R that a one-sided Jacobi iteration on R's columns finds.
+    Every other design, each per-row one included (a two-phase final fit),
+    is factored by modified Gram-Schmidt on [D | y], vectorised over the
+    rows, giving D = Q R and c = Q^T y; it is backward stable for least
+    squares (Bjorck, BIT 7:1, 1967).  Interior rows solve R r = c.  Rows
+    whose solution leaves the ball take Newton's method on the secular
+    equation, to ||r| - 1| < 1e-13, in the right singular basis of R that a
+    one-sided Jacobi iteration on R's columns finds.
     Raises UnderdeterminedError if a row's axes do not span Bloch space
     (the first such row), RuntimeError if Newton's method or the Jacobi
     iteration does not converge (naming how many rows failed and by how much).
@@ -298,21 +301,14 @@ def mle_batch(axes: np.ndarray, shots: Sequence, n_plus: np.ndarray) -> np.ndarr
                 first, _sum_settings(sub * counts[:, None, rows]), counts[:, rows])
         kept[:, repeats] = first
         comps = comps * kept[:, None]
-    frame = np.broadcast_to(_check_span(comps, kept), n_rows)
+    fit = _fit_frame if _check_span(comps, kept, axes.ndim == 2) else _fit_general
     f = plus / shots
     sqrt_w = kept * np.sqrt(shots / _hedge(plus, shots))
-    data = sqrt_w * (2.0 * f - 1.0)
-    out = np.empty((n_rows, 3))
-    for fit, rows in ((_fit_frame, frame), (_fit_general, ~frame)):
-        if rows.all():
-            return fit(comps, sqrt_w, data)
-        if rows.any():
-            out[rows] = fit(comps[..., rows], sqrt_w[:, rows], data[:, rows])
-    return out
+    return fit(comps, sqrt_w, sqrt_w * (2.0 * f - 1.0))
 
 
 def _fit_frame(comps, sqrt_w, c):
-    # Rows of three settings that form a frame, in its coordinates:
+    # Rows that share one frame, comps (3, 3, 1), in its coordinates:
     # R = diag(sqrt_w), beta = sqrt_w c and the basis is the frame itself, so
     # neither Gram-Schmidt nor Jacobi is needed.  Settings-major arrays as in
     # mle_batch; returns (n, 3).
@@ -322,8 +318,7 @@ def _fit_frame(comps, sqrt_w, c):
     outside = np.flatnonzero(np.sqrt(_sum_settings(r * r)) > 1.0)
     if outside.size:
         s = sqrt_w[:, outside]
-        frame = comps if comps.shape[2] == 1 else comps[..., outside]
-        out[outside] = _newton_boundary(s * s, frame, s * c[:, outside]).T
+        out[outside] = _newton_boundary(s * s, comps, s * c[:, outside]).T
     return out
 
 
@@ -356,22 +351,22 @@ def _fit_general(comps, sqrt_w, c):
     return out
 
 
-def _check_span(comps, kept) -> np.ndarray:
+def _check_span(comps, kept, shared) -> bool:
     # Unweighted Gram matrix of each row's kept axes.  The square root of its
     # determinant is the volume spanned, so near-zero means a rank-deficient
     # axis set: the first such row raises, with the null direction of its
-    # kept axes.  Returns which rows are frames: three settings (so none is
-    # merged away once the span holds) whose Gram matrix is within
-    # _FRAME_TOL of the identity.  A design of other than three settings
-    # has no frame row, and its Gram matrices are not tested.
+    # kept axes.  Returns whether the design is a frame, mle_batch's one rule:
+    # a shared design of three settings (so none is merged away once the
+    # span holds) whose Gram matrix is within _FRAME_TOL of the identity.
+    # Only such a design has its Gram matrix tested against the identity.
     gram = _sum_settings(comps[:, :, None] * comps[:, None])
     (gxx, gxy, gxz), (_, gyy, gyz), (_, _, gzz) = gram
     det = (gxx * (gyy * gzz - gyz * gyz) + gxy * (gxz * gyz - gxy * gzz)
            + gxz * (gxy * gyz - gxz * gyy))
     bad = np.flatnonzero(~(det > _SPAN_TOL))
     if not bad.size:
-        return len(comps) == 3 and (
-            np.abs(gram - np.eye(3)[:, :, None]).max(axis=(0, 1)) <= _FRAME_TOL)
+        return bool(shared and len(comps) == 3
+                    and np.abs(gram[..., 0] - np.eye(3)).max() <= _FRAME_TOL)
     _, _, vt = np.linalg.svd(comps[kept[:, bad[0]] > 0.0, :, bad[0]])
     null = vt[-1]
     raise UnderdeterminedError(

@@ -75,9 +75,10 @@ class RngContext:
 
 
 def _check_magnitude(magnitude: float) -> None:
-    # Written so that NaN fails it too.
-    if not 0.0 <= magnitude < math.inf:
-        raise InvalidStateError(f"error magnitude must be a finite number >= 0, got {magnitude}")
+    # NaN fails it too; a Bloch tilt capped at pi keeps every sampled tilt finite.
+    if not 0.0 <= MOUNT_TO_BLOCH_ANGLE * magnitude <= math.pi:
+        raise InvalidStateError(f"error magnitude must be a finite number >= 0, got {magnitude}; "
+                                f"the Bloch tilt {MOUNT_TO_BLOCH_ANGLE:g} E must be at most pi")
 
 
 # Each error model states its own data: ``name`` (the stem of its

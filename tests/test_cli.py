@@ -208,6 +208,22 @@ class TestParsing:
         # A command that fails writes nothing.
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("model", ["1", "2", "3"])
+    @pytest.mark.parametrize("argv", [["run", "--e", "1e308"], ["sweep-alpha", "--e", "1e308"],
+                                      ["sweep-noise", "--e-grid", "0.01,1e308"]],
+                             ids=["run", "sweep-alpha", "sweep-noise"])
+    def test_error_magnitude_beyond_a_half_turn(self, argv, model, tmp_path, capsys):
+        # A finite E whose Bloch tilt 4 E exceeds pi is a usage error before
+        # any campaign runs (sweep-noise's E = 0.01 ladder included), with no
+        # numpy warning on stderr and no output.
+        argv = argv + ["--model", model, "--reps", "2", "--out", str(tmp_path / "out")]
+        with pytest.raises(UsageError, match="1e[+]308; the Bloch tilt 4 E must be at most pi"):
+            parse_config(argv)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     USAGE_ERRORS = [
         ("protocol", ["run", "--protocol", "bogus"], "protocol must be one of"),
         ("exponent", ["run", "--protocol", "adaptive-pow", "--exponent", "1.5"],
@@ -458,7 +474,7 @@ class TestRunCommand:
         assert payload["estimator_version"] == 4
         assert set(payload["environment"]) == {"python", "numpy", "platform", "nproc"}
 
-    def test_provenance_with_the_removed_threads_key_still_loads(self):
+    def test_provenance_from_another_version_is_refused(self):
         # The config section of a stream-v2 provenance.json written while
         # RunConfig still had the no-op ``threads`` field.
         config = {
@@ -471,9 +487,15 @@ class TestRunCommand:
             "n_cap": 20000000, "csv_path": "", "gnuplot": False,
         }
         payload = {"artifact_version": "0.1.0", "stream_version": 2, "config": config}
-        assert config_from_provenance(payload) == parse_config(
-            ["run", "--protocol", "adaptive-pow", "--n-grid", "60,120", "--reps", "2",
-             "--seed", "11", "--out", "results"])
+        # A re-run at this engine's versions would draw other numbers.
+        with pytest.raises(UsageError, match="provenance has stream_version 2, this engine 4"):
+            config_from_provenance(payload)
+        payload.update(stream_version=4, estimator_version=3)
+        with pytest.raises(UsageError, match="estimator_version 3, this engine 4"):
+            config_from_provenance(payload)
+        del payload["estimator_version"]
+        with pytest.raises(UsageError, match="estimator_version None, this engine 4"):
+            config_from_provenance(payload)
 
     def test_provenance_records_the_default_e_grid(self, tmp_path, capsys):
         assert main(["sweep-noise", "--model", "1", "--protocols", "static", "--reps", "2",

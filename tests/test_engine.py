@@ -18,11 +18,13 @@ settings), and ``run_protocol`` must be exactly its one-repetition batch.  The
 fits themselves are held to the same hedged objective solved in 50-digit
 arithmetic (``reference_fit``) and to a local grid of the objective around
 each fit, and the Jacobi factorisation of R that the surface fits use to
-LAPACK's SVD.  Rows whose axes form an orthonormal frame (Pauli, signed and
-permuted Pauli, ``mub_axes`` triplets), which ``mle_batch`` fits in the
-frame's coordinates, are held to the same oracles, and stacked with other rows
-or passed as one shared design they must give the fits of their separate calls
-bit for bit.
+LAPACK's SVD.  Orthonormal frames (Pauli, signed and permuted Pauli,
+``mub_axes`` triplets), which ``mle_batch`` fits in the frame's coordinates
+when they are one shared design, are held to the same oracles as one-row
+shared designs.  Stacked with other rows they must give the fits of their
+separate calls bit for bit, and a shared design must give its broadcast's fits
+bit for bit, unless it is a frame other than the Pauli axes in order: such a
+frame reaches the frame path and its broadcast the general path.
 """
 import contextlib
 import math
@@ -64,7 +66,7 @@ from adaptive_tomo import (
     run_campaign,
     run_protocol,
 )
-from adaptive_tomo import estimation, states
+from adaptive_tomo import estimation, protocols, states
 from adaptive_tomo.estimation import mle_batch
 from adaptive_tomo.fixtures import EQ7_BLOCH
 from adaptive_tomo.measurement import (MOUNT_TO_BLOCH_ANGLE, PAULI_AXES, _cross,
@@ -620,6 +622,20 @@ def frame_fits_only(axes):
         yield
 
 
+@contextlib.contextmanager
+def fit_paths():
+    """The fit path, ``_fit_frame`` or ``_fit_general``, that each
+    ``mle_batch`` call reaches, in call order."""
+    paths = []
+    with contextlib.ExitStack() as stack:
+        for name in ("_fit_frame", "_fit_general"):
+            def spy(*args, name=name, fit=getattr(estimation, name)):
+                paths.append(name)
+                return fit(*args)
+            stack.enter_context(unittest.mock.patch.object(estimation, name, spy))
+        yield paths
+
+
 def merged_weights(axes, shots, n_plus):
     """Axes, shots, +1 counts and hedged weights N / (ft (1 - ft)) of the
     records with repeated axes merged, as the fits define them.  1 - ft is
@@ -704,14 +720,20 @@ def assert_fits_match_reference(got, expected, axes, shots, n_plus):
         assert np.max(np.abs(got[k] - want)) <= tolerance, (k, cond)
 
 
+def per_row(axes, n_plus):
+    """A design as per-row axes (R, M, 3): a shared (M, 3) design broadcast."""
+    return axes if axes.ndim == 3 else np.broadcast_to(axes, (len(n_plus),) + axes.shape)
+
+
 def check_fits_match_reference(axes, shots, n_plus):
     # The maximum-likelihood estimate, computed to 50 digits.
-    expected = reference_fits_or_error(axes, shots, n_plus)
+    rows = per_row(axes, n_plus)
+    expected = reference_fits_or_error(rows, shots, n_plus)
     if expected is None:
         with pytest.raises(UnderdeterminedError):
             mle_batch(axes, shots, n_plus)
         return
-    assert_fits_match_reference(mle_batch(axes, shots, n_plus), expected, axes, shots, n_plus)
+    assert_fits_match_reference(mle_batch(axes, shots, n_plus), expected, rows, shots, n_plus)
 
 
 @settings(settings.get_profile("engine"))
@@ -723,8 +745,11 @@ def test_batched_final_fit_matches_mle(batch):
 @settings(settings.get_profile("engine"))
 @given(frame_batches())
 def test_frame_fits_match_mle(batch):
-    with frame_fits_only(batch[0]):
-        check_fits_match_reference(*batch)
+    # Each row's frame as a one-row shared design, the design that is a frame.
+    axes, shots, n_plus = batch
+    with frame_fits_only(axes):
+        for k in range(len(n_plus)):
+            check_fits_match_reference(axes[k], shots, n_plus[k:k + 1])
 
 
 def test_reduced_adaptive_at_the_default_cap_fits_every_row():
@@ -756,9 +781,10 @@ def local_grid_clipped_to_ball(center):
 def check_fits_beat_a_local_grid(axes, shots, n_plus):
     # Both the batch and ``mle`` on each row's records, which fits them
     # merged and in canonical order.
+    rows = per_row(axes, n_plus)
     try:
         scalar = [density_to_bloch(mle([CountRecord(a, a, n, int(p)) for a, n, p
-                                        in zip(axes[k], shots, n_plus[k])]).rho)
+                                        in zip(rows[k], shots, n_plus[k])]).rho)
                   for k in range(len(n_plus))]
     except UnderdeterminedError:
         return
@@ -766,7 +792,7 @@ def check_fits_beat_a_local_grid(axes, shots, n_plus):
         for r in fits:
             assert np.linalg.norm(r) <= 1.0 + 1e-12
             values, gradients, _ = merged_objective(
-                np.vstack([r, local_grid_clipped_to_ball(r)]), axes[k], shots, n_plus[k])
+                np.vstack([r, local_grid_clipped_to_ball(r)]), rows[k], shots, n_plus[k])
             # Both fits stop within 1e-13 of the surface, which costs up to
             # |gradient| * 1e-13 where counts of 0 or N weight an axis by up
             # to 2e20.
@@ -783,8 +809,11 @@ def test_fits_stay_in_the_ball_and_beat_a_local_grid(batch):
 @settings(settings.get_profile("engine"))
 @given(frame_batches())
 def test_frame_fits_stay_in_the_ball_and_beat_a_local_grid(batch):
-    with frame_fits_only(batch[0]):
-        check_fits_beat_a_local_grid(*batch)
+    # Each row's frame as a one-row shared design, the design that is a frame.
+    axes, shots, n_plus = batch
+    with frame_fits_only(axes):
+        for k in range(len(n_plus)):
+            check_fits_beat_a_local_grid(axes[k], shots, n_plus[k:k + 1])
 
 
 @st.composite
@@ -903,13 +932,45 @@ def test_shared_design_matches_its_broadcast(batch, repeat):
     design = axes[0].copy()
     if repeat:
         design[1] = design[0]
-    shared = fits_or_error(design, shots, n_plus)
-    broadcast = fits_or_error(np.broadcast_to(design, (len(n_plus),) + design.shape), shots,
-                              n_plus)
-    if isinstance(shared, str):
+    with fit_paths() as paths:
+        shared = fits_or_error(design, shots, n_plus)
+        broadcast = fits_or_error(per_row(design, n_plus), shots, n_plus)
+    if (len(design) == 3 and np.abs(design.T @ design - np.eye(3)).max() <= 1e-14
+            and not np.array_equal(design, PAULI_AXES)):
+        # Only a shared design is a frame; on other than the Pauli axes in
+        # order the general path's arithmetic differs in the last digits.
+        assert paths == ["_fit_frame", "_fit_general"]
+    elif isinstance(shared, str):
         assert shared == broadcast
     else:
         assert np.array_equal(shared, broadcast)
+
+
+@pytest.mark.parametrize("model", [NoError(), PerSettingError(0.01), FixedError(0.01)], ids=repr)
+def test_campaigns_fit_frames_as_shared_designs(model):
+    # The traffic that mle_batch's one rule relies on: every three-setting
+    # fit of a campaign (static, known-basis, preliminary) is one shared
+    # design that reaches the frame path, and every per-row design is a
+    # two-phase final fit of 4 or 6 settings.  On the Pauli axes the general
+    # path gives the same bits, only slower, so the golden outputs would not
+    # see a three-setting fit take it.
+    designs = []
+
+    def recording(axes, shots, n_plus):
+        designs.append(np.shape(axes))
+        return mle_batch(axes, shots, n_plus)
+
+    with fit_paths() as paths, unittest.mock.patch.object(protocols, "mle_batch", recording):
+        for protocol in (Static(), Adaptive(0.5), AdaptivePow(), ReducedAdaptive(0.5),
+                         KnownBasis()):
+            run_campaign(CampaignSpec(protocol, EQ7_BLOCH, (30, 300), reps=2, error_model=model,
+                                      seed=SEED))
+    assert len(designs) == len(paths) == 8
+    for shape, path in zip(designs, paths):
+        if shape[-2] == 3:
+            assert (shape, path) == ((3, 3), "_fit_frame")
+        else:
+            assert (len(shape), path) == (3, "_fit_general") and shape[1] in (4, 6), shape
 
 
 def test_four_axes_with_an_identity_gram_are_not_a_frame():

@@ -195,6 +195,20 @@ class TestPerturbAxes:
             with pytest.raises(InvalidStateError):
                 FixedError(0.1, axis)
 
+    def test_magnitude_tilts_at_most_a_half_turn(self):
+        # The largest magnitude tilts an axis by exactly pi on the Bloch
+        # sphere; one ulp more, or a finite 1e308 that would overflow the
+        # sampled tilts, makes no error model.
+        largest = math.pi / MOUNT_TO_BLOCH_ANGLE
+        assert MOUNT_TO_BLOCH_ANGLE * largest == math.pi
+        axes = np.broadcast_to(np.array(PAULI_AXES), (50, 3, 3))
+        for model in (PerSettingError, PerExperimentError, FixedError):
+            out = realized_axes(axes, model(largest), standard_draws(6, (50, 3)))
+            assert np.max(np.abs(np.linalg.norm(out, axis=-1) - 1.0)) < 1e-10
+            for magnitude in (math.nextafter(largest, math.inf), 1e308):
+                with pytest.raises(InvalidStateError, match="Bloch tilt 4 E must be at most pi"):
+                    model(magnitude)
+
 
 class TestMeasureSetting:
     """The records of one experiment, as ``run_protocol`` returns them."""
