@@ -18,7 +18,9 @@ for log-spaced points; exponents may be fractional (``1e-1.5``).
 Outputs are written atomically into the output directory (``--out``, or the
 ``ADAPTIVE_TOMO_OUT`` environment variable, or the working directory), and
 only after every output is computed, so a command that fails writes nothing.
-Exit status is 0 on success, 2 on usage errors and 1 on any other failure.
+Exit status is 0 on success, 2 on a refused input (any ``TomographyError``:
+a CLI rule's ``UsageError`` or a library check, raised before any campaign
+runs) and 1 on any other failure.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import os
 import platform
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, get_args
 
 import numpy as np
@@ -51,7 +53,6 @@ from .harness import (
     alpha_sweep,
     fit_power_law,
     noise_floor_sweep,
-    noise_ladder,
     run_campaign,
 )
 from .measurement import ErrorModel, FixedError, NoError, PerExperimentError, PerSettingError
@@ -282,46 +283,33 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
 
 def _validate(config: RunConfig, given: set[str]) -> None:
-    # The CLI states only the rules that no library type checks when it is
-    # built; the try builds the command's campaigns.  ``given`` holds the
-    # fields set by a flag or a config-file key: one that the command would
-    # not use is refused.
+    # The CLI's own rules: value formats, protocol and model names, grid
+    # shapes, flag combinations and unused flags.  Every other refusal is the
+    # library's, raised when ``execute`` builds the command's objects and
+    # before any campaign runs.  ``given`` holds the fields set by a flag or a
+    # config-file key: one that the command would not use is refused.
+    _resolve_state(config.state)
     if config.model not in _ERROR_MODELS:
         raise UsageError(f"model must be none, 1, 2 or 3, got {config.model!r}")
-    if config.command == "sweep-alpha" and len(config.n_grid) < MIN_FIT_POINTS:
-        raise UsageError(f"sweep-alpha fits a power law and needs >= {MIN_FIT_POINTS} sample "
-                         f"sizes, got {config.n_grid}")
     if config.command == "sweep-noise" and config.model == "none":
         raise UsageError("sweep-noise requires --model 1, 2 or 3")
     if not config.protocols:
         raise UsageError("--protocols names no protocol")
+    chosen = config.protocols if config.command == "sweep-noise" else (config.protocol,)
+    for name in chosen:
+        if name not in _PROTOCOLS:
+            raise UsageError(f"unknown protocol {name!r}: protocol must be one of "
+                             f"{', '.join(_PROTOCOLS)}")
     if any(e <= 0 for e in config.e_grid):
         raise UsageError("e-grid values must be positive")
     if any(b <= a for a, b in zip(config.e_grid, config.e_grid[1:])):
         raise UsageError("e-grid must be strictly increasing")
     if config.command == "fit" and not config.csv_path:
         raise UsageError("fit requires --csv")
-    try:
-        spec = _campaign_spec(config)
-        if config.command == "sweep-alpha":
-            for alpha in config.alphas:
-                replace(spec, protocol=Adaptive(alpha))
-        # A ladder's first and last rungs stand for it: a protocol that splits
-        # N splits 2N, and no rung gives a setting more shots than the last.
-        if config.command == "sweep-noise":
-            for e in config.e_grid:
-                _error_model(config, e)
-            ladder = noise_ladder(config.n_start, config.n_cap)
-            for name in config.protocols:
-                for n in (ladder[0], ladder[-1]):
-                    replace(spec, protocol=_protocol(config, name), n_grid=(n,))
-    except TomographyError as exc:
-        raise UsageError(str(exc)) from None
     if config.e_value and config.model == "none":
         raise UsageError(f"--e {config.e_value} needs --model 1, 2 or 3")
     if "error_axis" in given and config.model != "3":
         raise UsageError(f"--error-axis needs --model 3, got --model {config.model}")
-    chosen = config.protocols if config.command == "sweep-noise" else (config.protocol,)
     unused = given & _PROTOCOL_PARAMS - {f.name for name in chosen
                                          for f in fields(_PROTOCOLS[name])}
     if unused:
@@ -344,9 +332,6 @@ def _resolve_state(text: str) -> tuple[float, float, float]:
 
 def _protocol(config: RunConfig, name: str) -> ProtocolSpec:
     # Parameters come from the RunConfig fields of the same name.
-    if name not in _PROTOCOLS:
-        raise UsageError(f"unknown protocol {name!r}: protocol must be one of "
-                         f"{', '.join(_PROTOCOLS)}")
     cls = _PROTOCOLS[name]
     return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
@@ -567,7 +552,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = parse_config(argv)
         return execute(config)
-    except UsageError as exc:
+    except TomographyError as exc:
+        # A refused input: a CLI rule (UsageError) or a library check, each
+        # raised before any campaign runs.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
@@ -576,9 +563,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:
         # Every other failure is a runtime failure, not a traceback: a boundary
         # solver that did not converge (RuntimeError), a leaked budget
-        # (AssertionError), an N too large for the sampler (OverflowError), an
-        # unwritable output directory (OSError), ...  The context names the
-        # options the command takes.
+        # (AssertionError), an unwritable output directory (OSError), ...  The
+        # context names the options the command takes.
         context = "" if config is None else " ({})".format(", ".join(
             f"{field}={getattr(config, field)}"
             for field in dict.fromkeys(field for field, _, _, commands, _ in _OPTIONS

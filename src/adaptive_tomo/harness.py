@@ -164,14 +164,19 @@ def alpha_sweep(
 
     The campaign for each alpha is exactly the campaign of the corresponding
     Adaptive(alpha) spec with the same seed, so a sweep over {0.5} reproduces
-    a direct Adaptive(0.5) campaign number for number.  Returns
-    (alpha, campaign, fit) per alpha, in the order given; a campaign's
-    RuntimeError is raised again naming its alpha.
+    a direct Adaptive(0.5) campaign number for number.  Every spec is built,
+    and a grid shorter than MIN_FIT_POINTS refused, before the first campaign
+    runs.  Returns (alpha, campaign, fit) per alpha, in the order given; a
+    campaign's RuntimeError is raised again naming its alpha.
     """
+    if len(base_spec.n_grid) < MIN_FIT_POINTS:
+        raise InvalidStateError(f"an alpha sweep fits a power law and needs >= {MIN_FIT_POINTS} "
+                                f"sample sizes, got {base_spec.n_grid}")
+    specs = [replace(base_spec, protocol=Adaptive(alpha)) for alpha in alphas]
     out = []
-    for alpha in alphas:
+    for alpha, spec in zip(alphas, specs):
         try:
-            result = run_campaign(replace(base_spec, protocol=Adaptive(alpha)))
+            result = run_campaign(spec)
         except RuntimeError as exc:
             raise RuntimeError(f"{exc}; at alpha={alpha!r}") from exc
         out.append((alpha, result, fit_campaign(result)))
@@ -226,8 +231,9 @@ def noise_floor_sweep(
 
     For each error magnitude E the campaigns climb ``noise_ladder(n_start,
     n_cap)`` until the last three points run are flat; a ladder that runs out
-    first is reported as not converged (E = 0 never converges), and an empty
-    one raises its InvalidStateError before any campaign runs.  Flat means
+    first is reported as not converged (E = 0 never converges).  An empty
+    ladder, an E that ``model_factory`` refuses, or a rung that a protocol
+    cannot split raises before any campaign runs.  Flat means
     that the weighted least-squares slope s of ln(mean) against ln(N) over
     those three points, with weights (mean/stderr)^2, satisfies
     |s| < ln(1.1)/ln 2 (the mean moves by less than 10% per doubling) and
@@ -240,11 +246,16 @@ def noise_floor_sweep(
     is raised again naming its protocol, E and N.
     """
     sizes = noise_ladder(n_start, n_cap)
+    models = [model_factory(float(e_value)) for e_value in e_grid]
+    # A ladder's first and last rungs stand for it: a protocol that splits N
+    # splits 2N, and no rung gives a setting more shots than the last.
+    for protocol in protocols:
+        for n in (sizes[0], sizes[-1]):
+            CampaignSpec(protocol, state_bloch, (n,), reps=reps, seed=seed)
     results = []
     for protocol in protocols:
         points = []
-        for e_value in e_grid:
-            model = model_factory(float(e_value))
+        for e_value, model in zip(e_grid, models):
             rows: list[CampaignRow] = []
             point = FloorPoint(float(e_value), False, None, None, None)
             for n in sizes:

@@ -40,7 +40,6 @@ PAULI_AXES = (
     np.array([0.0, 0.0, 1.0]),
 )
 
-_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
@@ -61,16 +60,8 @@ class RngContext:
 
     def generator(self) -> np.random.Generator:
         # PCG64 seeded by SeedSequence on the list of the seed and labels,
-        # each mod 2**64.  SeedSequence turns that list into uint32 words,
-        # least significant first and at least one per value; given those
-        # words directly it fills the same pool without that conversion.
-        words = []
-        for value in (self.seed, *self.labels):
-            value &= _MASK64
-            words.append(value & _MASK32)
-            if value >> 32:
-                words.append(value >> 32)
-        entropy = np.array(words, dtype=np.uint32)
+        # each mod 2**64.
+        entropy = [value & _MASK64 for value in (self.seed, *self.labels)]
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
@@ -198,9 +189,9 @@ def _cross(a, b) -> tuple[float, float, float]:
     )
 
 
-# The engine's measurement acts on arrays over the repetitions of a grid
-# point; the random draws it consumes come from the streams that
-# ``protocols.run_grid`` declares.
+# The engine's measurement acts on arrays over every row of a campaign; the
+# random draws it consumes come from the streams that ``protocols.run_grid``
+# declares.
 
 
 def born_probabilities(axes: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import stat
 
 import pytest
 
-from adaptive_tomo import Adaptive, CampaignSpec, alpha_sweep, cli
+from adaptive_tomo import Adaptive, CampaignSpec, alpha_sweep, cli, harness
 from adaptive_tomo.cli import (
     OUTPUT_DIR_ENV,
     config_from_provenance,
@@ -55,19 +55,27 @@ class TestParsing:
         assert config.seed == 7
         assert config.model == "none"
 
-    def test_alpha_out_of_range(self):
-        with pytest.raises(UsageError):
-            parse_config(["run", "--protocol", "adaptive", "--alpha", "1.5"])
+    def test_alpha_out_of_range(self, tmp_path, capsys):
+        # Adaptive's own refusal, raised when execute builds the campaign.
+        argv = ["run", "--protocol", "adaptive", "--alpha", "1.5", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: alpha must be in (0, 1), got 1.5\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_state(self):
         with pytest.raises(UsageError):
             parse_config(["run", "--state", "eq99"])
 
-    def test_explicit_bloch_state(self):
+    def test_explicit_bloch_state(self, tmp_path, capsys):
         config = parse_config(["run", "--state", "0.1,0.2,0.3"])
         assert config.state == "0.1,0.2,0.3"
-        with pytest.raises(UsageError):
-            parse_config(["run", "--state", "1.0,1.0,1.0"])
+        # Outside the ball: check_bloch's refusal, raised when execute builds
+        # the campaign.
+        argv = ["run", "--state", "1.0,1.0,1.0", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("error: Bloch vector norm 1.7320508075688772 is not "
+                                           "at most 1\n")
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "config.txt"
@@ -186,25 +194,26 @@ class TestParsing:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("argv, status", [
-        (["run", "--e", "nan", "--model", "1"], 2),
-        (["run", "--e", "inf", "--model", "1"], 2),
-        (["run", "--state", "0.5,0.5,nan"], 2),
-        (["run", "--error-axis", "nan,0,0", "--model", "3", "--e", "0.1"], 2),
-        (["sweep-noise", "--model", "1", "--e-grid", "0.01,nan"], 2),
-        (["run", "--n", "1e400"], 2),
-        (["run", "--e", "1e400.5", "--model", "1"], 2),
-        (["run", "--n", "1e30", "--reps", "2"], 2),
+    # (argv, whether parse_config refuses it; the others are the library's
+    # refusals, raised when execute builds the campaign)
+    @pytest.mark.parametrize("argv, parsed", [
+        (["run", "--e", "nan", "--model", "1"], True),
+        (["run", "--e", "inf", "--model", "1"], True),
+        (["run", "--state", "0.5,0.5,nan"], True),
+        (["run", "--error-axis", "nan,0,0", "--model", "3", "--e", "0.1"], True),
+        (["sweep-noise", "--model", "1", "--e-grid", "0.01,nan"], True),
+        (["run", "--n", "1e400"], True),
+        (["run", "--e", "1e400.5", "--model", "1"], True),
+        (["run", "--n", "1e30", "--reps", "2"], False),
     ], ids=["e-nan", "e-inf", "state-nan", "axis-nan", "e-grid-nan", "n-overflow",
             "e-fractional-exponent-overflow", "n-beyond-sampler"])
-    def test_non_finite_or_overflowing_numbers(self, argv, status, tmp_path, capsys):
-        if status == 2:
-            # Rejected while parsing, before any campaign runs.
+    def test_non_finite_or_overflowing_numbers(self, argv, parsed, tmp_path, capsys):
+        if parsed:
             with pytest.raises(UsageError):
                 parse_config(argv)
-        assert main(argv + ["--out", str(tmp_path / "out")]) == status
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
         # A command that fails writes nothing.
         assert not (tmp_path / "out").exists()
 
@@ -213,15 +222,14 @@ class TestParsing:
                                       ["sweep-noise", "--e-grid", "0.01,1e308"]],
                              ids=["run", "sweep-alpha", "sweep-noise"])
     def test_error_magnitude_beyond_a_half_turn(self, argv, model, tmp_path, capsys):
-        # A finite E whose Bloch tilt 4 E exceeds pi is a usage error before
-        # any campaign runs (sweep-noise's E = 0.01 ladder included), with no
-        # numpy warning on stderr and no output.
+        # A finite E whose Bloch tilt 4 E exceeds pi is refused, with status 2,
+        # before any campaign runs (sweep-noise's E = 0.01 ladder included),
+        # with no numpy warning on stderr and no output.
         argv = argv + ["--model", model, "--reps", "2", "--out", str(tmp_path / "out")]
-        with pytest.raises(UsageError, match="1e[+]308; the Bloch tilt 4 E must be at most pi"):
-            parse_config(argv)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1e+308; the Bloch tilt 4 E must be at most pi" in err
         assert not (tmp_path / "out").exists()
 
     USAGE_ERRORS = [
@@ -310,7 +318,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("argv, message", [case[1:] for case in USAGE_ERRORS],
                              ids=[case[0] for case in USAGE_ERRORS])
-    def test_usage_errors(self, argv, message, tmp_path, capsys):
+    def test_usage_errors(self, argv, message, tmp_path, capsys, monkeypatch):
         (tmp_path / "no-equals.txt").write_text("seed 3\n")
         (tmp_path / "axis.txt").write_text("error-axis = 0,0,1\n")
         (tmp_path / "alpha.txt").write_text("alpha = 0.3\n")
@@ -327,19 +335,32 @@ class TestParsing:
             "static,400,2,0.02,0.01,0\r\n"
         )
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-        assert main(argv + ["--out", str(tmp_path / "out" / "deep")]) == 2
+        argv += ["--out", str(tmp_path / "out" / "deep")]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert message in err
         # A usage error creates no output directory.
         assert not (tmp_path / "out").exists()
 
-    def test_alpha_sweep_needs_three_sample_sizes(self, capsys):
-        argv = ["sweep-alpha", "--n-grid", "100,200", "--reps", "2"]
-        with pytest.raises(UsageError, match="needs >= 3 sample sizes"):
-            parse_config(argv)
+        # Refused before any campaign runs: with every campaign failing, the
+        # outcome is the same.
+        def ran(spec):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr(cli, "run_campaign", ran)
+        monkeypatch.setattr(harness, "run_campaign", ran)
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()
+
+    def test_alpha_sweep_needs_three_sample_sizes(self, tmp_path, capsys):
+        argv = ["sweep-alpha", "--n-grid", "100,200", "--reps", "2", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "needs >= 3 sample sizes, got (100, 200)" in err
+        assert not (tmp_path / "out").exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

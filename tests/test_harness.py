@@ -27,7 +27,7 @@ from adaptive_tomo import (
     protocol_name,
     run_campaign,
 )
-from adaptive_tomo import estimation
+from adaptive_tomo import estimation, harness
 from adaptive_tomo.fixtures import EQ7_BLOCH
 from adaptive_tomo.harness import noise_ladder
 from adaptive_tomo.protocols import run_grid
@@ -271,6 +271,39 @@ class TestAlphaSweep:
                                                r".*; at alpha=0\.3$") as info:
             alpha_sweep([0.3], base)
         assert isinstance(info.value.__cause__, RuntimeError)
+
+
+class TestSweepsRefuseBeforeTheFirstCampaign:
+    @pytest.fixture(autouse=True)
+    def no_campaign(self, monkeypatch):
+        def ran(spec):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr(harness, "run_campaign", ran)
+
+    def test_alpha_sweep_bad_alpha(self):
+        base = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (100, 300, 1000), reps=2)
+        with pytest.raises(InvalidStateError, match=r"alpha must be in \(0, 1\), got 1.0"):
+            alpha_sweep([0.5, 1.0], base)
+
+    def test_alpha_sweep_short_grid(self):
+        base = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (100, 300), reps=2)
+        with pytest.raises(InvalidStateError,
+                           match=r"needs >= 3 sample sizes, got \(100, 300\)"):
+            alpha_sweep([0.5], base)
+
+    def test_noise_floor_sweep_e_beyond_a_half_turn(self):
+        with pytest.raises(InvalidStateError, match="the Bloch tilt 4 E must be at most pi"):
+            noise_floor_sweep(PerSettingError, [0.01, 0.02, 1.0], [Static(), Adaptive()],
+                              EQ7_BLOCH, reps=2, n_start=1000, n_cap=8000)
+
+    def test_noise_floor_sweep_rung_past_the_sampler(self):
+        n_cap = 10**30
+        last = noise_ladder(1000, n_cap)[-1]
+        with pytest.raises(BudgetError, match=f"^static at N={last}: a setting would take more "
+                                              r"than the sampler's 2\*\*63 - 1 shots$"):
+            noise_floor_sweep(PerSettingError, [0.01], [Static()], EQ7_BLOCH, reps=2,
+                              n_start=1000, n_cap=n_cap)
 
 
 class TestNoiseFloorSweep:
