@@ -45,13 +45,12 @@ from .errors import TomographyError, UsageError
 from .estimation import ESTIMATOR_VERSION
 from .fixtures import NAMED_STATES, named_state
 from .harness import (
-    MIN_FIT_POINTS,
     CampaignResult,
     CampaignSpec,
     NoiseFloorResult,
     ScalingFit,
     alpha_sweep,
-    fit_power_law,
+    fit_means,
     noise_floor_sweep,
     run_campaign,
 )
@@ -403,12 +402,12 @@ def _fit_entry(name: str, fit: ScalingFit) -> dict:
 
 
 def _fits_from_rows(rows: Sequence[tuple[str, int, float]]) -> list[dict]:
-    # A protocol with fewer than MIN_FIT_POINTS rows has no fit and no entry.
+    # A protocol that ``fit_means`` leaves without a fit has no entry.
     grouped: dict[str, list[tuple[int, float]]] = {}
     for name, n, mean in rows:
         grouped.setdefault(name, []).append((n, mean))
-    return [_fit_entry(name, fit_power_law(points)) for name, points in grouped.items()
-            if len(points) >= MIN_FIT_POINTS]
+    fits = {name: fit_means(points) for name, points in grouped.items()}
+    return [_fit_entry(name, fit) for name, fit in fits.items() if fit is not None]
 
 
 def _read_campaign_rows(path: str) -> list[tuple[str, int, float]]:
@@ -418,11 +417,16 @@ def _read_campaign_rows(path: str) -> list[tuple[str, int, float]]:
         required = {"protocol", "N", "mean_infidelity"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise UsageError(f"{path} is not a campaign CSV (needs columns {sorted(required)})")
-        try:
-            return [(row["protocol"], int(row["N"]), parse_float(row["mean_infidelity"]))
-                    for row in reader]
-        except ValueError as exc:
-            raise UsageError(f"{path}:{reader.line_num}: {exc}") from None
+        rows = []
+        for row in reader:
+            try:
+                n, mean = int(row["N"]), parse_float(row["mean_infidelity"])
+                if n < 1 or mean < 0:
+                    raise UsageError(f"N must be >= 1 and mean_infidelity >= 0, got {n}, {mean}")
+            except ValueError as exc:
+                raise UsageError(f"{path}:{reader.line_num}: {exc}") from None
+            rows.append((row["protocol"], n, mean))
+        return rows
 
 
 def _json(payload: dict) -> str:
@@ -486,9 +490,10 @@ def execute(config: RunConfig) -> int:
         sweep = alpha_sweep(config.alphas, _campaign_spec(config))
         entries = []
         for alpha, result, fit in sweep:
-            entry = _fit_entry(protocol_name(result.spec.protocol), fit)
-            entry["alpha"] = alpha
-            entries.append(entry)
+            if fit is None:
+                print(f"alpha={alpha} no fit")
+                continue
+            entries.append({**_fit_entry(protocol_name(result.spec.protocol), fit), "alpha": alpha})
             print(f"alpha={alpha} beta={fit.beta:.6f} p={fit.p:+.4f}")
         files = {"campaign.csv": _campaign_csv([result for _, result, _ in sweep]),
                  "fit.json": _json({"alpha_sweep": entries})}

@@ -28,9 +28,9 @@ from .states import check_bloch
 class CampaignSpec:
     """One Monte Carlo campaign: protocol, true state, N grid, repetitions.
     Building one refuses a campaign that cannot run: a grid not strictly
-    increasing, reps not an integer of at least 2, a state outside the Bloch
-    ball (``check_bloch``) or an N that is not an integer or that the
-    protocol cannot split (``_shot_plan``'s BudgetError)."""
+    increasing, reps not an integer of at least 2, a seed not an integer, a
+    state outside the Bloch ball (``check_bloch``) or an N that is not an
+    integer or that the protocol cannot split (``_shot_plan``'s BudgetError)."""
 
     protocol: ProtocolSpec
     state_bloch: tuple[float, float, float]
@@ -48,6 +48,8 @@ class CampaignSpec:
             raise InvalidStateError(f"reps must be an integer, got {self.reps!r}")
         if self.reps < 2:
             raise InvalidStateError("need at least 2 repetitions")
+        if not isinstance(self.seed, numbers.Integral):
+            raise InvalidStateError(f"seed must be an integer, got {self.seed!r}")
         check_bloch(self.state_bloch)
         for n in self.n_grid:
             _shot_plan(self.protocol, n)
@@ -128,7 +130,7 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
             raise ValueError(f"power-law fit needs positive finite data, got ({x}, {y})")
     if len({x for x, _ in points}) < 2:
         raise ValueError("power-law fit needs at least two distinct x values")
-    lx = np.log([x for x, _ in points])
+    lx = np.log(np.array([x for x, _ in points], dtype=float))
     ly = np.log([y for _, y in points])
     n = len(points)
     mx = float(np.mean(lx))
@@ -151,23 +153,31 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> ScalingFit:
     )
 
 
-def fit_campaign(result: CampaignResult) -> ScalingFit:
-    """Fit mean infidelity vs N over every row of the campaign."""
-    return fit_power_law([(row.n, row.mean_infidelity) for row in result.rows])
+def fit_means(points: Sequence[tuple[float, float]]) -> Optional[ScalingFit]:
+    """``fit_power_law`` of the (x, mean) points whose mean is not exactly 0
+    (every fit hit a pure truth), or None when fewer than MIN_FIT_POINTS
+    remain.  Every fit of campaign means or floors goes through it."""
+    kept = [(x, y) for x, y in points if y != 0.0]
+    return fit_power_law(kept) if len(kept) >= MIN_FIT_POINTS else None
+
+
+def fit_campaign(result: CampaignResult) -> Optional[ScalingFit]:
+    """``fit_means`` of mean infidelity vs N over the campaign's rows, or None."""
+    return fit_means([(row.n, row.mean_infidelity) for row in result.rows])
 
 
 def alpha_sweep(
     alphas: Sequence[float],
     base_spec: CampaignSpec,
-) -> list[tuple[float, CampaignResult, ScalingFit]]:
+) -> list[tuple[float, CampaignResult, Optional[ScalingFit]]]:
     """One campaign + power-law fit per preliminary-budget fraction alpha.
 
     The campaign for each alpha is exactly the campaign of the corresponding
     Adaptive(alpha) spec with the same seed, so a sweep over {0.5} reproduces
     a direct Adaptive(0.5) campaign number for number.  Every spec is built,
     and a grid shorter than MIN_FIT_POINTS refused, before the first campaign
-    runs.  Returns (alpha, campaign, fit) per alpha, in the order given; a
-    campaign's RuntimeError is raised again naming its alpha.
+    runs.  Returns (alpha, campaign, ``fit_campaign`` or None) per alpha, in
+    the order given; a campaign's RuntimeError is raised again naming its alpha.
     """
     if len(base_spec.n_grid) < MIN_FIT_POINTS:
         raise InvalidStateError(f"an alpha sweep fits a power law and needs >= {MIN_FIT_POINTS} "
@@ -208,12 +218,15 @@ _FLAT_SLOPE = math.log(1.1) / math.log(2.0)
 
 def noise_ladder(n_start: int, n_cap: int) -> list[int]:
     """The sample sizes of a noise-floor search: ``n_start`` doubled while it
-    is at most ``n_cap``.  Raises InvalidStateError unless
-    1 <= n_start <= n_cap."""
+    is at most ``n_cap``.  Raises InvalidStateError unless both are integers
+    and 1 <= n_start <= n_cap."""
+    if not all(isinstance(n, numbers.Integral) for n in (n_start, n_cap)):
+        raise InvalidStateError(f"noise ladder bounds must be integers, got "
+                                f"n_start={n_start!r}, n_cap={n_cap!r}")
     if not 1 <= n_start <= n_cap:
         raise InvalidStateError(f"noise ladder needs 1 <= n_start <= n_cap, got "
                                 f"n_start={n_start}, n_cap={n_cap}")
-    return [n_start << k for k in range((n_cap // n_start).bit_length())]
+    return [int(n_start) << k for k in range(int(n_cap // n_start).bit_length())]
 
 
 def noise_floor_sweep(
@@ -241,9 +254,9 @@ def noise_floor_sweep(
     -0.5, the scaling slope of static tomography.  The floor is the mean of
     the three points, with their standard errors pooled, and ``n_at_floor``
     is the largest N of the three.  Per protocol, the slope of log(floor) vs
-    log(E) is fitted over the converged magnitudes; ``slope_fit`` is None
-    when fewer than MIN_FIT_POINTS are available.  A campaign's RuntimeError
-    is raised again naming its protocol, E and N.
+    log(E) is ``fit_means`` of the converged magnitudes' floors, so
+    ``slope_fit`` is None when fewer than MIN_FIT_POINTS converged.  A
+    campaign's RuntimeError is raised again naming its protocol, E and N.
     """
     sizes = noise_ladder(n_start, n_cap)
     models = [model_factory(float(e_value)) for e_value in e_grid]
@@ -282,11 +295,7 @@ def noise_floor_sweep(
                         )
                         break
             points.append(point)
-        fittable = [
-            (pt.error_magnitude, pt.floor_infidelity)
-            for pt in points
-            if pt.converged and pt.floor_infidelity and pt.floor_infidelity > 0
-        ]
-        fit = fit_power_law(fittable) if len(fittable) >= MIN_FIT_POINTS else None
+        fit = fit_means([(pt.error_magnitude, pt.floor_infidelity)
+                         for pt in points if pt.converged])
         results.append(NoiseFloorResult(protocol, tuple(points), fit))
     return results

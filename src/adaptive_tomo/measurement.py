@@ -23,6 +23,7 @@ lives in one constant so the mapping can be varied in sensitivity studies.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import ClassVar, Optional, Sequence, Union
 
@@ -60,8 +61,8 @@ class RngContext:
 
     def generator(self) -> np.random.Generator:
         # PCG64 seeded by SeedSequence on the list of the seed and labels,
-        # each mod 2**64.
-        entropy = [value & _MASK64 for value in (self.seed, *self.labels)]
+        # each a Python int (numpy integers included) mod 2**64.
+        entropy = [operator.index(value) & _MASK64 for value in (self.seed, *self.labels)]
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import stat
@@ -286,6 +287,12 @@ class TestParsing:
         ("csv-row", ["fit", "--csv", "{tmp}/row.csv"],
          "row.csv:3: invalid literal for int() with base 10: 'abc'"),
         ("csv-nan", ["fit", "--csv", "{tmp}/nan.csv"], "nan.csv:3: number 'nan' is not finite"),
+        ("csv-n-zero", ["fit", "--csv", "{tmp}/n-zero.csv"],
+         "n-zero.csv:3: N must be >= 1 and mean_infidelity >= 0, got 0, 0.05"),
+        ("csv-n-negative", ["fit", "--csv", "{tmp}/n-negative.csv"],
+         "n-negative.csv:3: N must be >= 1 and mean_infidelity >= 0, got -100, 0.05"),
+        ("csv-mean-negative", ["fit", "--csv", "{tmp}/mean-negative.csv"],
+         "mean-negative.csv:3: N must be >= 1 and mean_infidelity >= 0, got 200, -0.1"),
         # A per-setting share beyond numpy's int64 binomial, at the last rung
         # of the noise ladder below --n-cap.
         ("n-cap-beyond-sampler", ["sweep-noise", "--model", "1", "--protocols", "static",
@@ -334,6 +341,11 @@ class TestParsing:
             "static,200,2,nan,0.01,0\r\n"
             "static,400,2,0.02,0.01,0\r\n"
         )
+        for name, row in (("n-zero", "static,0,2,0.05"), ("n-negative", "static,-100,2,0.05"),
+                          ("mean-negative", "static,200,2,-0.1")):
+            (tmp_path / f"{name}.csv").write_text(
+                "protocol,N,reps,mean_infidelity,stderr,seed\r\n"
+                f"static,100,2,0.1,0.01,0\r\n{row},0.01,0\r\nstatic,400,2,0.02,0.01,0\r\n")
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         argv += ["--out", str(tmp_path / "out" / "deep")]
         assert main(argv) == 2
@@ -542,28 +554,68 @@ class TestRunCommand:
         assert (tmp_path / "envout" / "campaign.csv").exists()
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
-        # A zero mean infidelity cannot be power-law fitted inside the fit command.
+        # A zero mean infidelity is left out of the fit, not a failure.
         csv_path = tmp_path / "zero.csv"
         csv_path.write_text(
             "protocol,N,reps,mean_infidelity,stderr,seed\r\n"
             "static,100,2,0.1,0.01,0\r\n"
             "static,200,2,0.05,0.01,0\r\n"
             "static,400,2,0.0,0.0,0\r\n"
+            "static,800,2,0.02,0.01,0\r\n"
         )
-        assert main(["fit", "--csv", str(csv_path), "--out", str(tmp_path)]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert main(["fit", "--csv", str(csv_path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        [entry] = json.loads((tmp_path / "fit.json").read_text())["fits"]
+        fit = harness.fit_power_law([(100, 0.1), (200, 0.05), (800, 0.02)])
+        assert entry == {"protocol": "static", **dataclasses.asdict(fit), "fit_range": [100, 800]}
 
-    @pytest.mark.parametrize("means, ns", [((0.1, 0.05, 0.0), (100, 200, 400)),
-                                           ((0.1, 0.05, 0.02), (100, 100, 100))],
+    @pytest.mark.parametrize("means, ns, error",
+                             [((0.1, 0.05, 0.0), (100, 200, 400), None),
+                              ((0.1, 0.05, 0.02), (100, 100, 100),
+                               "error: ValueError: power-law fit needs ")],
                              ids=["zero-mean", "one-n"])
-    def test_unfittable_csv_leaves_no_directory(self, means, ns, tmp_path, capsys):
+    def test_unfittable_csv_leaves_no_directory(self, means, ns, error, tmp_path, capsys):
+        # Two nonzero means are too few to fit, so the zero-mean CSV has no
+        # fit entry; rows that share one N are refused and write nothing.
         csv_path = tmp_path / "campaign.csv"
         csv_path.write_text("protocol,N,reps,mean_infidelity,stderr,seed\r\n" + "".join(
             f"static,{n},2,{mean},0.01,0\r\n" for n, mean in zip(ns, means)))
-        assert main(["fit", "--csv", str(csv_path), "--out", str(tmp_path / "out")]) == 1
+        status = main(["fit", "--csv", str(csv_path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
-        assert err.startswith("error: ValueError: power-law fit needs ")
-        assert not (tmp_path / "out").exists()
+        if error is None:
+            assert status == 0 and err == ""
+            assert json.loads((tmp_path / "out" / "fit.json").read_text()) == {"fits": []}
+        else:
+            assert status == 1
+            assert err.startswith(error)
+            assert not (tmp_path / "out").exists()
+
+    def test_zero_mean_is_left_out_of_the_fit(self, tmp_path, capsys):
+        # Every fit at a grid point can hit a pure truth: that mean is 0.
+        argv = ["run", "--state", "1,0,0", "--reps", "2", "--n-grid", "6,12,24"]
+        assert main(argv + ["--out", str(tmp_path / "short")]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert sorted(os.listdir(tmp_path / "short")) == [
+            "campaign.csv", "fit.json", "provenance.json"]
+        assert "static,12,2,0,0,0\n" in (tmp_path / "short" / "campaign.csv").read_text()
+        assert json.loads((tmp_path / "short" / "fit.json").read_text()) == {"fits": []}
+        # Four nonzero means of five: the fit spans them, and ``fit`` of the
+        # CSV writes the same fit.json.
+        run, refit = tmp_path / "run", tmp_path / "refit"
+        assert main(["run", "--state", "1,0,0", "--reps", "2", "--n-grid", "6,12,24,48,96",
+                     "--seed", "3", "--out", str(run)]) == 0
+        assert "static,6,2,0,0,3\n" in (run / "campaign.csv").read_text()
+        [fit] = json.loads((run / "fit.json").read_text())["fits"]
+        assert fit["fit_range"] == [12, 96]
+        assert main(["fit", "--csv", str(run / "campaign.csv"), "--out", str(refit)]) == 0
+        assert (refit / "fit.json").read_bytes() == (run / "fit.json").read_bytes()
+
+    def test_sample_sizes_beyond_int64_are_fitted(self, tmp_path, capsys):
+        # Each setting's share stays below the sampler's 2**63 - 1 shots.
+        assert main(["run", "--n-grid", "1e19,2e19,2.7e19", "--reps", "2",
+                     "--out", str(tmp_path)]) == 0
+        [fit] = json.loads((tmp_path / "fit.json").read_text())["fits"]
+        assert fit["fit_range"] == [10**19, 27 * 10**18]
 
 
 class TestSweepCommands:
@@ -574,6 +626,24 @@ class TestSweepCommands:
         assert [e["alpha"] for e in payload["alpha_sweep"]] == [0.3, 0.5]
         body = (tmp_path / "campaign.csv").read_text()
         assert "adaptive(alpha=0.3)" in body and "adaptive(alpha=0.5)" in body
+
+    def test_alpha_sweep_leaves_out_an_alpha_without_a_fit(self, tmp_path, capsys):
+        assert main(["sweep-alpha", "--state", "1,0,0", "--alpha-grid", "0.5", "--n-grid",
+                     "6,12,24", "--reps", "2", "--seed", "11", "--out", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().out == "alpha=0.5 no fit\n"
+        assert sorted(os.listdir(tmp_path / "a")) == [
+            "campaign.csv", "fit.json", "provenance.json"]
+        csv_text = (tmp_path / "a" / "campaign.csv").read_text()
+        assert "adaptive(alpha=0.5),12,2,0,0,11\n" in csv_text
+        assert json.loads((tmp_path / "a" / "fit.json").read_text()) == {"alpha_sweep": []}
+        # At seed 37 only alpha = 0.75 has a zero mean among its three.
+        assert main(["sweep-alpha", "--state", "1,0,0", "--alpha-grid", "0.25,0.5,0.75",
+                     "--n-grid", "12,24,48", "--reps", "2", "--seed", "37",
+                     "--out", str(tmp_path / "b")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 3 and out[2] == "alpha=0.75 no fit" and "no fit" not in out[1]
+        entries = json.loads((tmp_path / "b" / "fit.json").read_text())["alpha_sweep"]
+        assert [entry["alpha"] for entry in entries] == [0.25, 0.5]
 
     def test_alpha_sweep_error_model_flags_match_config_file(self, tmp_path, capsys):
         argv = ["sweep-alpha", "--alpha-grid", "0.3,0.5", "--n-grid", "60,120,240",

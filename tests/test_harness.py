@@ -29,7 +29,7 @@ from adaptive_tomo import (
 )
 from adaptive_tomo import estimation, harness
 from adaptive_tomo.fixtures import EQ7_BLOCH
-from adaptive_tomo.harness import noise_ladder
+from adaptive_tomo.harness import fit_means, noise_ladder
 from adaptive_tomo.protocols import run_grid
 
 
@@ -92,6 +92,26 @@ class TestFitPowerLaw:
         # The slope divides by the spread of log x.
         with pytest.raises(ValueError, match="at least two distinct x values"):
             fit_power_law([(100, 0.1), (100, 0.05), (100, 0.02)])
+
+
+class TestFitMeans:
+    def test_zero_means_are_left_out(self):
+        points = [(50, 0.0), (100, 0.02), (1000, 0.003), (10000, 0.0002), (20000, 0.0)]
+        fit = fit_means(points)
+        assert fit == fit_power_law([(100, 0.02), (1000, 0.003), (10000, 0.0002)])
+        assert fit.fit_range == (100, 10000)
+
+    def test_no_fit_below_three_nonzero_means(self):
+        assert fit_means([(100, 0.1), (200, 0.0), (400, 0.02)]) is None
+        assert fit_means([(100, 0.0), (200, 0.0), (400, 0.0), (800, 0.0)]) is None
+        assert fit_means([]) is None
+
+    def test_other_bad_points_still_raise(self):
+        for bad in (-0.01, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive finite data"):
+                fit_means([(100, 0.1), (200, bad), (400, 0.02), (800, 0.0)])
+        with pytest.raises(ValueError, match="at least two distinct x values"):
+            fit_means([(100, 0.1), (100, 0.05), (100, 0.02), (200, 0.0)])
 
 
 class TestRunCampaign:
@@ -218,7 +238,7 @@ class TestRunCampaign:
     def test_numpy_integers_are_accepted(self):
         spec = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (100, 200), reps=3, seed=5)
         numpy_spec = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (np.int64(100), np.int32(200)),
-                                  reps=np.int64(3), seed=5)
+                                  reps=np.int64(3), seed=np.int64(5))
         assert campaign_hash(numpy_spec) == campaign_hash(spec)
         assert run_campaign(numpy_spec).rows == run_campaign(spec).rows
 
@@ -292,6 +312,19 @@ class TestSweepsRefuseBeforeTheFirstCampaign:
                            match=r"needs >= 3 sample sizes, got \(100, 300\)"):
             alpha_sweep([0.5], base)
 
+    def test_float_seed_and_ladder_bounds(self):
+        with pytest.raises(InvalidStateError, match=r"seed must be an integer, got 1\.5"):
+            CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (100, 300, 1000), reps=2, seed=1.5)
+        with pytest.raises(InvalidStateError, match=r"seed must be an integer, got 5\.0"):
+            noise_floor_sweep(PerSettingError, [0.01], [Static()], EQ7_BLOCH, reps=2, seed=5.0,
+                              n_start=1000, n_cap=8000)
+        for n_start, n_cap in ((1000.0, 8000), (1000, 8000.0)):
+            with pytest.raises(InvalidStateError, match="noise ladder bounds must be integers"):
+                noise_floor_sweep(PerSettingError, [0.01], [Static()], EQ7_BLOCH, reps=2,
+                                  n_start=n_start, n_cap=n_cap)
+            with pytest.raises(InvalidStateError, match="noise ladder bounds must be integers"):
+                noise_ladder(n_start, n_cap)
+
     def test_noise_floor_sweep_e_beyond_a_half_turn(self):
         with pytest.raises(InvalidStateError, match="the Bloch tilt 4 E must be at most pi"):
             noise_floor_sweep(PerSettingError, [0.01, 0.02, 1.0], [Static(), Adaptive()],
@@ -311,6 +344,7 @@ class TestNoiseFloorSweep:
         assert noise_ladder(1000, 1000) == [1000]
         assert noise_ladder(1000, 7999) == [1000, 2000, 4000]
         assert noise_ladder(1000, 8000) == [1000, 2000, 4000, 8000]
+        assert noise_ladder(np.int64(1000), np.int32(8000)) == [1000, 2000, 4000, 8000]
 
     def test_empty_ladder_rejected(self):
         for n_start, n_cap in ((1000, 500), (0, 500), (-4, 500)):

@@ -44,6 +44,11 @@ class TestRngContext:
         b = RngContext(7).child(1, 2, 4).generator().standard_normal(5)
         assert not np.array_equal(a, b)
 
+    def test_numpy_integers_give_the_python_int_stream(self):
+        a = RngContext(7, (1, 2**63 + 5)).generator().standard_normal(5)
+        b = RngContext(np.int64(7), (np.int32(1), np.uint64(2**63 + 5))).generator()
+        assert np.array_equal(a, b.standard_normal(5))
+
     def test_child_extends_labels(self):
         ctx = RngContext(5, (1,)).child(2).child(3, 4)
         assert ctx.labels == (1, 2, 3, 4)
