@@ -469,8 +469,13 @@ def execute(config: RunConfig) -> int:
         return 0
 
     if config.command == "fit":
-        fits = _fits_from_rows(_read_campaign_rows(config.csv_path))
-        files = {"fit.json": _json({"fits": fits})}
+        rows = _read_campaign_rows(config.csv_path)
+        try:
+            # What ``fit_power_law`` refuses, or fits past the float range, is bad input.
+            fits = _fits_from_rows(rows)
+            files = {"fit.json": _json({"fits": fits})}
+        except (ValueError, ArithmeticError) as exc:
+            raise UsageError(f"{config.csv_path}: cannot fit: {exc}") from None
         print(f"fitted {len(fits)} protocol(s) from {config.csv_path}")
 
     elif config.command == "run":

@@ -201,15 +201,6 @@ def born_probabilities(axes: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(0.5 * (1.0 + dot), 0.0), 1.0)
 
 
-def _rotate3(a, u, c, s):
-    # Rodrigues rotation of the component arrays a about the unit axis u
-    # perpendicular to them, given cos and sin of the angle.
-    cx, cy, cz = _cross(u, a)
-    ox, oy, oz = a[0] * c + cx * s, a[1] * c + cy * s, a[2] * c + cz * s
-    n = np.sqrt(ox * ox + oy * oy + oz * oz)
-    return ox / n, oy / n, oz / n
-
-
 def realized_axes(
     intended: np.ndarray,
     model: ErrorModel,
@@ -217,16 +208,19 @@ def realized_axes(
 ) -> np.ndarray:
     """The axes measured in place of an (..., 3) array of intended axes.
 
-    Each axis turns by ``MOUNT_TO_BLOCH_ANGLE`` times its mount error about a
-    unit axis perpendicular to it: the perpendicular part of ``rotation_axis``
-    for ``FixedError`` (no turn where it vanishes), and for the random models
-    the direction at angle chi in a fixed basis of the perpendicular plane.
+    Each axis a tilts by theta, ``MOUNT_TO_BLOCH_ANGLE`` times its mount
+    error, toward a unit vector w perpendicular to it: the realized axis is
+    ``a cos(theta) + w sin(theta)``, unit to rounding.  For ``FixedError``,
+    w = p x a with p the unit perpendicular part of ``rotation_axis`` (no
+    tilt where that part vanishes); for the random models, w = e1 sin(chi) -
+    e2 cos(chi) in a fixed basis (e1, e2) of the perpendicular plane.
     ``draws`` then holds each axis's standard normal and chi in [0, 2 pi), as
-    arrays that broadcast against ``intended[..., 0]``.
+    arrays that broadcast against ``intended[..., 0]``.  The scalar
+    reference is ``realized_axis`` in ``tests/test_engine.py``.
 
     The result has the broadcast shape of the axes and the draws.  So a
     design shared by every row is passed once, as an (M, 3) array, with
-    (rows, M) draws: what depends on the axis alone (the turn of
+    (rows, M) draws: what depends on the axis alone (the tilt of
     ``FixedError``, the basis of the perpendicular plane) is worked out once
     per setting, and each row's result is bit for bit that of the design
     broadcast to (rows, M, 3).
@@ -235,29 +229,29 @@ def realized_axes(
         return intended
     a = (intended[..., 0], intended[..., 1], intended[..., 2])
     if model.draws_per is None:
-        wx, wy, wz = model.rotation_axis
-        d = wx * a[0] + wy * a[1] + wz * a[2]
-        px, py, pz = wx - d * a[0], wy - d * a[1], wz - d * a[2]
+        rx, ry, rz = model.rotation_axis
+        d = rx * a[0] + ry * a[1] + rz * a[2]
+        px, py, pz = rx - d * a[0], ry - d * a[1], rz - d * a[2]
         norm = np.sqrt(px * px + py * py + pz * pz)
-        angle = MOUNT_TO_BLOCH_ANGLE * model.magnitude
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.stack(_rotate3(a, (px / norm, py / norm, pz / norm),
-                                    math.cos(angle), math.sin(angle)), axis=-1)
-        # Rotation about the measured axis itself is unobservable.
-        return np.where((norm < 1e-12)[..., None], intended, out)
-    normal, chi = draws
-    delta = normal * model.magnitude
-    # The fixed basis (e1, e2): the unit vector on the axis's smallest
-    # |component| (first on ties), orthogonalised against the axis.
-    k = np.argmin(np.abs(intended), axis=-1)
-    d = np.take_along_axis(intended, k[..., None], axis=-1)[..., 0]
-    e = [(k == i).astype(float) for i in range(3)]
-    e1 = (e[0] - d * a[0], e[1] - d * a[1], e[2] - d * a[2])
-    n = np.sqrt(e1[0] ** 2 + e1[1] ** 2 + e1[2] ** 2)
-    e1 = (e1[0] / n, e1[1] / n, e1[2] / n)
-    e2 = _cross(a, e1)
-    c, s = np.cos(chi), np.sin(chi)
-    u = (e1[0] * c + e2[0] * s, e1[1] * c + e2[1] * s, e1[2] * c + e2[2] * s)
-    angle = MOUNT_TO_BLOCH_ANGLE * delta
-    return np.stack(_rotate3(a, u, np.cos(angle), np.sin(angle)), axis=-1)
-
+            w = _cross((px / norm, py / norm, pz / norm), a)
+        angle = MOUNT_TO_BLOCH_ANGLE * model.magnitude
+        c, s = math.cos(angle), math.sin(angle)
+    else:
+        normal, chi = draws
+        # The fixed basis (e1, e2): the unit vector on the axis's smallest
+        # |component| (first on ties), orthogonalised against the axis.
+        k = np.argmin(np.abs(intended), axis=-1)
+        d = np.take_along_axis(intended, k[..., None], axis=-1)[..., 0]
+        e = [(k == i).astype(float) for i in range(3)]
+        e1 = (e[0] - d * a[0], e[1] - d * a[1], e[2] - d * a[2])
+        n = np.sqrt(e1[0] ** 2 + e1[1] ** 2 + e1[2] ** 2)
+        e1 = (e1[0] / n, e1[1] / n, e1[2] / n)
+        e2 = _cross(a, e1)
+        cos_chi, sin_chi = np.cos(chi), np.sin(chi)
+        w = tuple(e1[i] * sin_chi - e2[i] * cos_chi for i in range(3))
+        angle = MOUNT_TO_BLOCH_ANGLE * (normal * model.magnitude)
+        c, s = np.cos(angle), np.sin(angle)
+    out = np.stack([a[i] * c + w[i] * s for i in range(3)], axis=-1)
+    # Rotation about the measured axis itself is unobservable.
+    return out if model.draws_per else np.where((norm < 1e-12)[..., None], intended, out)

@@ -293,6 +293,16 @@ class TestParsing:
          "n-negative.csv:3: N must be >= 1 and mean_infidelity >= 0, got -100, 0.05"),
         ("csv-mean-negative", ["fit", "--csv", "{tmp}/mean-negative.csv"],
          "mean-negative.csv:3: N must be >= 1 and mean_infidelity >= 0, got 200, -0.1"),
+        # CSVs that parse but that no power law fits: rows that share one N,
+        # an N past the float range, a fitted beta or sigma_beta past it.
+        ("csv-one-n", ["fit", "--csv", "{tmp}/one-n.csv"],
+         "one-n.csv: cannot fit: power-law fit needs at least two distinct x values"),
+        ("csv-n-huge", ["fit", "--csv", "{tmp}/n-huge.csv"],
+         "n-huge.csv: cannot fit: int too large to convert to float"),
+        ("csv-beta-overflow", ["fit", "--csv", "{tmp}/beta-overflow.csv"],
+         "beta-overflow.csv: cannot fit: math range error"),
+        ("csv-sigma-overflow", ["fit", "--csv", "{tmp}/sigma-overflow.csv"],
+         "sigma-overflow.csv: cannot fit: Out of range float values are not JSON compliant"),
         # A per-setting share beyond numpy's int64 binomial, at the last rung
         # of the noise ladder below --n-cap.
         ("n-cap-beyond-sampler", ["sweep-noise", "--model", "1", "--protocols", "static",
@@ -330,22 +340,18 @@ class TestParsing:
         (tmp_path / "axis.txt").write_text("error-axis = 0,0,1\n")
         (tmp_path / "alpha.txt").write_text("alpha = 0.3\n")
         (tmp_path / "columns.csv").write_text("protocol,n\r\nstatic,100\r\n")
-        (tmp_path / "row.csv").write_text(
-            "protocol,N,reps,mean_infidelity,stderr,seed\r\n"
-            "static,100,2,0.1,0.01,0\r\n"
-            "static,abc,2,0.05,0.01,0\r\n"
-        )
-        (tmp_path / "nan.csv").write_text(
-            "protocol,N,reps,mean_infidelity,stderr,seed\r\n"
-            "static,100,2,0.1,0.01,0\r\n"
-            "static,200,2,nan,0.01,0\r\n"
-            "static,400,2,0.02,0.01,0\r\n"
-        )
-        for name, row in (("n-zero", "static,0,2,0.05"), ("n-negative", "static,-100,2,0.05"),
-                          ("mean-negative", "static,200,2,-0.1")):
+        for name, points in (("row", ((100, 0.1), ("abc", 0.05))),
+                             ("nan", ((100, 0.1), (200, "nan"), (400, 0.02))),
+                             ("n-zero", ((100, 0.1), (0, 0.05), (400, 0.02))),
+                             ("n-negative", ((100, 0.1), (-100, 0.05), (400, 0.02))),
+                             ("mean-negative", ((100, 0.1), (200, -0.1), (400, 0.02))),
+                             ("one-n", ((100, 0.1), (100, 0.05), (100, 0.02))),
+                             ("n-huge", ((100, 0.1), (200, 0.05), (10**400, 0.02))),
+                             ("beta-overflow", ((100, 1e308), (200, 1e-308), (400, 1e-4))),
+                             ("sigma-overflow", ((10, 1e-25), (11, 1e-300), (12, 1e-50)))):
             (tmp_path / f"{name}.csv").write_text(
                 "protocol,N,reps,mean_infidelity,stderr,seed\r\n"
-                f"static,100,2,0.1,0.01,0\r\n{row},0.01,0\r\nstatic,400,2,0.02,0.01,0\r\n")
+                + "".join(f"static,{n},2,{mean},0.01,0\r\n" for n, mean in points))
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         argv += ["--out", str(tmp_path / "out" / "deep")]
         assert main(argv) == 2
@@ -569,26 +575,15 @@ class TestRunCommand:
         fit = harness.fit_power_law([(100, 0.1), (200, 0.05), (800, 0.02)])
         assert entry == {"protocol": "static", **dataclasses.asdict(fit), "fit_range": [100, 800]}
 
-    @pytest.mark.parametrize("means, ns, error",
-                             [((0.1, 0.05, 0.0), (100, 200, 400), None),
-                              ((0.1, 0.05, 0.02), (100, 100, 100),
-                               "error: ValueError: power-law fit needs ")],
-                             ids=["zero-mean", "one-n"])
-    def test_unfittable_csv_leaves_no_directory(self, means, ns, error, tmp_path, capsys):
+    def test_zero_mean_csv_has_no_fit_entry(self, tmp_path, capsys):
         # Two nonzero means are too few to fit, so the zero-mean CSV has no
-        # fit entry; rows that share one N are refused and write nothing.
+        # fit entry.
         csv_path = tmp_path / "campaign.csv"
         csv_path.write_text("protocol,N,reps,mean_infidelity,stderr,seed\r\n" + "".join(
-            f"static,{n},2,{mean},0.01,0\r\n" for n, mean in zip(ns, means)))
-        status = main(["fit", "--csv", str(csv_path), "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        if error is None:
-            assert status == 0 and err == ""
-            assert json.loads((tmp_path / "out" / "fit.json").read_text()) == {"fits": []}
-        else:
-            assert status == 1
-            assert err.startswith(error)
-            assert not (tmp_path / "out").exists()
+            f"static,{n},2,{mean},0.01,0\r\n" for n, mean in ((100, 0.1), (200, 0.05), (400, 0.0))))
+        assert main(["fit", "--csv", str(csv_path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "out" / "fit.json").read_text()) == {"fits": []}
 
     def test_zero_mean_is_left_out_of_the_fit(self, tmp_path, capsys):
         # Every fit at a grid point can hit a pure truth: that mean is 0.

@@ -103,15 +103,10 @@ def perp_basis(axis):
     return np.array(e1), np.array(e2)
 
 
-def rotate(axis, rot_axis, angle):
-    # Rodrigues rotation for rot_axis perpendicular to axis.
-    ax, ay, az = float(axis[0]), float(axis[1]), float(axis[2])
-    ux, uy, uz = float(rot_axis[0]), float(rot_axis[1]), float(rot_axis[2])
+def tilt(axis, w, angle):
+    # The axis turned by angle toward the unit vector w perpendicular to it.
     c, s = math.cos(angle), math.sin(angle)
-    cx, cy, cz = _cross((ux, uy, uz), (ax, ay, az))
-    ox, oy, oz = ax * c + cx * s, ay * c + cy * s, az * c + cz * s
-    n = math.sqrt(ox * ox + oy * oy + oz * oz)
-    return np.array([ox / n, oy / n, oz / n])
+    return np.array([float(axis[i]) * c + float(w[i]) * s for i in range(3)])
 
 
 def realized_axis(intended, model, normal=0.0, chi=0.0):
@@ -121,23 +116,19 @@ def realized_axis(intended, model, normal=0.0, chi=0.0):
     if model.magnitude == 0.0:
         return intended
     if model.draws_per is None:
-        wx, wy, wz = model.rotation_axis
+        rx, ry, rz = model.rotation_axis
         ax, ay, az = float(intended[0]), float(intended[1]), float(intended[2])
-        d = wx * ax + wy * ay + wz * az
-        px, py, pz = wx - d * ax, wy - d * ay, wz - d * az
+        d = rx * ax + ry * ay + rz * az
+        px, py, pz = rx - d * ax, ry - d * ay, rz - d * az
         norm = math.sqrt(px * px + py * py + pz * pz)
         if norm < 1e-12:
             # Rotation about the measured axis itself is unobservable.
             return intended
-        return rotate(
-            intended,
-            (px / norm, py / norm, pz / norm),
-            MOUNT_TO_BLOCH_ANGLE * model.magnitude,
-        )
+        w = _cross((px / norm, py / norm, pz / norm), (ax, ay, az))
+        return tilt(intended, w, MOUNT_TO_BLOCH_ANGLE * model.magnitude)
     delta = normal * model.magnitude
     e1, e2 = perp_basis(intended)
-    rot_axis = e1 * math.cos(chi) + e2 * math.sin(chi)
-    return rotate(intended, rot_axis, MOUNT_TO_BLOCH_ANGLE * delta)
+    return tilt(intended, e1 * math.sin(chi) - e2 * math.cos(chi), MOUNT_TO_BLOCH_ANGLE * delta)
 
 
 def reference_realized_axes(model, rng, axes):

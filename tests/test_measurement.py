@@ -137,7 +137,7 @@ class TestPerturbAxes:
         for model, width in ((PerSettingError(0.3), 3), (PerExperimentError(0.3), 1),
                              (FixedError(0.3), 1)):
             out = realized_axes(axes, model, standard_draws(6, (50, width)))
-            assert np.max(np.abs(np.linalg.norm(out, axis=-1) - 1.0)) < 1e-10
+            assert np.max(np.abs(np.linalg.norm(out, axis=-1) - 1.0)) < 1e-15
 
     def test_fixed_model_geometry(self):
         # A y-axis rotation applied to z tilts it toward +x in the x-z plane
@@ -155,8 +155,10 @@ class TestPerturbAxes:
         assert np.array_equal(batch.realized, realized_axes(batch.axes, FixedError(0.02)))
 
     def test_fixed_model_skips_parallel_axis(self):
-        out = realized_axes(Y[None], FixedError(0.3, (0.0, 1.0, 0.0)))[0]
-        assert np.array_equal(out, Y)
+        # The untilted axis is returned exactly, signed zeros included.
+        for axis in (Y, -Y):
+            out = realized_axes(axis[None], FixedError(0.3, (0.0, 1.0, 0.0)))[0]
+            assert out.tobytes() == axis.tobytes()
 
     def test_per_setting_angle_statistics(self):
         # Mount errors are Normal(0, E^2), so the root-mean-square tilt over
