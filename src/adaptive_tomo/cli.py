@@ -54,7 +54,7 @@ from .harness import (
     noise_floor_sweep,
     run_campaign,
 )
-from .measurement import ErrorModel, FixedError, NoError, PerExperimentError, PerSettingError
+from .measurement import FixedError, NoError, PerExperimentError, PerSettingError
 from .protocols import STREAM_VERSION, Adaptive, AdaptivePow, ProtocolSpec, protocol_name
 from .states import density_to_bloch, fidelity, purity
 
@@ -244,16 +244,20 @@ def _parse_value(field: str, text: str, where: str = ""):
         raise UsageError(f"{where}bad value for {field}: {exc}") from None
 
 
-def _read_config_file(path: str, command: str) -> dict:
+def _read_lines(path: str, kind: str, newline: Optional[str] = None) -> list[str]:
+    """The lines of a UTF-8 input file; UsageError naming it if it cannot be read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            return fh.readlines()
     except FileNotFoundError:
-        raise UsageError(f"config file {path!r} not found") from None
+        raise UsageError(f"{kind} {path!r} not found") from None
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path!r}: {exc}") from None
+        raise UsageError(f"cannot read {kind} {path!r}: {exc}") from None
+
+
+def _read_config_file(path: str, command: str) -> dict:
     values: dict = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(path, "config file"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -307,6 +311,8 @@ def _validate(config: RunConfig, given: set[str]) -> None:
         raise UsageError("fit requires --csv")
     if config.e_value and config.model == "none":
         raise UsageError(f"--e {config.e_value} needs --model 1, 2 or 3")
+    if config.command != "sweep-noise" and config.model != "none" and not config.e_value:
+        raise UsageError(f"--model {config.model} needs a nonzero --e")
     if "error_axis" in given and config.model != "3":
         raise UsageError(f"--error-axis needs --model 3, got --model {config.model}")
     unused = given & _PROTOCOL_PARAMS - {f.name for name in chosen
@@ -335,19 +341,13 @@ def _protocol(config: RunConfig, name: str) -> ProtocolSpec:
     return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
 
-def _error_model(config: RunConfig, e: float) -> ErrorModel:
-    if e == 0.0:
-        return NoError()
-    return _ERROR_MODELS[config.model](e, config.error_axis)
-
-
 def _campaign_spec(config: RunConfig) -> CampaignSpec:
     return CampaignSpec(
         protocol=_protocol(config, config.protocol),
         state_bloch=_resolve_state(config.state),
         n_grid=config.n_grid,
         reps=config.reps,
-        error_model=_error_model(config, config.e_value),
+        error_model=_ERROR_MODELS[config.model](config.e_value, config.error_axis),
         seed=config.seed,
     )
 
@@ -412,21 +412,20 @@ def _fits_from_rows(rows: Sequence[tuple[str, int, float]]) -> list[dict]:
 
 def _read_campaign_rows(path: str) -> list[tuple[str, int, float]]:
     """(protocol, N, mean infidelity) of every row of a campaign CSV."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        required = {"protocol", "N", "mean_infidelity"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise UsageError(f"{path} is not a campaign CSV (needs columns {sorted(required)})")
-        rows = []
-        for row in reader:
-            try:
-                n, mean = int(row["N"]), parse_float(row["mean_infidelity"])
-                if n < 1 or mean < 0:
-                    raise UsageError(f"N must be >= 1 and mean_infidelity >= 0, got {n}, {mean}")
-            except ValueError as exc:
-                raise UsageError(f"{path}:{reader.line_num}: {exc}") from None
-            rows.append((row["protocol"], n, mean))
-        return rows
+    reader = csv.DictReader(_read_lines(path, "campaign CSV", newline=""), restval="")
+    required = {"protocol", "N", "mean_infidelity"}
+    if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        raise UsageError(f"{path} is not a campaign CSV (needs columns {sorted(required)})")
+    rows = []
+    for row in reader:
+        try:
+            n, mean = int(row["N"]), parse_float(row["mean_infidelity"])
+            if n < 1 or mean < 0:
+                raise UsageError(f"N must be >= 1 and mean_infidelity >= 0, got {n}, {mean}")
+        except ValueError as exc:
+            raise UsageError(f"{path}:{reader.line_num}: {exc}") from None
+        rows.append((row["protocol"], n, mean))
+    return rows
 
 
 def _json(payload: dict) -> str:
@@ -434,15 +433,18 @@ def _json(payload: dict) -> str:
 
 
 def config_from_provenance(data: dict) -> RunConfig:
-    """Rebuild the resolved RunConfig from a provenance JSON payload; UsageError,
-    naming both versions, if its stream or estimator version is not the engine's."""
+    """Rebuild the resolved RunConfig from a provenance JSON payload; UsageError
+    if its stream or estimator version is not the engine's (naming both) or if
+    the CLI's rules refuse the config."""
     for key, version in (("stream_version", STREAM_VERSION),
                          ("estimator_version", ESTIMATOR_VERSION)):
         if data.get(key) != version:
             raise UsageError(f"provenance has {key} {data.get(key)}, this engine {version}")
     # JSON writes every tuple field as a list.
-    return RunConfig(**{key: tuple(value) if isinstance(value, list) else value
-                        for key, value in data["config"].items()})
+    config = RunConfig(**{key: tuple(value) if isinstance(value, list) else value
+                          for key, value in data["config"].items()})
+    _validate(config, set())
+    return config
 
 
 _GNUPLOT = """set logscale xy
@@ -505,7 +507,7 @@ def execute(config: RunConfig) -> int:
 
     else:  # sweep-noise
         results = noise_floor_sweep(
-            lambda e: _error_model(config, e),
+            lambda e: _ERROR_MODELS[config.model](e, config.error_axis),
             config.e_grid,
             [_protocol(config, name) for name in config.protocols],
             _resolve_state(config.state),

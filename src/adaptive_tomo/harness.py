@@ -30,7 +30,7 @@ class CampaignSpec:
     Building one refuses a campaign that cannot run: a grid not strictly
     increasing, reps not an integer of at least 2, a seed not an integer, a
     state outside the Bloch ball (``check_bloch``) or an N that is not an
-    integer or that the protocol cannot split (``_shot_plan``'s BudgetError)."""
+    integer, that the protocol cannot split or whose split leaks (``_shot_plan``)."""
 
     protocol: ProtocolSpec
     state_bloch: tuple[float, float, float]
@@ -244,10 +244,11 @@ def noise_floor_sweep(
 
     For each error magnitude E the campaigns climb ``noise_ladder(n_start,
     n_cap)`` until the last three points run are flat; a ladder that runs out
-    first is reported as not converged (E = 0 never converges).  An empty
-    ladder, an E that ``model_factory`` refuses, or a rung that a protocol
-    cannot split raises before any campaign runs.  Flat means
-    that the weighted least-squares slope s of ln(mean) against ln(N) over
+    first is reported as not converged (E = 0 never converges).  The
+    ``CampaignSpec`` of every rung of every (protocol, E) ladder is built
+    before the first campaign runs, so an empty ladder, an E that
+    ``model_factory`` refuses or a rung a protocol cannot split raises first.
+    Flat means that the weighted least-squares slope s of ln(mean) against ln(N) over
     those three points, with weights (mean/stderr)^2, satisfies
     |s| < ln(1.1)/ln 2 (the mean moves by less than 10% per doubling) and
     s > -0.5 + 3 sigma_s, so that the points cannot still be falling at
@@ -260,20 +261,16 @@ def noise_floor_sweep(
     """
     sizes = noise_ladder(n_start, n_cap)
     models = [model_factory(float(e_value)) for e_value in e_grid]
-    # A ladder's first and last rungs stand for it: a protocol that splits N
-    # splits 2N, and no rung gives a setting more shots than the last.
-    for protocol in protocols:
-        for n in (sizes[0], sizes[-1]):
-            CampaignSpec(protocol, state_bloch, (n,), reps=reps, seed=seed)
+    ladders = [[[CampaignSpec(protocol, state_bloch, (n,), reps=reps, error_model=model,
+                              seed=seed) for n in sizes] for model in models]
+               for protocol in protocols]
     results = []
-    for protocol in protocols:
+    for protocol, protocol_ladders in zip(protocols, ladders):
         points = []
-        for e_value, model in zip(e_grid, models):
+        for e_value, specs in zip(e_grid, protocol_ladders):
             rows: list[CampaignRow] = []
             point = FloorPoint(float(e_value), False, None, None, None)
-            for n in sizes:
-                spec = CampaignSpec(protocol, state_bloch, (n,), reps=reps, error_model=model,
-                                    seed=seed)
+            for n, spec in zip(sizes, specs):
                 try:
                     rows.append(run_campaign(spec).rows[0])
                 except RuntimeError as exc:

@@ -143,7 +143,8 @@ _MAX_SETTING_SHOTS = 2**63 - 1
 
 
 def _shot_plan(spec: ProtocolSpec, n_total: int) -> tuple[list[int], list[int]]:
-    """Per-setting shots of the first phase and of the adapted phase."""
+    """Per-setting shots of the first phase and of the adapted phase; the one
+    check that they spend exactly N (AssertionError "budget leak")."""
     if not isinstance(n_total, numbers.Integral):
         raise BudgetError(f"N must be an integer, got {n_total!r}")
     if n_total < 6:
@@ -157,6 +158,8 @@ def _shot_plan(spec: ProtocolSpec, n_total: int) -> tuple[list[int], list[int]]:
             raise BudgetError(f"{protocol_name(spec)} at N={n_total}: split {shots1 + shots2} "
                               f"leaves a setting without shots")
         if max(shots1 + shots2) <= _MAX_SETTING_SHOTS:
+            if sum(shots1 + shots2) != n_total:
+                raise AssertionError(f"budget leak: measured {sum(shots1 + shots2)} of {n_total}")
             return shots1, shots2
     raise BudgetError(f"{protocol_name(spec)} at N={n_total}: a setting would take more "
                       f"than the sampler's 2**63 - 1 shots")
@@ -175,8 +178,7 @@ def run_protocol(spec: ProtocolSpec, rho_true: np.ndarray, n_total: int,
     ``rho_hat`` the final fit.
     """
     batch = run_grid(spec, density_to_bloch(rho_true), (n_total,), error_model, rng, 1)
-    shots = sum(_shot_plan(spec, n_total), [])
-    records = tuple(map(CountRecord, batch.axes[0], batch.realized[0], shots,
+    records = tuple(map(CountRecord, batch.axes[0], batch.realized[0], batch.shots[0].tolist(),
                         batch.n_plus[0].tolist()))
     prelim = None if batch.bloch_prelim is None else bloch_to_density(batch.bloch_prelim[0])
     return RunResult(rho_hat=bloch_to_density(batch.bloch_hat[0]), rho_prelim=prelim,
@@ -197,16 +199,18 @@ class BatchResult:
     """Outcome of the experiments of a sample-size grid, as arrays over rows.
 
     ``axes`` (rows, M, 3) holds the intended axis, ``realized`` (rows, M, 3)
-    the axis measured after alignment error and ``n_plus`` (rows, M) the +1
-    counts of every setting, in ``run_protocol``'s record order (preliminary
-    phase first).  ``bloch_prelim`` (rows, 3) is the preliminary estimate
-    that chose the adapted triplet, None for one-phase protocols, and
-    ``bloch_hat`` (rows, 3) the final one.  ``run_grid`` stacks the reps of
-    its grid points in grid order.
+    the axis measured after alignment error, ``shots`` (rows, M) the shots
+    of ``_shot_plan`` and ``n_plus`` (rows, M) the +1 counts of every
+    setting, in ``run_protocol``'s record order (preliminary phase first).
+    ``bloch_prelim`` (rows, 3) is the preliminary estimate that chose the
+    adapted triplet, None for one-phase protocols, and ``bloch_hat`` (rows,
+    3) the final one.  ``run_grid`` stacks the reps of its grid points in
+    grid order.
     """
 
     axes: np.ndarray
     realized: np.ndarray
+    shots: np.ndarray
     bloch_prelim: Optional[np.ndarray]
     bloch_hat: np.ndarray
     n_plus: np.ndarray
@@ -250,17 +254,13 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
     The state is a Bloch vector throughout, and the infidelity is
     ``fidelity_bloch``'s; the arithmetic between draws acts on each row
     alone.  ``r_true`` is checked (``check_bloch``) and every shot plan is
-    worked out, and checked to spend exactly its N, before anything is
-    drawn, so a bad state, the first bad N or a leaked budget raises.
+    worked out (``_shot_plan``, which also refuses a leaked budget) before
+    anything is drawn, so a bad state or the first bad N raises.
     """
     check_bloch(r_true)
     r_true = np.asarray(r_true, dtype=float)
-    plans = [_shot_plan(spec, n) for n in n_grid]
-    for n, (shots1, shots2) in zip(n_grid, plans):
-        if sum(shots1) + sum(shots2) != n:
-            raise AssertionError(f"budget leak: measured {sum(shots1) + sum(shots2)} of {n}")
     # Per-row shots of every setting, (rows, M).
-    shots = np.repeat([shots1 + shots2 for shots1, shots2 in plans], reps, axis=0)
+    shots = np.repeat([sum(_shot_plan(spec, n), []) for n in n_grid], reps, axis=0)
     draws = None
     if error_model.magnitude != 0.0 and error_model.draws_per is not None:
         size = (len(shots), shots.shape[1] if error_model.draws_per == "setting" else 1)
@@ -300,5 +300,5 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
         realized = np.concatenate([realized, realized2], axis=1)
         n_plus = np.concatenate([n_plus, n_plus2], axis=1)
     bloch_hat = mle_batch(design, shots.T, n_plus)
-    return BatchResult(axes, realized, prelim, bloch_hat, n_plus,
+    return BatchResult(axes, realized, shots, prelim, bloch_hat, n_plus,
                        1.0 - fidelity_bloch(bloch_hat, r_true))

@@ -109,7 +109,8 @@ class TestParsing:
         (["run", "--model", "1"], "e-value = 0.01", "e_value", 0.01),
         (["run"], "out = results", "out_dir", "results"),
         (["fit"], "csv = a.csv", "csv_path", "a.csv"),
-        (["run", "--model", "3"], "error-axis = 0,0,2", "error_axis", (0.0, 0.0, 1.0)),
+        (["run", "--model", "3", "--e", "0.01"], "error-axis = 0,0,2", "error_axis",
+         (0.0, 0.0, 1.0)),
         (["run"], "gnuplot = yes", "gnuplot", True),
     ]
 
@@ -282,6 +283,11 @@ class TestParsing:
         ("axis-length", ["run", "--error-axis", "1,0"], "must be three comma-separated"),
         ("axis-zero", ["run", "--error-axis", "0,0,0"], "axis must be nonzero"),
         ("config-missing", ["run", "--config", "{tmp}/missing.txt"], "not found"),
+        # A campaign CSV that cannot be read: missing, a directory, not UTF-8.
+        ("csv-missing", ["fit", "--csv", "{tmp}/missing.csv"], "missing.csv' not found"),
+        ("csv-directory", ["fit", "--csv", "{tmp}"], "cannot read campaign CSV"),
+        ("csv-not-utf8", ["fit", "--csv", "{tmp}/latin1.csv"],
+         "latin1.csv': 'utf-8' codec can't decode byte 0xe9"),
         ("config-line", ["run", "--config", "{tmp}/no-equals.txt"], "expected 'key = value'"),
         ("csv-columns", ["fit", "--csv", "{tmp}/columns.csv"], "is not a campaign CSV"),
         ("csv-row", ["fit", "--csv", "{tmp}/row.csv"],
@@ -303,16 +309,22 @@ class TestParsing:
          "beta-overflow.csv: cannot fit: math range error"),
         ("csv-sigma-overflow", ["fit", "--csv", "{tmp}/sigma-overflow.csv"],
          "sigma-overflow.csv: cannot fit: Out of range float values are not JSON compliant"),
-        # A per-setting share beyond numpy's int64 binomial, at the last rung
-        # of the noise ladder below --n-cap.
+        # A per-setting share beyond numpy's int64 binomial, at the first rung
+        # of the noise ladder that gives one.
         ("n-cap-beyond-sampler", ["sweep-noise", "--model", "1", "--protocols", "static",
                                   "--e-grid", "0.01", "--reps", "2", "--n-cap", "1" + "0" * 30],
-         "static at N=618970019642690137449562112000: a setting would take more than "
+         "static at N=36028797018963968000: a setting would take more than "
          "the sampler's 2**63 - 1 shots"),
         # A flag or config-file key the command would not use.  Each of these
         # runs at small reps where it is accepted.
         ("error-axis-model-none", ["run", "--error-axis", "0,0,1", "--n", "60", "--reps", "2"],
          "--error-axis needs --model 3, got --model none"),
+        # A model without an E would run error-free while provenance records it.
+        ("model-without-e", ["run", "--model", "3", "--error-axis", "0,0,1", "--reps", "2",
+                             "--n-grid", "60,120,240"], "--model 3 needs a nonzero --e"),
+        ("model-e-zero-sweep-alpha", ["sweep-alpha", "--model", "1", "--e", "0",
+                                      "--n-grid", "60,120,240", "--reps", "2"],
+         "--model 1 needs a nonzero --e"),
         ("error-axis-model-1", ["run", "--model", "1", "--e", "0.01", "--error-axis", "0,0,1",
                                 "--n", "60", "--reps", "2"],
          "--error-axis needs --model 3, got --model 1"),
@@ -340,6 +352,8 @@ class TestParsing:
         (tmp_path / "axis.txt").write_text("error-axis = 0,0,1\n")
         (tmp_path / "alpha.txt").write_text("alpha = 0.3\n")
         (tmp_path / "columns.csv").write_text("protocol,n\r\nstatic,100\r\n")
+        (tmp_path / "latin1.csv").write_bytes("protocol,N,mean_infidelity\r\ncaf\u00e9,100,0.1\r\n"
+                                              .encode("latin-1"))
         for name, points in (("row", ((100, 0.1), ("abc", 0.05))),
                              ("nan", ((100, 0.1), (200, "nan"), (400, 0.02))),
                              ("n-zero", ((100, 0.1), (0, 0.05), (400, 0.02))),
@@ -534,6 +548,15 @@ class TestRunCommand:
             config_from_provenance(payload)
         del payload["estimator_version"]
         with pytest.raises(UsageError, match="estimator_version None, this engine 4"):
+            config_from_provenance(payload)
+
+    def test_provenance_of_a_model_without_e_is_refused(self):
+        # Earlier releases ran --model 1 with E = 0 error-free; this engine
+        # would run PerSettingError(0) under another campaign hash.
+        config = dataclasses.asdict(cli.RunConfig(command="run", model="1", n_grid=(60, 120)))
+        payload = {"stream_version": 4, "estimator_version": 4,
+                   "config": json.loads(json.dumps(config))}
+        with pytest.raises(UsageError, match="--model 1 needs a nonzero --e"):
             config_from_provenance(payload)
 
     def test_provenance_records_the_default_e_grid(self, tmp_path, capsys):
@@ -784,6 +807,11 @@ class TestRuntimeFailureExitCodes:
     def test_budget_leak(self, tmp_path, capsys, monkeypatch):
         import adaptive_tomo.protocols as protocols
 
+        def ran(spec):
+            raise KeyError("a campaign ran")
+
+        # The leak is refused when the campaign is built, before it runs.
+        monkeypatch.setattr(cli, "run_campaign", ran)
         monkeypatch.setattr(protocols, "_split", lambda total, parts: [total // 3] * parts)
         self.run_failing(tmp_path, capsys, "AssertionError: budget leak")
 

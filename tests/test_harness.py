@@ -30,7 +30,7 @@ from adaptive_tomo import (
 from adaptive_tomo import estimation, harness
 from adaptive_tomo.fixtures import EQ7_BLOCH
 from adaptive_tomo.harness import fit_means, noise_ladder
-from adaptive_tomo.protocols import run_grid
+from adaptive_tomo.protocols import _shot_plan, run_grid
 
 
 def fraction_ols(points):
@@ -331,12 +331,24 @@ class TestSweepsRefuseBeforeTheFirstCampaign:
                               EQ7_BLOCH, reps=2, n_start=1000, n_cap=8000)
 
     def test_noise_floor_sweep_rung_past_the_sampler(self):
+        # The first rung whose three settings cannot share N within 2**63 - 1.
         n_cap = 10**30
-        last = noise_ladder(1000, n_cap)[-1]
-        with pytest.raises(BudgetError, match=f"^static at N={last}: a setting would take more "
+        first = next(n for n in noise_ladder(1000, n_cap) if n > 3 * (2**63 - 1))
+        with pytest.raises(BudgetError, match=f"^static at N={first}: a setting would take more "
                                               r"than the sampler's 2\*\*63 - 1 shots$"):
             noise_floor_sweep(PerSettingError, [0.01], [Static()], EQ7_BLOCH, reps=2,
                               n_start=1000, n_cap=n_cap)
+
+    def test_noise_floor_sweep_middle_rung_the_protocol_cannot_split(self, monkeypatch):
+        def plan(spec, n):
+            if n == 2000:
+                raise BudgetError(f"cannot split N={n}")
+            return _shot_plan(spec, n)
+
+        monkeypatch.setattr(harness, "_shot_plan", plan)
+        with pytest.raises(BudgetError, match="^cannot split N=2000$"):
+            noise_floor_sweep(PerSettingError, [0.01, 0.02], [Static(), Adaptive()], EQ7_BLOCH,
+                              reps=2, n_start=1000, n_cap=4000)
 
 
 class TestNoiseFloorSweep:
