@@ -4,7 +4,7 @@ Commands
 --------
 run          one campaign: CSV of per-N means, power-law fit JSON, provenance
 sweep-alpha  campaigns over a grid of preliminary-budget fractions
-sweep-noise  noise-floor sweep over error magnitudes, slope fit per protocol
+sweep-noise  noise floors at N -> infinity over error magnitudes, slope fit per protocol
 fit          re-fit a previously emitted campaign CSV
 fixtures     print the named reference states and their sanity-check values
 
@@ -91,8 +91,6 @@ class RunConfig:
     alphas: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
     protocols: tuple[str, ...] = ("static", "adaptive")
     e_grid: tuple[float, ...] = tuple(float(x) for x in np.geomspace(1e-3, 3e-2, 5))
-    n_start: int = noise_floor_sweep.__kwdefaults__["n_start"]
-    n_cap: int = noise_floor_sweep.__kwdefaults__["n_cap"]
     csv_path: str = ""
     gnuplot: bool = False
 
@@ -163,7 +161,7 @@ def _parse_bool(text: str) -> bool:
 _COMMANDS = {
     "run": "run one campaign",
     "sweep-alpha": "sweep the preliminary fraction",
-    "sweep-noise": "noise-floor sweep over E",
+    "sweep-noise": "noise floors at N -> infinity over E",
     "fit": "re-fit an emitted campaign CSV",
     "fixtures": "print the named reference states",
 }
@@ -176,7 +174,8 @@ _SIMULATIONS = ("run", "sweep-alpha", "sweep-noise")
 _OPTIONS = (
     ("out_dir", "--out", str, _SIMULATIONS + ("fit",), "output directory"),
     ("seed", "--seed", int, _SIMULATIONS, "master seed (default 0)"),
-    ("reps", "--reps", int, _SIMULATIONS, "repetitions per grid point (default 150)"),
+    ("reps", "--reps", int, _SIMULATIONS,
+     "repetitions per grid point, or misalignment draws per E (default 150)"),
     ("state", "--state", str, _SIMULATIONS, "named state (eq7, eq10) or Bloch triple x,y,z"),
     ("gnuplot", "--gnuplot", _parse_bool, ("run",), "also emit a gnuplot script for the CSV"),
     ("protocol", "--protocol", str, ("run",), "|".join(_PROTOCOLS)),
@@ -194,8 +193,6 @@ _OPTIONS = (
     ("protocols", "--protocols", _protocol_list, ("sweep-noise",),
      "comma list of " + "|".join(_PROTOCOLS)),
     ("e_grid", "--e-grid", parse_float_grid, ("sweep-noise",), "comma list or start:stop:count"),
-    ("n_start", "--n-start", int, ("sweep-noise",), "floor-search ladder start"),
-    ("n_cap", "--n-cap", int, ("sweep-noise",), "floor-search sample cap"),
     ("csv_path", "--csv", str, ("fit",), "campaign CSV to fit"),
 )
 _PARSERS = {field: parse for field, _, parse, _, _ in _OPTIONS}
@@ -388,13 +385,10 @@ def _campaign_csv(results: Sequence[CampaignResult]) -> str:
 
 
 def _floors_csv(results: Sequence[NoiseFloorResult], seed: int) -> str:
-    return _csv(
-        ["protocol", "E", "converged", "floor_infidelity", "n_at_floor", "stderr", "seed"],
-        ([protocol_name(result.protocol), _fmt(pt.error_magnitude), int(pt.converged),
-          "" if pt.floor_infidelity is None else _fmt(pt.floor_infidelity),
-          "" if pt.n_at_floor is None else pt.n_at_floor,
-          "" if pt.stderr is None else _fmt(pt.stderr), seed]
-         for result in results for pt in result.points))
+    return _csv(["protocol", "E", "floor_infidelity", "stderr", "seed"],
+                ([protocol_name(result.protocol), _fmt(pt.error_magnitude),
+                  _fmt(pt.floor_infidelity), _fmt(pt.stderr), seed]
+                 for result in results for pt in result.points))
 
 
 def _fit_entry(name: str, fit: ScalingFit) -> dict:
@@ -434,12 +428,17 @@ def _json(payload: dict) -> str:
 
 def config_from_provenance(data: dict) -> RunConfig:
     """Rebuild the resolved RunConfig from a provenance JSON payload; UsageError
-    if its stream or estimator version is not the engine's (naming both) or if
-    the CLI's rules refuse the config."""
+    if its stream or estimator version is not the engine's (naming both), if
+    its config has a key that RunConfig lacks (naming each, such as the
+    ``n_start`` and ``n_cap`` of an earlier ``sweep-noise``) or if the CLI's
+    rules refuse the config."""
     for key, version in (("stream_version", STREAM_VERSION),
                          ("estimator_version", ESTIMATOR_VERSION)):
         if data.get(key) != version:
             raise UsageError(f"provenance has {key} {data.get(key)}, this engine {version}")
+    unknown = sorted(set(data["config"]) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise UsageError(f"provenance config has keys this engine lacks: {', '.join(unknown)}")
     # JSON writes every tuple field as a list.
     config = RunConfig(**{key: tuple(value) if isinstance(value, list) else value
                           for key, value in data["config"].items()})
@@ -513,8 +512,6 @@ def execute(config: RunConfig) -> int:
             _resolve_state(config.state),
             reps=config.reps,
             seed=config.seed,
-            n_start=config.n_start,
-            n_cap=config.n_cap,
         )
         entries = []
         for result in results:
@@ -529,16 +526,12 @@ def execute(config: RunConfig) -> int:
                 )
             else:
                 entry["slope"] = None
-            entry["floors"] = [
-                {
-                    "e": pt.error_magnitude,
-                    "converged": pt.converged,
-                    "floor_infidelity": pt.floor_infidelity,
-                    "n_at_floor": pt.n_at_floor,
-                }
-                for pt in result.points
-            ]
+            entry["floors"] = [{"e": pt.error_magnitude, "floor_infidelity": pt.floor_infidelity}
+                               for pt in result.points]
             entries.append(entry)
+            for pt in result.points:
+                print(f"{name} E={pt.error_magnitude:.6g} floor={pt.floor_infidelity:.6e} "
+                      f"stderr={pt.stderr:.6e}")
             slope = "n/a" if result.slope_fit is None else f"{result.slope_fit.p:.3f}"
             print(f"{name}: floor slope vs E = {slope}")
         files = {"floors.csv": _floors_csv(results, config.seed),

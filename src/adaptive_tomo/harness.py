@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidStateError
-from .measurement import ErrorModel, NoError, RngContext
-from .protocols import Adaptive, ProtocolSpec, _shot_plan, protocol_name, run_grid
+from .measurement import ErrorModel, NoError, RngContext, _draws_misalignments
+from .protocols import Adaptive, ProtocolSpec, _shot_plan, _simulate, protocol_name, run_grid
 from .states import check_bloch
 
 
@@ -85,6 +85,11 @@ def campaign_hash(spec: CampaignSpec) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _campaign_rng(digest: str, seed: int) -> RngContext:
+    # A campaign's stream (seed, (label, 0)), the label the first 64 bits of its hash.
+    return RngContext(seed, (int(digest[:16], 16), 0))
+
+
 def run_campaign(spec: CampaignSpec) -> CampaignResult:
     """Run reps x grid independent experiments and aggregate per grid point.
 
@@ -94,9 +99,8 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
     an N its protocol cannot split.
     """
     digest = campaign_hash(spec)
-    label = int.from_bytes(bytes.fromhex(digest[:16]), "big")
-    rng = RngContext(spec.seed, (label, 0))
-    infidelities = run_grid(spec.protocol, spec.state_bloch, spec.n_grid, spec.error_model, rng,
+    infidelities = run_grid(spec.protocol, spec.state_bloch, spec.n_grid, spec.error_model,
+                            _campaign_rng(digest, spec.seed),
                             spec.reps).infidelity.reshape(len(spec.n_grid), spec.reps)
     stderrs = infidelities.std(axis=1, ddof=1) / math.sqrt(spec.reps)
     rows = tuple(CampaignRow(n, float(mean), float(stderr), spec.reps)
@@ -195,13 +199,12 @@ def alpha_sweep(
 
 @dataclass(frozen=True)
 class FloorPoint:
-    """Detected noise floor for one error magnitude (or a not-converged report)."""
+    """The infidelity floor at N -> infinity for one error magnitude, with
+    its standard error over the misalignment draws."""
 
     error_magnitude: float
-    converged: bool
-    floor_infidelity: Optional[float]
-    n_at_floor: Optional[int]
-    stderr: Optional[float]
+    floor_infidelity: float
+    stderr: float
 
 
 @dataclass(frozen=True)
@@ -211,22 +214,15 @@ class NoiseFloorResult:
     slope_fit: Optional[ScalingFit]
 
 
-# Largest |slope| of ln(mean) against ln(N) that counts as flat: a mean that
-# moves by less than 10% per doubling of N.
-_FLAT_SLOPE = math.log(1.1) / math.log(2.0)
+# The N whose expected counts stand for N -> infinity.  The hedge's 1/2
+# moves the frequency of a setting of s shots by about 1/s: 3e-15 at N/3
+# shots, 3e-10 on the N^(2/3)/3 preliminary shots of adaptive-pow.
+_FLOOR_N = 10**15
 
 
-def noise_ladder(n_start: int, n_cap: int) -> list[int]:
-    """The sample sizes of a noise-floor search: ``n_start`` doubled while it
-    is at most ``n_cap``.  Raises InvalidStateError unless both are integers
-    and 1 <= n_start <= n_cap."""
-    if not all(isinstance(n, numbers.Integral) for n in (n_start, n_cap)):
-        raise InvalidStateError(f"noise ladder bounds must be integers, got "
-                                f"n_start={n_start!r}, n_cap={n_cap!r}")
-    if not 1 <= n_start <= n_cap:
-        raise InvalidStateError(f"noise ladder needs 1 <= n_start <= n_cap, got "
-                                f"n_start={n_start}, n_cap={n_cap}")
-    return [int(n_start) << k for k in range(int(n_cap // n_start).bit_length())]
+def _expected_counts(phase: int, shots: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # The +1 counts of a noise floor in place of the binomial draw, as floats.
+    return p * shots
 
 
 def noise_floor_sweep(
@@ -237,62 +233,39 @@ def noise_floor_sweep(
     *,
     reps: int = CampaignSpec.reps,
     seed: int = 0,
-    n_start: int = 1000,
-    n_cap: int = 20_000_000,
 ) -> list[NoiseFloorResult]:
-    """Locate the infidelity floor vs error magnitude and fit its slope.
+    """The infidelity floor at N -> infinity per error magnitude, and its slope.
 
-    For each error magnitude E the campaigns climb ``noise_ladder(n_start,
-    n_cap)`` until the last three points run are flat; a ladder that runs out
-    first is reported as not converged (E = 0 never converges).  The
-    ``CampaignSpec`` of every rung of every (protocol, E) ladder is built
-    before the first campaign runs, so an empty ladder, an E that
-    ``model_factory`` refuses or a rung a protocol cannot split raises first.
-    Flat means that the weighted least-squares slope s of ln(mean) against ln(N) over
-    those three points, with weights (mean/stderr)^2, satisfies
-    |s| < ln(1.1)/ln 2 (the mean moves by less than 10% per doubling) and
-    s > -0.5 + 3 sigma_s, so that the points cannot still be falling at
-    -0.5, the scaling slope of static tomography.  The floor is the mean of
-    the three points, with their standard errors pooled, and ``n_at_floor``
-    is the largest N of the three.  Per protocol, the slope of log(floor) vs
-    log(E) is ``fit_means`` of the converged magnitudes' floors, so
-    ``slope_fit`` is None when fewer than MIN_FIT_POINTS converged.  A
-    campaign's RuntimeError is raised again naming its protocol, E and N.
+    As N grows the counts carry no noise, so the estimate is the fit to the
+    exact Born probabilities of the realized axes.  The floor of a protocol
+    at E is the mean infidelity of that fit over ``reps`` misalignments: the
+    rows of ``run_grid`` for ``CampaignSpec(protocol, state_bloch,
+    (_FLOOR_N,), reps, model_factory(E), seed)`` on its campaign stream, with
+    the expected counts p * shots in place of the binomial draw.  A model
+    that draws no misalignment (a fixed tilt, or E = 0) gives one exact
+    floor with stderr 0.  Every spec is built before the first fit, so an E
+    that ``model_factory`` refuses or a protocol that cannot split
+    ``_FLOOR_N`` raises first.  Per protocol, the slope of log(floor) vs
+    log(E) is ``fit_means`` of every floor (a floor of exactly 0 left out).
+    A fit's RuntimeError is raised again naming its protocol and E.
     """
-    sizes = noise_ladder(n_start, n_cap)
     models = [model_factory(float(e_value)) for e_value in e_grid]
-    ladders = [[[CampaignSpec(protocol, state_bloch, (n,), reps=reps, error_model=model,
-                              seed=seed) for n in sizes] for model in models]
-               for protocol in protocols]
+    specs = [[CampaignSpec(protocol, state_bloch, (_FLOOR_N,), reps=reps, error_model=model,
+                           seed=seed) for model in models] for protocol in protocols]
     results = []
-    for protocol, protocol_ladders in zip(protocols, ladders):
+    for protocol, protocol_specs in zip(protocols, specs):
         points = []
-        for e_value, specs in zip(e_grid, protocol_ladders):
-            rows: list[CampaignRow] = []
-            point = FloorPoint(float(e_value), False, None, None, None)
-            for n, spec in zip(sizes, specs):
-                try:
-                    rows.append(run_campaign(spec).rows[0])
-                except RuntimeError as exc:
-                    raise RuntimeError(f"{exc}; at {protocol_name(protocol)}, "
-                                       f"E={float(e_value)!r}, N={n}") from exc
-                last = rows[-3:]
-                if len(last) == 3 and all(row.stderr > 0.0 for row in last):
-                    x = np.log([row.n for row in last])
-                    y = np.log([row.mean_infidelity for row in last])
-                    w = np.array([(row.mean_infidelity / row.stderr) ** 2 for row in last])
-                    dx = x - np.sum(w * x) / np.sum(w)
-                    sxx = float(np.sum(w * dx * dx))
-                    s = float(np.sum(w * dx * y)) / sxx
-                    if abs(s) < _FLAT_SLOPE and s > -0.5 + 3.0 / math.sqrt(sxx):
-                        point = FloorPoint(
-                            float(e_value), True,
-                            sum(row.mean_infidelity for row in last) / 3.0, n,
-                            math.sqrt(sum(row.stderr**2 for row in last)) / 3.0,
-                        )
-                        break
-            points.append(point)
-        fit = fit_means([(pt.error_magnitude, pt.floor_infidelity)
-                         for pt in points if pt.converged])
+        for e_value, spec in zip(e_grid, protocol_specs):
+            rows = spec.reps if _draws_misalignments(spec.error_model) else 1
+            rng = _campaign_rng(campaign_hash(spec), seed)
+            try:
+                infidelity = _simulate(protocol, state_bloch, spec.n_grid, spec.error_model, rng,
+                                       rows, _expected_counts).infidelity
+            except RuntimeError as exc:
+                raise RuntimeError(f"{exc}; at {protocol_name(protocol)}, "
+                                   f"E={float(e_value)!r}") from exc
+            stderr = infidelity.std(ddof=1) / math.sqrt(rows) if rows > 1 else 0.0
+            points.append(FloorPoint(float(e_value), float(infidelity.mean()), float(stderr)))
+        fit = fit_means([(pt.error_magnitude, pt.floor_infidelity) for pt in points])
         results.append(NoiseFloorResult(protocol, tuple(points), fit))
     return results

@@ -129,6 +129,13 @@ class FixedError:
 
 ErrorModel = Union[NoError, PerSettingError, PerExperimentError, FixedError]
 
+
+def _draws_misalignments(model: ErrorModel) -> bool:
+    # Whether a model draws random misalignments: a random model of nonzero
+    # magnitude.  Every other model tilts the axes of every experiment alike.
+    return model.magnitude != 0.0 and model.draws_per is not None
+
+
 # How a field is spelled in ``protocol_name``: an error model's by its label
 # here, a protocol's by its own name.
 _NAME_LABELS = {"magnitude": "E", "rotation_axis": "axis"}

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence, Union
+from typing import Callable, ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .measurement import (
     CountRecord,
     ErrorModel,
     RngContext,
+    _draws_misalignments,
     born_probabilities,
     protocol_name,
     realized_axes,
@@ -255,14 +256,33 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
     ``fidelity_bloch``'s; the arithmetic between draws acts on each row
     alone.  ``r_true`` is checked (``check_bloch``) and every shot plan is
     worked out (``_shot_plan``, which also refuses a leaked budget) before
-    anything is drawn, so a bad state or the first bad N raises.
+    anything is drawn, so a bad state or the first bad N raises.  These
+    stages are ``_simulate``'s, given this binomial draw as the counts.
     """
+    def binomial(phase: int, shots: np.ndarray, p: np.ndarray) -> np.ndarray:
+        def by_point(a: np.ndarray) -> np.ndarray:
+            # (rows, w) -> (grid points, w, reps): the repetitions innermost.
+            return a.reshape(len(n_grid), reps, -1).swapaxes(1, 2)
+
+        n_plus = rng.child(_COUNT_STREAM, phase).generator().binomial(by_point(shots), by_point(p))
+        return n_plus.swapaxes(1, 2).reshape(shots.shape)
+
+    return _simulate(spec, r_true, n_grid, error_model, rng, reps, binomial)
+
+
+def _simulate(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
+              error_model: ErrorModel, rng: RngContext, reps: int,
+              counts: Callable[[int, np.ndarray, np.ndarray], np.ndarray]) -> BatchResult:
+    """``run_grid``'s stages, with the +1 counts of phase k taken from
+    ``counts(k, shots, p)`` for (rows, settings of the phase) arrays of shots
+    and Born probabilities: ``run_grid``'s binomial draw, or the expected
+    counts ``p * shots`` of a noise floor (``harness.noise_floor_sweep``)."""
     check_bloch(r_true)
     r_true = np.asarray(r_true, dtype=float)
     # Per-row shots of every setting, (rows, M).
     shots = np.repeat([sum(_shot_plan(spec, n), []) for n in n_grid], reps, axis=0)
     draws = None
-    if error_model.magnitude != 0.0 and error_model.draws_per is not None:
+    if _draws_misalignments(error_model):
         size = (len(shots), shots.shape[1] if error_model.draws_per == "setting" else 1)
         gen = rng.child(_ALIGN_STREAM).generator()
         draws = (gen.standard_normal(size), gen.uniform(0.0, 2.0 * math.pi, size))
@@ -277,15 +297,8 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
         realized = realized_axes(intended, error_model, phase_draws)
         # A shared design without draws has its probabilities once per setting.
         p = np.broadcast_to(born_probabilities(realized, r_true), (len(shots), width))
-
-        def by_point(a: np.ndarray) -> np.ndarray:
-            # (rows, w) -> (grid points, w, reps): the repetitions innermost.
-            return a.reshape(len(n_grid), reps, width).swapaxes(1, 2)
-
-        gen = rng.child(_COUNT_STREAM, phase).generator()
-        n_plus = gen.binomial(by_point(shots[:, settings]), by_point(p))
         return (np.broadcast_to(realized, (len(shots), width, 3)),
-                n_plus.swapaxes(1, 2).reshape(len(shots), width))
+                counts(phase, shots[:, settings], p))
 
     # The first-phase triplet is one (3, 3) design shared by every row.
     design = mub_axes(r_true[None])[0] if spec.true_basis else np.array(PAULI_AXES)

@@ -185,14 +185,10 @@ class TestCriterion5NoiseFloorSlopes:
             EQ7_BLOCH,
             reps=400,
             seed=SEED,
-            n_start=1000,
-            n_cap=20_000_000,
         )
         static_fit, adaptive_fit = results[0].slope_fit, results[1].slope_fit
-        converged = all(pt.converged for r in results for pt in r.points)
         ok = (
-            converged
-            and static_fit is not None
+            static_fit is not None
             and adaptive_fit is not None
             and 0.85 <= static_fit.p <= 1.2
             and 1.75 <= adaptive_fit.p <= 2.25
@@ -214,15 +210,11 @@ class TestCriterion6FloorLevels:
             EQ7_BLOCH,
             reps=400,
             seed=SEED,
-            n_start=1000,
-            n_cap=20_000_000,
         )
         static_pt = results[0].points[0]
         adaptive_pt = results[1].points[0]
         ok = (
-            static_pt.converged
-            and adaptive_pt.converged
-            and 3e-3 <= static_pt.floor_infidelity <= 3e-2
+            3e-3 <= static_pt.floor_infidelity <= 3e-2
             and 3e-4 <= adaptive_pt.floor_infidelity <= 3e-3
         )
         check(

@@ -157,8 +157,7 @@ class TestParsing:
             "run": simulation | {"--e", "--gnuplot", "--protocol", "--alpha", "--exponent",
                                  "--n", "--n-grid"},
             "sweep-alpha": simulation | {"--e", "--alpha-grid", "--n-grid"},
-            "sweep-noise": simulation | {"--protocols", "--e-grid", "--alpha", "--n-start",
-                                         "--n-cap"},
+            "sweep-noise": simulation | {"--protocols", "--e-grid", "--alpha"},
             "fit": common | {"--out", "--csv"},
             "fixtures": common,
         }
@@ -173,8 +172,8 @@ class TestParsing:
                     if action.dest not in ("help", "config")
                     for key in (action.dest, action.option_strings[0][2:].replace("-", "_"))}
             assert {k: f for k, f in cli._FILE_KEYS.items() if k[0] == command} == keys
-        assert len(set(cli._FILE_KEYS.values())) == 18
-        assert len({(command, field) for (command, _), field in cli._FILE_KEYS.items()}) == 34
+        assert len(set(cli._FILE_KEYS.values())) == 16
+        assert len({(command, field) for (command, _), field in cli._FILE_KEYS.items()}) == 32
 
     def test_unreadable_config_file_is_a_usage_error(self, tmp_path, capsys):
         latin1 = tmp_path / "latin1.txt"
@@ -225,7 +224,7 @@ class TestParsing:
                              ids=["run", "sweep-alpha", "sweep-noise"])
     def test_error_magnitude_beyond_a_half_turn(self, argv, model, tmp_path, capsys):
         # A finite E whose Bloch tilt 4 E exceeds pi is refused, with status 2,
-        # before any campaign runs (sweep-noise's E = 0.01 ladder included),
+        # before any campaign runs (sweep-noise's E = 0.01 floor included),
         # with no numpy warning on stderr and no output.
         argv = argv + ["--model", model, "--reps", "2", "--out", str(tmp_path / "out")]
         assert main(argv) == 2
@@ -254,8 +253,8 @@ class TestParsing:
         ("sweep-alpha-budget", ["sweep-alpha", "--alpha-grid", "0.5,0.01", "--n-grid",
                                 "100,200,400", "--reps", "2"], "leaves a setting without shots"),
         ("sweep-noise-budget", ["sweep-noise", "--model", "1", "--protocols", "adaptive",
-                                "--alpha", "0.05", "--n-start", "6", "--n-cap", "100",
-                                "--reps", "2"], "leaves a setting without shots"),
+                                "--alpha", "1e-16", "--reps", "2"],
+         "leaves a setting without shots"),
         ("alpha-grid", ["sweep-alpha", "--alpha-grid", "0.5,1.0"],
          "alpha must be in (0, 1), got 1.0"),
         ("protocols-name", ["sweep-noise", "--model", "1", "--protocols", "static,bogus"],
@@ -265,12 +264,6 @@ class TestParsing:
          "e-grid values must be positive"),
         ("e-grid-order", ["sweep-noise", "--model", "1", "--e-grid", "0.02,0.01"],
          "e-grid must be strictly increasing"),
-        ("n-start", ["sweep-noise", "--model", "1", "--n-start", "5"],
-         "need at least 6 samples, got 5"),
-        ("n-cap", ["sweep-noise", "--model", "1", "--n-start", "1000", "--n-cap", "500"],
-         "noise ladder needs 1 <= n_start <= n_cap, got n_start=1000, n_cap=500"),
-        ("n-start-zero", ["sweep-noise", "--model", "1", "--n-start", "0"],
-         "noise ladder needs 1 <= n_start <= n_cap, got n_start=0, n_cap=20000000"),
         ("fit-csv", ["fit"], "fit requires --csv"),
         ("sweep-noise-model", ["sweep-noise", "--protocols", "static"],
          "sweep-noise requires --model 1, 2 or 3"),
@@ -309,12 +302,6 @@ class TestParsing:
          "beta-overflow.csv: cannot fit: math range error"),
         ("csv-sigma-overflow", ["fit", "--csv", "{tmp}/sigma-overflow.csv"],
          "sigma-overflow.csv: cannot fit: Out of range float values are not JSON compliant"),
-        # A per-setting share beyond numpy's int64 binomial, at the first rung
-        # of the noise ladder that gives one.
-        ("n-cap-beyond-sampler", ["sweep-noise", "--model", "1", "--protocols", "static",
-                                  "--e-grid", "0.01", "--reps", "2", "--n-cap", "1" + "0" * 30],
-         "static at N=36028797018963968000: a setting would take more than "
-         "the sampler's 2**63 - 1 shots"),
         # A flag or config-file key the command would not use.  Each of these
         # runs at small reps where it is accepted.
         ("error-axis-model-none", ["run", "--error-axis", "0,0,1", "--n", "60", "--reps", "2"],
@@ -337,8 +324,7 @@ class TestParsing:
                                        "{tmp}/alpha.txt", "--n", "60", "--reps", "2"],
          "--alpha 0.3 is used by none of the protocols adaptive-pow"),
         ("alpha-sweep-noise", ["sweep-noise", "--model", "1", "--protocols", "static,known-basis",
-                               "--alpha", "0.3", "--e-grid", "0.01", "--reps", "2",
-                               "--n-cap", "4000"],
+                               "--alpha", "0.3", "--e-grid", "0.01", "--reps", "2"],
          "--alpha 0.3 is used by none of the protocols static, known-basis"),
         ("exponent-adaptive", ["run", "--protocol", "adaptive", "--exponent", "0.5",
                                "--n", "60", "--reps", "2"],
@@ -504,8 +490,7 @@ class TestRunCommand:
         ["sweep-alpha", "--alpha-grid", "0.3,0.6", "--n-grid", "60,120,240", "--reps", "2",
          "--model", "3", "--e", "0.05", "--error-axis", "0,1,1"],
         ["sweep-noise", "--model", "3", "--protocols", "known-basis,static",
-         "--e-grid", "0.05,0.1", "--error-axis", "1,0,1", "--reps", "4",
-         "--n-start", "100", "--n-cap", "400"],
+         "--e-grid", "0.05,0.1", "--error-axis", "1,0,1", "--reps", "4"],
         ["fit", "--csv", "campaign.csv"],
     ], ids=["run", "sweep-alpha", "sweep-noise", "fit"])
     def test_provenance_round_trip(self, argv, tmp_path, capsys, monkeypatch):
@@ -550,6 +535,22 @@ class TestRunCommand:
         with pytest.raises(UsageError, match="estimator_version None, this engine 4"):
             config_from_provenance(payload)
 
+    def test_provenance_with_a_key_runconfig_lacks_is_refused(self):
+        # A sweep-noise provenance.json written while the floor search still
+        # took the ladder bounds --n-start and --n-cap.
+        config = dataclasses.asdict(cli.RunConfig(command="sweep-noise", model="1"))
+        config.update(n_start=1000, n_cap=20000000)
+        payload = {"stream_version": 4, "estimator_version": 4,
+                   "config": json.loads(json.dumps(config))}
+        with pytest.raises(UsageError, match="^provenance config has keys this engine lacks: "
+                                             "n_cap, n_start$"):
+            config_from_provenance(payload)
+        del payload["config"]["n_cap"]
+        with pytest.raises(UsageError, match="engine lacks: n_start$"):
+            config_from_provenance(payload)
+        del payload["config"]["n_start"]
+        assert config_from_provenance(payload) == cli.RunConfig(command="sweep-noise", model="1")
+
     def test_provenance_of_a_model_without_e_is_refused(self):
         # Earlier releases ran --model 1 with E = 0 error-free; this engine
         # would run PerSettingError(0) under another campaign hash.
@@ -561,7 +562,7 @@ class TestRunCommand:
 
     def test_provenance_records_the_default_e_grid(self, tmp_path, capsys):
         assert main(["sweep-noise", "--model", "1", "--protocols", "static", "--reps", "2",
-                     "--n-start", "100", "--n-cap", "400", "--out", str(tmp_path)]) == 0
+                     "--out", str(tmp_path)]) == 0
         provenance = json.loads((tmp_path / "provenance.json").read_text())
         fit = json.loads((tmp_path / "fit.json").read_text())
         ran = [floor["e"] for floor in fit["noise_floors"][0]["floors"]]
@@ -700,7 +701,6 @@ class TestSweepCommands:
     def test_noise_sweep_outputs(self, tmp_path, capsys):
         assert main(["sweep-noise", "--model", "1", "--protocols", "static,adaptive",
                      "--e-grid", "0.02,0.035,0.06", "--reps", "40",
-                     "--n-start", "500", "--n-cap", "128000",
                      "--seed", "17", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "fit.json").read_text())
         entries = payload["noise_floors"]
@@ -709,15 +709,19 @@ class TestSweepCommands:
             assert "slope" in entry
             assert len(entry["floors"]) == 3
         floors_csv = (tmp_path / "floors.csv").read_text()
-        assert floors_csv.startswith("protocol,E,converged,floor_infidelity")
+        assert floors_csv.startswith("protocol,E,floor_infidelity,stderr,seed\n")
+        # One line per (protocol, E), then the protocol's slope.
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8 and lines[0].startswith("static E=0.02 floor=")
+        assert lines[3] == f"static: floor slope vs E = {entries[0]['slope']:.3f}"
 
     def test_noise_sweep_requires_model(self, tmp_path, capsys):
         assert main(["sweep-noise", "--protocols", "static",
                      "--out", str(tmp_path)]) == 2
 
-    def test_noise_sweep_reaches_the_default_cap(self, tmp_path, capsys):
-        # The ladders run up to N = 2e7, where the adapted axis of a nearly
-        # pure state carries counts of 0 or N.
+    def test_noise_sweep_fits_expected_counts_near_n(self, tmp_path, capsys):
+        # At N = 1e15 the adapted axis of a nearly pure state carries expected
+        # counts near N, whose hedged weight dwarfs the other settings'.
         assert main(["sweep-noise", "--model", "1", "--protocols", "reduced-adaptive",
                      "--e-grid", "1e-4,3e-4,1e-3,3e-3", "--out", str(tmp_path)]) == 0
 
@@ -747,18 +751,17 @@ class TestRuntimeFailureExitCodes:
 
         monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
         assert main(["sweep-noise", "--model", "1", "--protocols", "static",
-                     "--e-grid", "0.05", "--reps", "4", "--n-start", "100", "--n-cap", "400",
+                     "--e-grid", "0.05", "--reps", "10", "--seed", "4",
                      "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: RuntimeError: boundary Newton iteration")
         assert "Traceback" not in err
         assert "protocols=('static',)" in err and "e_grid=(0.05,)" in err
-        assert "n_cap=400" in err
         # run's options, which the sweep ignores, are not named.
         assert "n_grid" not in err and "protocol=" not in err
         # The failing point of the sweep is.
         errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and "; at static, E=0.05, N=100 (" in errors[0]
+        assert len(errors) == 1 and "; at static, E=0.05 (" in errors[0]
 
     def test_sweep_alpha_failure_names_the_alpha(self, tmp_path, capsys, monkeypatch):
         import adaptive_tomo.estimation as estimation

@@ -743,9 +743,22 @@ def test_frame_fits_match_mle(batch):
             check_fits_match_reference(axes[k], shots, n_plus[k:k + 1])
 
 
+def test_a_near_frame_takes_the_general_path():
+    # A shared design of three settings whose Gram matrix is off the identity
+    # by 1e-10: fitted in its own coordinates as if it were a frame, each fit
+    # would move by about 1e-10.  One row is inside the ball, one outside.
+    design = np.array([[1.0, 0.0, 0.0], [1e-10, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    design /= np.linalg.norm(design, axis=1, keepdims=True)
+    shots = [10**6] * 3
+    n_plus = np.array([[700_000, 350_000, 750_000], [123_456, 876_543, 500_000]])
+    fits = mle_batch(design, shots, n_plus)
+    for fit, counts in zip(fits, n_plus):
+        assert np.max(np.abs(fit - reference_fit(design, shots, counts))) <= 1e-12
+
+
 def test_reduced_adaptive_at_the_default_cap_fits_every_row():
-    # At N = 2e7, the default n_cap of sweep-noise, the adapted axis carries
-    # counts of 0 or N and hedged weights near 8e14.
+    # At N = 2e7 the adapted axis carries counts of 0 or N and hedged
+    # weights near 8e14; every row's fit stays in the ball.
     batch = run_grid(ReducedAdaptive(0.5), EQ7_BLOCH, (2 * 10**7,), NoError(),
                      RngContext(0), 4000)
     assert np.all(np.linalg.norm(batch.bloch_hat, axis=1) <= 1.0 + 1e-12)

@@ -61,8 +61,7 @@ CLI_RUNS = (
     ("run-known-basis", ["run", "--protocol", "known-basis", "--n-grid", "100,1000,10000",
                          *TINY]),
     ("sweep-alpha", ["sweep-alpha", "--n-grid", "100,1000,10000", *TINY]),
-    ("sweep-noise", ["sweep-noise", "--model", "3", "--e-grid", "0.02,0.04,0.08",
-                     "--n-start", "500", "--n-cap", "16000", *TINY]),
+    ("sweep-noise", ["sweep-noise", "--model", "3", "--e-grid", "0.02,0.04,0.08", *TINY]),
     ("fit", ["fit", "--csv", "run-static/campaign.csv"]),
 )
 
@@ -90,8 +89,8 @@ def compute():
     for result in noise_floor_sweep(PerSettingError, [0.003, 0.01, 0.03],
                                     [Static(), Adaptive(0.5)], EQ7_BLOCH, reps=60, seed=SEED):
         values[f"sweep-noise {protocol_name(result.protocol)}"] = {
-            "points": [reprs(pt.error_magnitude, pt.converged, pt.floor_infidelity,
-                              pt.n_at_floor, pt.stderr) for pt in result.points],
+            "points": [reprs(pt.error_magnitude, pt.floor_infidelity, pt.stderr)
+                       for pt in result.points],
             "slope_fit": fit_reprs(result.slope_fit),
         }
     base = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, RunConfig.n_grid, reps=40, seed=SEED)

@@ -29,8 +29,8 @@ from adaptive_tomo import (
 )
 from adaptive_tomo import estimation, harness
 from adaptive_tomo.fixtures import EQ7_BLOCH
-from adaptive_tomo.harness import fit_means, noise_ladder
-from adaptive_tomo.protocols import _shot_plan, run_grid
+from adaptive_tomo.harness import fit_means
+from adaptive_tomo.protocols import _simulate, run_grid
 
 
 def fraction_ols(points):
@@ -296,10 +296,11 @@ class TestAlphaSweep:
 class TestSweepsRefuseBeforeTheFirstCampaign:
     @pytest.fixture(autouse=True)
     def no_campaign(self, monkeypatch):
-        def ran(spec):
+        def ran(*args):
             raise AssertionError("a campaign ran")
 
         monkeypatch.setattr(harness, "run_campaign", ran)
+        monkeypatch.setattr(harness, "_simulate", ran)
 
     def test_alpha_sweep_bad_alpha(self):
         base = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (100, 300, 1000), reps=2)
@@ -312,94 +313,76 @@ class TestSweepsRefuseBeforeTheFirstCampaign:
                            match=r"needs >= 3 sample sizes, got \(100, 300\)"):
             alpha_sweep([0.5], base)
 
-    def test_float_seed_and_ladder_bounds(self):
+    def test_float_seed(self):
         with pytest.raises(InvalidStateError, match=r"seed must be an integer, got 1\.5"):
             CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (100, 300, 1000), reps=2, seed=1.5)
         with pytest.raises(InvalidStateError, match=r"seed must be an integer, got 5\.0"):
-            noise_floor_sweep(PerSettingError, [0.01], [Static()], EQ7_BLOCH, reps=2, seed=5.0,
-                              n_start=1000, n_cap=8000)
-        for n_start, n_cap in ((1000.0, 8000), (1000, 8000.0)):
-            with pytest.raises(InvalidStateError, match="noise ladder bounds must be integers"):
-                noise_floor_sweep(PerSettingError, [0.01], [Static()], EQ7_BLOCH, reps=2,
-                                  n_start=n_start, n_cap=n_cap)
-            with pytest.raises(InvalidStateError, match="noise ladder bounds must be integers"):
-                noise_ladder(n_start, n_cap)
+            noise_floor_sweep(PerSettingError, [0.01], [Static()], EQ7_BLOCH, reps=2, seed=5.0)
 
     def test_noise_floor_sweep_e_beyond_a_half_turn(self):
         with pytest.raises(InvalidStateError, match="the Bloch tilt 4 E must be at most pi"):
             noise_floor_sweep(PerSettingError, [0.01, 0.02, 1.0], [Static(), Adaptive()],
-                              EQ7_BLOCH, reps=2, n_start=1000, n_cap=8000)
+                              EQ7_BLOCH, reps=2)
 
-    def test_noise_floor_sweep_rung_past_the_sampler(self):
-        # The first rung whose three settings cannot share N within 2**63 - 1.
-        n_cap = 10**30
-        first = next(n for n in noise_ladder(1000, n_cap) if n > 3 * (2**63 - 1))
-        with pytest.raises(BudgetError, match=f"^static at N={first}: a setting would take more "
-                                              r"than the sampler's 2\*\*63 - 1 shots$"):
-            noise_floor_sweep(PerSettingError, [0.01], [Static()], EQ7_BLOCH, reps=2,
-                              n_start=1000, n_cap=n_cap)
-
-    def test_noise_floor_sweep_middle_rung_the_protocol_cannot_split(self, monkeypatch):
-        def plan(spec, n):
-            if n == 2000:
-                raise BudgetError(f"cannot split N={n}")
-            return _shot_plan(spec, n)
-
-        monkeypatch.setattr(harness, "_shot_plan", plan)
-        with pytest.raises(BudgetError, match="^cannot split N=2000$"):
-            noise_floor_sweep(PerSettingError, [0.01, 0.02], [Static(), Adaptive()], EQ7_BLOCH,
-                              reps=2, n_start=1000, n_cap=4000)
+    def test_noise_floor_sweep_protocol_that_cannot_split(self):
+        # The second protocol's preliminary budget, round(1e-16 N), is 0 at N = 1e15.
+        with pytest.raises(BudgetError, match=r"^adaptive\(alpha=1e-16\) at N=10{15}: split "
+                                              r"\[0, 0, 0, .*\] leaves a setting without shots$"):
+            noise_floor_sweep(PerSettingError, [0.01, 0.02], [Static(), Adaptive(1e-16)],
+                              EQ7_BLOCH, reps=2)
 
 
 class TestNoiseFloorSweep:
-    def test_ladder_doubles_up_to_the_cap(self):
-        assert noise_ladder(1000, 1000) == [1000]
-        assert noise_ladder(1000, 7999) == [1000, 2000, 4000]
-        assert noise_ladder(1000, 8000) == [1000, 2000, 4000, 8000]
-        assert noise_ladder(np.int64(1000), np.int32(8000)) == [1000, 2000, 4000, 8000]
-
-    def test_empty_ladder_rejected(self):
-        for n_start, n_cap in ((1000, 500), (0, 500), (-4, 500)):
-            with pytest.raises(InvalidStateError, match="noise ladder needs 1 <= n_start"):
-                noise_floor_sweep(PerSettingError, [0.05], [Static()], EQ7_BLOCH,
-                                  n_start=n_start, n_cap=n_cap)
-
     def test_solver_failure_names_the_point(self, monkeypatch):
         monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
         with pytest.raises(RuntimeError, match=r"^boundary Newton iteration did not converge: "
-                                               r".*; at static, E=0\.05, N=100$") as info:
-            noise_floor_sweep(PerSettingError, [0.05], [Static()], EQ7_BLOCH, reps=4, seed=4,
-                              n_start=100, n_cap=400)
+                                               r".*; at static, E=0\.05$") as info:
+            noise_floor_sweep(PerSettingError, [0.05], [Static()], EQ7_BLOCH, reps=10, seed=4)
         assert isinstance(info.value.__cause__, RuntimeError)
 
-    def test_zero_error_never_converges(self):
-        out = noise_floor_sweep(
-            lambda e: PerSettingError(e) if e > 0 else NoError(),
-            [0.0],
-            [Static()],
-            EQ7_BLOCH,
-            reps=5,
-            seed=7,
-            n_start=250,
-            n_cap=4000,
-        )
-        point = out[0].points[0]
-        assert not point.converged
-        assert point.floor_infidelity is None
-        assert out[0].slope_fit is None
+    @pytest.mark.parametrize("state", [EQ7_BLOCH, (0.3, 0.4, 0.2)], ids=["eq7", "mixed"])
+    def test_zero_error_floor_is_exactly_zero(self, state):
+        # Without misalignment the fit to exact probabilities is the truth.
+        protocols = [Static(), Adaptive(0.5), AdaptivePow(), ReducedAdaptive(0.5), KnownBasis()]
+        for factory in (lambda e: NoError(), PerSettingError, PerExperimentError, FixedError):
+            out = noise_floor_sweep(factory, [0.0], protocols, state, reps=5, seed=7)
+            assert [(pt.floor_infidelity, pt.stderr) for r in out for pt in r.points] == \
+                [(0.0, 0.0)] * len(protocols)
+            assert all(r.slope_fit is None for r in out)
 
-    def test_large_error_converges_quickly(self):
-        out = noise_floor_sweep(
-            PerSettingError,
-            [0.05],
-            [Static()],
-            EQ7_BLOCH,
-            reps=50,
-            seed=7,
-            n_start=1000,
-            n_cap=512_000,
-        )
-        point = out[0].points[0]
-        assert point.converged
-        assert point.floor_infidelity > 1e-3
-        assert point.n_at_floor <= 512_000
+    @pytest.mark.parametrize("protocol", [Static(), Adaptive(0.5)], ids=repr)
+    def test_fixed_error_floor_matches_a_large_n_campaign(self, protocol):
+        # Model 3 draws nothing: the floor is one number, which a campaign at
+        # N = 2e10 reaches to within its noise.
+        out = noise_floor_sweep(FixedError, [1e-3, 3e-2], [protocol], EQ7_BLOCH, reps=2, seed=1)
+        for pt in out[0].points:
+            assert pt.stderr == 0.0
+            row = run_campaign(CampaignSpec(protocol, EQ7_BLOCH, (2 * 10**10,), reps=100,
+                                            error_model=FixedError(pt.error_magnitude),
+                                            seed=1729)).rows[0]
+            tolerance = max(1e-3 * pt.floor_infidelity, 3.0 * row.stderr)
+            assert abs(row.mean_infidelity - pt.floor_infidelity) <= tolerance
+
+    @pytest.mark.parametrize("factory", [PerSettingError, PerExperimentError], ids=repr)
+    def test_random_error_floor_draws_the_campaign_misalignments(self, factory):
+        # The floor's draws are those of the campaign of its spec, so a grid
+        # pass at N = 2e10 on that campaign's stream fits the same axes.
+        spec = CampaignSpec(Static(), EQ7_BLOCH, (harness._FLOOR_N,), reps=40,
+                            error_model=factory(0.01), seed=2)
+        point = noise_floor_sweep(factory, [0.01], [Static()], EQ7_BLOCH, reps=40,
+                                  seed=2)[0].points[0]
+        rng = harness._campaign_rng(campaign_hash(spec), spec.seed)
+        infidelity = run_grid(Static(), EQ7_BLOCH, (2 * 10**10,), factory(0.01), rng,
+                              40).infidelity
+        assert point.stderr > 0.0
+        assert point.floor_infidelity == pytest.approx(infidelity.mean(), rel=1e-3)
+
+    def test_expected_counts_stay_within_shots(self):
+        # Known-basis measures this pure truth on its own axis a, where
+        # 0.5 (1 + a . v) rounds above 1: the count of that setting is its shots.
+        v = np.random.default_rng(0).standard_normal((200_000, 3))
+        v = (v / np.linalg.norm(v, axis=1, keepdims=True))[2369]
+        batch = _simulate(KnownBasis(), v, (harness._FLOOR_N,), NoError(), RngContext(0), 1,
+                          harness._expected_counts)
+        assert batch.n_plus[0, 0] == batch.shots[0, 0]
+        assert np.all(batch.n_plus <= batch.shots)

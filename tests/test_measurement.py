@@ -21,7 +21,7 @@ from adaptive_tomo import (
     run_protocol,
 )
 from adaptive_tomo.fixtures import EQ7_BLOCH
-from adaptive_tomo.measurement import realized_axes
+from adaptive_tomo.measurement import born_probabilities, realized_axes
 from adaptive_tomo.protocols import run_grid
 
 I2 = np.eye(2, dtype=complex) / 2
@@ -74,6 +74,15 @@ class TestBornProbability:
         assert born_probability(rho, axis) + born_probability(rho, -axis) == pytest.approx(
             1.0, abs=1e-15
         )
+
+    def test_pure_truth_on_its_own_axis_is_at_most_one(self):
+        # For about 1% of unit vectors v, 0.5 (1 + v . v) rounds above 1.
+        v = np.random.default_rng(0).standard_normal((200_000, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        dot = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
+        above = v[0.5 * (1.0 + dot) > 1.0]
+        assert len(above) > 1000
+        assert max(born_probabilities(u, u) for u in above) == 1.0
 
 
 class TestSampleCounts:
