@@ -36,7 +36,7 @@ import platform
 import re
 import sys
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence, get_args
+from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -426,22 +426,44 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def _is_json_of(value, hint) -> bool:
+    """Whether a JSON value holds a RunConfig field of type ``hint``: JSON
+    writes a tuple as a list and may write a float without a fraction."""
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_is_json_of(v, get_args(hint)[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def config_from_provenance(data: dict) -> RunConfig:
     """Rebuild the resolved RunConfig from a provenance JSON payload; UsageError
     if its stream or estimator version is not the engine's (naming both), if
-    its config has a key that RunConfig lacks (naming each, such as the
-    ``n_start`` and ``n_cap`` of an earlier ``sweep-noise``) or if the CLI's
-    rules refuse the config."""
+    it has no config object or one without a command, if its config has a key
+    that RunConfig lacks (naming each, such as the ``n_start`` and ``n_cap``
+    of an earlier ``sweep-noise``) or a value of another type (naming the key
+    and the type), or if the CLI's rules refuse the config."""
     for key, version in (("stream_version", STREAM_VERSION),
                          ("estimator_version", ESTIMATOR_VERSION)):
         if data.get(key) != version:
             raise UsageError(f"provenance has {key} {data.get(key)}, this engine {version}")
-    unknown = sorted(set(data["config"]) - {f.name for f in fields(RunConfig)})
+    given = data.get("config")
+    if not isinstance(given, dict):
+        raise UsageError("provenance has no config object")
+    hints = get_type_hints(RunConfig)
+    unknown = sorted(set(given) - set(hints))
     if unknown:
         raise UsageError(f"provenance config has keys this engine lacks: {', '.join(unknown)}")
-    # JSON writes every tuple field as a list.
+    if "command" not in given:
+        raise UsageError("provenance config has no command")
+    for key, value in given.items():
+        hint = hints[key]
+        if not _is_json_of(value, hint):
+            raise UsageError(f"provenance config {key} must be "
+                             f"{hint.__name__ if isinstance(hint, type) else hint}, "
+                             f"got {type(value).__name__} {value!r}")
     config = RunConfig(**{key: tuple(value) if isinstance(value, list) else value
-                          for key, value in data["config"].items()})
+                          for key, value in given.items()})
     _validate(config, set())
     return config
 

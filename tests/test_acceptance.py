@@ -1,8 +1,7 @@
 """Acceptance suite: every release criterion at its pinned tolerance.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see one PASS/FAIL line per
-criterion.  Criterion 5 (noise-floor slopes for all three error models) is the
-slow tier; deselect it with ``-m "not slow"``.
+criterion.
 """
 import math
 import time
@@ -167,7 +166,6 @@ class TestCriterion4ReducedAdaptive:
         )
 
 
-@pytest.mark.slow
 class TestCriterion5NoiseFloorSlopes:
     E_GRID = tuple(float(x) for x in np.geomspace(1e-3, 3e-2, 5))
     FACTORIES = {

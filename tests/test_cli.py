@@ -551,6 +551,36 @@ class TestRunCommand:
         del payload["config"]["n_start"]
         assert config_from_provenance(payload) == cli.RunConfig(command="sweep-noise", model="1")
 
+    def test_provenance_without_a_config_object_is_refused(self):
+        with pytest.raises(UsageError, match="^provenance has no config object$"):
+            config_from_provenance({"stream_version": 4, "estimator_version": 4})
+        with pytest.raises(UsageError, match="^provenance config has no command$"):
+            config_from_provenance({"stream_version": 4, "estimator_version": 4,
+                                    "config": {"reps": 2}})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("reps", "2", "reps must be int, got str '2'"),
+        ("seed", True, "seed must be int, got bool True"),
+        ("alpha", "0.5", "alpha must be float, got str '0.5'"),
+        ("n_grid", [60, 120.5], r"n_grid must be tuple\[int, \.\.\.\], got list \[60, 120.5\]"),
+        ("protocols", "static", r"protocols must be tuple\[str, \.\.\.\], got str 'static'"),
+        ("gnuplot", 1, "gnuplot must be bool, got int 1"),
+    ])
+    def test_provenance_value_of_another_type_is_refused(self, key, value, message):
+        # Refused here, naming the key and its type, not later by ``execute``.
+        config = dataclasses.asdict(cli.RunConfig(command="run", n_grid=(60, 120)))
+        payload = {"stream_version": 4, "estimator_version": 4,
+                   "config": {**json.loads(json.dumps(config)), key: value}}
+        with pytest.raises(UsageError, match=f"^provenance config {message}$"):
+            config_from_provenance(payload)
+
+    def test_provenance_float_written_without_a_fraction_is_taken(self):
+        config = dataclasses.asdict(cli.RunConfig(command="run", model="3", e_value=1.0))
+        config = {**json.loads(json.dumps(config)), "e_value": 1}
+        payload = {"stream_version": 4, "estimator_version": 4, "config": config}
+        assert config_from_provenance(payload) == cli.RunConfig(command="run", model="3",
+                                                                e_value=1.0)
+
     def test_provenance_of_a_model_without_e_is_refused(self):
         # Earlier releases ran --model 1 with E = 0 error-free; this engine
         # would run PerSettingError(0) under another campaign hash.

@@ -1,3 +1,9 @@
+import ctypes
+import os
+import subprocess
+import sys
+import types
+
 import numpy as np
 import pytest
 
@@ -16,6 +22,7 @@ from adaptive_tomo import (
     named_state,
     run_protocol,
 )
+from adaptive_tomo import protocols
 from adaptive_tomo.protocols import run_grid
 from adaptive_tomo.states import SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -192,3 +199,66 @@ class TestDeterminism:
                 x.n_plus == y.n_plus and np.array_equal(x.realized_axis, y.realized_axis)
                 for x, y in zip(a.records, b.records)
             )
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+# One default-grid Adaptive(0.5) campaign at a mixed state, run twice to warm
+# up and then once more under a count of the process's minor page faults.
+_FAULTS_CHILD = """
+import resource
+from adaptive_tomo import Adaptive, CampaignSpec, run_campaign
+from adaptive_tomo.cli import RunConfig
+spec = CampaignSpec(protocol=Adaptive(0.5), state_bloch=(0.3, 0.4, 0.2),
+                    n_grid=RunConfig.n_grid, seed=7)
+run_campaign(spec)
+run_campaign(spec)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_campaign(spec)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_steady_campaign_keeps_its_heap():
+    # A fresh interpreter, so that earlier tests leave no heap behind; without
+    # the kept heap this campaign faults its 1-3 MB of fit temporaries back in
+    # (400-500 faults).
+    src = os.path.dirname(os.path.dirname(protocols.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _FAULTS_CHILD], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert int(done.stdout) <= 20
+
+
+@pytest.mark.parametrize("result, calls", [
+    (0, [(protocols._M_TOP_PAD, protocols._TOP_PAD_BYTES)]),
+    (1, [(protocols._M_TOP_PAD, protocols._TOP_PAD_BYTES),
+         (protocols._M_MMAP_THRESHOLD, protocols._MMAP_THRESHOLD_BYTES)]),
+], ids=["refused", "taken"])
+def test_keep_heap_pins_the_mmap_threshold_only_after_the_pad(monkeypatch, result, calls):
+    made = []
+
+    def mallopt(param, value):
+        made.append((param, value))
+        return result
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert protocols._keep_heap.__wrapped__() is None
+    assert made == calls
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: types.SimpleNamespace(), _no_c_library],
+                         ids=["no-mallopt", "no-library"])
+def test_keep_heap_without_mallopt_does_nothing(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert protocols._keep_heap.__wrapped__() is None
