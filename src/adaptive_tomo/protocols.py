@@ -25,6 +25,7 @@ import ctypes
 import functools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Sequence, Union
 
@@ -178,7 +179,8 @@ def run_protocol(spec: ProtocolSpec, rho_true: np.ndarray, n_total: int,
     ``RunResult``.  The records hold the intended axes, realized axes,
     shots and counts of its settings; ``rho_prelim`` is the preliminary fit
     that chose the adapted triplet (None for one-phase protocols) and
-    ``rho_hat`` the final fit.
+    ``rho_hat`` the final fit.  Like ``run_grid``, it sets the process's
+    malloc policy under glibc.
     """
     batch = run_grid(spec, density_to_bloch(rho_true), (n_total,), error_model, rng, 1)
     records = tuple(map(CountRecord, batch.axes[0], batch.realized[0], batch.shots[0].tolist(),
@@ -260,6 +262,13 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
     worked out (``_shot_plan``, which also refuses a leaked budget) before
     anything is drawn, so a bad state or the first bad N raises.  These
     stages are ``_simulate``'s, given this binomial draw as the counts.
+
+    Under glibc this changes malloc for the whole process, and nothing undoes
+    it (``_keep_heap``): the first call pins the mmap threshold at 32 MB,
+    and every call raises the freed heap kept above the break (the top pad)
+    to 2 KB per row, 8 to 64 MB.  So blocks of up to 32 MB that other code
+    allocates come from the heap, and up to 64 MB of freed heap stays with
+    the process instead of going back to the kernel.
     """
     def binomial(phase: int, shots: np.ndarray, p: np.ndarray) -> np.ndarray:
         def by_point(a: np.ndarray) -> np.ndarray:
@@ -272,33 +281,58 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
     return _simulate(spec, r_true, n_grid, error_model, rng, reps, binomial)
 
 
-# glibc's malloc parameters (<malloc.h>).  A two-phase campaign of the
-# default grid (1500 rows) allocates 1-3 MB of fit temporaries; given back to
-# the kernel at its end, they cost the next campaign 200-500 minor page faults.
+# glibc's malloc parameters (<malloc.h>).  A two-phase campaign allocates
+# about 1.7 KB of fit temporaries per row (1-3 MB at the default grid's 1500
+# rows); given back to the kernel at its end, they cost the next campaign
+# hundreds of minor page faults.
 _M_TOP_PAD = -2
 _M_MMAP_THRESHOLD = -3
-# Freed heap kept above the break: Adaptive campaigns of up to about 4500 rows
-# (three times the default grid) reuse it without a page fault.
-_TOP_PAD_BYTES = 8 << 20
+# Freed heap kept above the break (the top pad): 2 KB per row of the largest
+# campaign so far, and at least 8 MB.  Measured on Adaptive campaigns of 1 500
+# to 48 000 rows, a steady campaign mostly took 0 faults and at most 281 below
+# the cap, where glibc's own policy took about 200 to 10 000.
+_PAD_BYTES_PER_ROW = 2 << 10
+_MIN_PAD_BYTES = 8 << 20
 # Setting any malloc parameter stops glibc raising its mmap threshold as large
 # blocks are freed; pinned at the ceiling that raising reaches on 64-bit, it
 # keeps temporaries too large for the pad on the heap instead of mapping each
-# afresh (at 12000 rows the pad alone took 6561 faults a campaign, 3688 unset,
-# and 1747 with this).
+# afresh.  The pad stops at twice that, the most freed heap glibc's own
+# sliding policy keeps (its trim threshold at that ceiling), reached at
+# 32 768 rows.
 _MMAP_THRESHOLD_BYTES = 32 << 20
+_MAX_PAD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
+# The pad set so far (0 before the first campaign, or off glibc): a module
+# value because the setting it mirrors is the process's, and glibc has no
+# call that reads it back.  Threads racing here can leave a smaller pad,
+# which costs faults, never a different result.
+_heap_pad = 0
 
 
 @functools.cache
-def _keep_heap() -> None:
-    """Keep freed heap between campaigns (``_TOP_PAD_BYTES``) under glibc;
-    does nothing where the C library has no ``mallopt`` or refuses it."""
+def _mallopt() -> Optional[Callable[[int, int], int]]:
+    """glibc's ``mallopt``, or None under any other C library."""
     try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
         mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError):
-        return
+    except (AttributeError, OSError, TypeError, ValueError):
+        return None
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    if mallopt(_M_TOP_PAD, _TOP_PAD_BYTES):
+    return mallopt
+
+
+def _keep_heap(rows: int) -> None:
+    """Keep freed heap between campaigns of up to ``rows`` rows under glibc;
+    the pad only grows.  Does nothing, and never raises, where the C library
+    is not glibc or refuses the pad."""
+    global _heap_pad
+    pad = min(max(_MIN_PAD_BYTES, rows * _PAD_BYTES_PER_ROW), _MAX_PAD_BYTES)
+    mallopt = _mallopt()
+    if mallopt is None or pad <= _heap_pad or not mallopt(_M_TOP_PAD, pad):
+        return
+    if not _heap_pad:
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    _heap_pad = pad
 
 
 def _simulate(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
@@ -308,11 +342,11 @@ def _simulate(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int]
     ``counts(k, shots, p)`` for (rows, settings of the phase) arrays of shots
     and Born probabilities: ``run_grid``'s binomial draw, or the expected
     counts ``p * shots`` of a noise floor (``harness.noise_floor_sweep``)."""
-    _keep_heap()
     check_bloch(r_true)
     r_true = np.asarray(r_true, dtype=float)
     # Per-row shots of every setting, (rows, M).
     shots = np.repeat([sum(_shot_plan(spec, n), []) for n in n_grid], reps, axis=0)
+    _keep_heap(len(shots))
     draws = None
     if _draws_misalignments(error_model):
         size = (len(shots), shots.shape[1] if error_model.draws_per == "setting" else 1)

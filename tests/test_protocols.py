@@ -201,13 +201,6 @@ class TestDeterminism:
             )
 
 
-def _has_mallopt() -> bool:
-    try:
-        return hasattr(ctypes.CDLL(None), "mallopt")
-    except OSError:
-        return False
-
-
 # One default-grid Adaptive(0.5) campaign at a mixed state, run twice to warm
 # up and then once more under a count of the process's minor page faults.
 _FAULTS_CHILD = """
@@ -224,41 +217,84 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+@pytest.mark.skipif(protocols._mallopt() is None, reason="the C library is not glibc")
 def test_steady_campaign_keeps_its_heap():
     # A fresh interpreter, so that earlier tests leave no heap behind; without
     # the kept heap this campaign faults its 1-3 MB of fit temporaries back in
     # (400-500 faults).
     src = os.path.dirname(os.path.dirname(protocols.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", _FAULTS_CHILD], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert int(done.stdout) <= 20
 
 
-@pytest.mark.parametrize("result, calls", [
-    (0, [(protocols._M_TOP_PAD, protocols._TOP_PAD_BYTES)]),
-    (1, [(protocols._M_TOP_PAD, protocols._TOP_PAD_BYTES),
-         (protocols._M_MMAP_THRESHOLD, protocols._MMAP_THRESHOLD_BYTES)]),
-], ids=["refused", "taken"])
-def test_keep_heap_pins_the_mmap_threshold_only_after_the_pad(monkeypatch, result, calls):
+_MB = 1 << 20
+
+
+@pytest.mark.parametrize("result, rows, calls, pad", [
+    (0, [1500], [(protocols._M_TOP_PAD, 8 * _MB)], 0),
+    (1, [1500], [(protocols._M_TOP_PAD, 8 * _MB),
+                 (protocols._M_MMAP_THRESHOLD, 32 * _MB)], 8 * _MB),
+    # The pad grows with the largest campaign, up to 64 MB, and never shrinks.
+    (1, [1500, 12000, 1500, 1500, 10**6, 12000],
+     [(protocols._M_TOP_PAD, 8 * _MB), (protocols._M_MMAP_THRESHOLD, 32 * _MB),
+      (protocols._M_TOP_PAD, 12000 * 2048), (protocols._M_TOP_PAD, 64 * _MB)], 64 * _MB),
+], ids=["refused", "taken", "grows"])
+def test_keep_heap_pads_by_rows_and_pins_the_threshold_once(monkeypatch, result, rows, calls,
+                                                             pad):
     made = []
 
     def mallopt(param, value):
         made.append((param, value))
         return result
 
-    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
-    assert protocols._keep_heap.__wrapped__() is None
+    monkeypatch.setattr(protocols, "_mallopt", lambda: mallopt)
+    monkeypatch.setattr(protocols, "_heap_pad", 0)
+    for n in rows:
+        assert protocols._keep_heap(n) is None
     assert made == calls
+    assert protocols._heap_pad == pad
 
 
-def _no_c_library(name):
-    raise OSError("no C library")
+def test_keep_heap_without_mallopt_does_nothing(monkeypatch):
+    monkeypatch.setattr(protocols, "_mallopt", lambda: None)
+    monkeypatch.setattr(protocols, "_heap_pad", 0)
+    assert protocols._keep_heap(1500) is None
+    assert protocols._heap_pad == 0
 
 
-@pytest.mark.parametrize("cdll", [lambda name: types.SimpleNamespace(), _no_c_library],
-                         ids=["no-mallopt", "no-library"])
-def test_keep_heap_without_mallopt_does_nothing(monkeypatch, cdll):
+def test_mallopt_under_glibc_is_typed(monkeypatch):
+    def mallopt(param, value):
+        return 1
+
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert protocols._mallopt.__wrapped__() is mallopt
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int) and mallopt.restype is ctypes.c_int
+
+
+def _raises(error):
+    def stand_in(*args):
+        raise error
+    return stand_in
+
+
+@pytest.mark.parametrize("confstr, cdll", [
+    (lambda name: "glibc 2.36", lambda name: types.SimpleNamespace()),
+    (lambda name: "glibc 2.36", _raises(OSError("no C library"))),
+    # ctypes on Windows refuses CDLL(None) with a TypeError.
+    (lambda name: "glibc 2.36", _raises(TypeError("argument of type 'NoneType' is not iterable"))),
+    (lambda name: None, lambda name: types.SimpleNamespace(mallopt=print)),
+    (_raises(ValueError("unrecognized configuration name")),
+     lambda name: types.SimpleNamespace(mallopt=print)),
+    (None, lambda name: types.SimpleNamespace(mallopt=print)),
+], ids=["no-mallopt", "no-library", "windows", "not-glibc", "no-glibc-name", "no-confstr"])
+def test_mallopt_is_none_off_glibc(monkeypatch, confstr, cdll):
+    if confstr is None:
+        monkeypatch.delattr(os, "confstr", raising=False)
+    else:
+        monkeypatch.setattr(os, "confstr", confstr, raising=False)
     monkeypatch.setattr(ctypes, "CDLL", cdll)
-    assert protocols._keep_heap.__wrapped__() is None
+    assert protocols._mallopt.__wrapped__() is None
