@@ -10,10 +10,11 @@ fixtures     print the named reference states and their sanity-check values
 
 A command's options can also be given in a flat ``key = value`` config file
 (``--config``); its keys are its own flags' RunConfig fields or the flags
-without their dashes, with ``-`` and ``_`` interchangeable, and explicit flags
-override file values.  ``--n`` is another spelling of ``--n-grid``.  Numeric
-grids accept either comma lists (``100,1000,10000``) or ``start:stop:count``
-for log-spaced points; exponents may be fractional (``1e-1.5``).
+without their dashes, with ``-`` and ``_`` interchangeable, each set at most
+once, and explicit flags override file values.  ``--n`` is another spelling of
+``--n-grid``.  Numeric grids accept either comma lists (``100,1000,10000``) or
+``start:stop:count`` for log-spaced points; exponents may be fractional
+(``1e-1.5``).
 
 Outputs are written atomically into the output directory (``--out``, or the
 ``ADAPTIVE_TOMO_OUT`` environment variable, or the working directory), and
@@ -155,7 +156,10 @@ def _protocol_list(text: str) -> tuple[str, ...]:
 
 
 def _parse_bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes")
+    value = text.strip().lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise UsageError(f"{text!r} is not one of 1, true, yes, 0, false, no")
+    return value in ("1", "true", "yes")
 
 
 _COMMANDS = {
@@ -254,6 +258,7 @@ def _read_lines(path: str, kind: str, newline: Optional[str] = None) -> list[str
 
 def _read_config_file(path: str, command: str) -> dict:
     values: dict = {}
+    set_at: dict = {}  # field -> the line that set it
     for lineno, raw in enumerate(_read_lines(path, "config file"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -264,6 +269,9 @@ def _read_config_file(path: str, command: str) -> dict:
         field = _FILE_KEYS.get((command, key.replace("-", "_")))
         if field is None:
             raise UsageError(f"{path}:{lineno}: {command} takes no key {key!r}")
+        if field in set_at:
+            raise UsageError(f"{path}:{lineno}: {field} is already set on line {set_at[field]}")
+        set_at[field] = lineno
         values[field] = _parse_value(field, value, f"{path}:{lineno}: ")
     return values
 
@@ -300,6 +308,11 @@ def _validate(config: RunConfig, given: set[str]) -> None:
         if name not in _PROTOCOLS:
             raise UsageError(f"unknown protocol {name!r}: protocol must be one of "
                              f"{', '.join(_PROTOCOLS)}")
+    for field in ("alphas", "protocols"):
+        values = getattr(config, field)
+        repeated = [value for i, value in enumerate(values) if value in values[:i]]
+        if repeated:
+            raise UsageError(f"{_FLAGS[field]} repeats {repeated[0]!r}")
     if any(e <= 0 for e in config.e_grid):
         raise UsageError("e-grid values must be positive")
     if any(b <= a for a, b in zip(config.e_grid, config.e_grid[1:])):

@@ -96,8 +96,8 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
     The whole grid is one vectorised pass (``protocols.run_grid``) on the
     Bloch vector ``spec.state_bloch`` and the stream (seed, (hash label, 0)).
     The spec refused, when it was built, a state outside the Bloch ball and
-    an N its protocol cannot split.  Like ``run_grid``, it sets the
-    process's malloc policy under glibc.
+    an N its protocol cannot split.  Under glibc, the process's first engine
+    call sets its malloc policy (``run_grid``).
     """
     digest = campaign_hash(spec)
     infidelities = run_grid(spec.protocol, spec.state_bloch, spec.n_grid, spec.error_model,
@@ -183,7 +183,7 @@ def alpha_sweep(
     and a grid shorter than MIN_FIT_POINTS refused, before the first campaign
     runs.  Returns (alpha, campaign, ``fit_campaign`` or None) per alpha, in
     the order given; a campaign's RuntimeError is raised again naming its alpha.
-    Like ``run_grid``, it sets the process's malloc policy under glibc.
+    Under glibc, the process's first engine call sets its malloc policy.
     """
     if len(base_spec.n_grid) < MIN_FIT_POINTS:
         raise InvalidStateError(f"an alpha sweep fits a power law and needs >= {MIN_FIT_POINTS} "
@@ -249,8 +249,8 @@ def noise_floor_sweep(
     that ``model_factory`` refuses or a protocol that cannot split
     ``_FLOOR_N`` raises first.  Per protocol, the slope of log(floor) vs
     log(E) is ``fit_means`` of every floor (a floor of exactly 0 left out).
-    A fit's RuntimeError is raised again naming its protocol and E.  Like
-    ``run_grid``, it sets the process's malloc policy under glibc.
+    A fit's RuntimeError is raised again naming its protocol and E.  Under
+    glibc, the process's first engine call sets its malloc policy.
     """
     models = [model_factory(float(e_value)) for e_value in e_grid]
     specs = [[CampaignSpec(protocol, state_bloch, (_FLOOR_N,), reps=reps, error_model=model,

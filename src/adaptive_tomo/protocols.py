@@ -179,8 +179,8 @@ def run_protocol(spec: ProtocolSpec, rho_true: np.ndarray, n_total: int,
     ``RunResult``.  The records hold the intended axes, realized axes,
     shots and counts of its settings; ``rho_prelim`` is the preliminary fit
     that chose the adapted triplet (None for one-phase protocols) and
-    ``rho_hat`` the final fit.  Like ``run_grid``, it sets the process's
-    malloc policy under glibc.
+    ``rho_hat`` the final fit.  Under glibc, the process's first engine
+    call sets its malloc policy (``run_grid``).
     """
     batch = run_grid(spec, density_to_bloch(rho_true), (n_total,), error_model, rng, 1)
     records = tuple(map(CountRecord, batch.axes[0], batch.realized[0], batch.shots[0].tolist(),
@@ -263,12 +263,10 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
     anything is drawn, so a bad state or the first bad N raises.  These
     stages are ``_simulate``'s, given this binomial draw as the counts.
 
-    Under glibc this changes malloc for the whole process, and nothing undoes
-    it (``_keep_heap``): the first call pins the mmap threshold at 32 MB,
-    and every call raises the freed heap kept above the break (the top pad)
-    to 2 KB per row, 8 to 64 MB.  So blocks of up to 32 MB that other code
-    allocates come from the heap, and up to 64 MB of freed heap stays with
-    the process instead of going back to the kernel.
+    Under glibc, the process's first engine call sets its malloc policy
+    (``_keep_heap``), and nothing undoes it: blocks of up to 32 MB that any
+    code allocates come from the heap, and up to 64 MB of freed heap stays
+    with the process instead of going back to the kernel.
     """
     def binomial(phase: int, shots: np.ndarray, p: np.ndarray) -> np.ndarray:
         def by_point(a: np.ndarray) -> np.ndarray:
@@ -287,25 +285,16 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
 # hundreds of minor page faults.
 _M_TOP_PAD = -2
 _M_MMAP_THRESHOLD = -3
-# Freed heap kept above the break (the top pad): 2 KB per row of the largest
-# campaign so far, and at least 8 MB.  Measured on Adaptive campaigns of 1 500
-# to 48 000 rows, a steady campaign mostly took 0 faults and at most 281 below
-# the cap, where glibc's own policy took about 200 to 10 000.
-_PAD_BYTES_PER_ROW = 2 << 10
-_MIN_PAD_BYTES = 8 << 20
 # Setting any malloc parameter stops glibc raising its mmap threshold as large
 # blocks are freed; pinned at the ceiling that raising reaches on 64-bit, it
 # keeps temporaries too large for the pad on the heap instead of mapping each
-# afresh.  The pad stops at twice that, the most freed heap glibc's own
-# sliding policy keeps (its trim threshold at that ceiling), reached at
-# 32 768 rows.
+# afresh.
 _MMAP_THRESHOLD_BYTES = 32 << 20
+# The pad, freed heap kept above the break, is twice that: the most freed heap
+# glibc's own sliding policy keeps, and at 2 KB a row the temporaries of a
+# 32 768-row campaign.  It holds only heap already in use (the break grows
+# into untouched pages), so it does not raise the resident set.
 _MAX_PAD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
-# The pad set so far (0 before the first campaign, or off glibc): a module
-# value because the setting it mirrors is the process's, and glibc has no
-# call that reads it back.  Threads racing here can leave a smaller pad,
-# which costs faults, never a different result.
-_heap_pad = 0
 
 
 @functools.cache
@@ -321,18 +310,14 @@ def _mallopt() -> Optional[Callable[[int, int], int]]:
     return mallopt
 
 
-def _keep_heap(rows: int) -> None:
-    """Keep freed heap between campaigns of up to ``rows`` rows under glibc;
-    the pad only grows.  Does nothing, and never raises, where the C library
-    is not glibc or refuses the pad."""
-    global _heap_pad
-    pad = min(max(_MIN_PAD_BYTES, rows * _PAD_BYTES_PER_ROW), _MAX_PAD_BYTES)
+@functools.cache
+def _keep_heap() -> None:
+    """Keep freed heap between campaigns under glibc, once per process.  Does
+    nothing, and never raises, where the C library is not glibc or refuses
+    the pad."""
     mallopt = _mallopt()
-    if mallopt is None or pad <= _heap_pad or not mallopt(_M_TOP_PAD, pad):
-        return
-    if not _heap_pad:
+    if mallopt is not None and mallopt(_M_TOP_PAD, _MAX_PAD_BYTES):
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    _heap_pad = pad
 
 
 def _simulate(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
@@ -342,11 +327,11 @@ def _simulate(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int]
     ``counts(k, shots, p)`` for (rows, settings of the phase) arrays of shots
     and Born probabilities: ``run_grid``'s binomial draw, or the expected
     counts ``p * shots`` of a noise floor (``harness.noise_floor_sweep``)."""
+    _keep_heap()
     check_bloch(r_true)
     r_true = np.asarray(r_true, dtype=float)
     # Per-row shots of every setting, (rows, M).
     shots = np.repeat([sum(_shot_plan(spec, n), []) for n in n_grid], reps, axis=0)
-    _keep_heap(len(shots))
     draws = None
     if _draws_misalignments(error_model):
         size = (len(shots), shots.shape[1] if error_model.draws_per == "setting" else 1)

@@ -80,11 +80,13 @@ class TestParsing:
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "config.txt"
-        cfg.write_text("reps = 150\nseed = 9\nprotocol = adaptive\n# comment\n")
+        cfg.write_text("reps = 150\nseed = 9\nprotocol = adaptive\ngnuplot = No\n# comment\n")
         config = parse_config(["run", "--config", str(cfg), "--reps", "10"])
         assert config.reps == 10  # flag wins
         assert config.seed == 9
         assert config.protocol == "adaptive"
+        assert config.gnuplot is False
+        assert parse_config(["run", "--config", str(cfg), "--gnuplot"]).gnuplot is True
 
     def test_config_file_unknown_key(self, tmp_path):
         cfg = tmp_path / "config.txt"
@@ -144,10 +146,13 @@ class TestParsing:
     def test_n_is_another_spelling_of_n_grid(self, tmp_path):
         assert parse_config(["run", "--n", "60", "--n-grid", "70,80"]).n_grid == (70, 80)
         assert parse_config(["run", "--n-grid", "70,80", "--n", "60"]).n_grid == (60,)
+        # A config file sets a field once, under either key.
         cfg = tmp_path / "config.txt"
+        cfg.write_text("n = 60\n")
+        assert parse_config(["run", "--config", str(cfg), "--n-grid", "70,80"]).n_grid == (70, 80)
         cfg.write_text("n = 60\nn_grid = 70,80\n")
-        assert parse_config(["run", "--config", str(cfg)]).n_grid == (70, 80)
-        assert parse_config(["run", "--config", str(cfg), "--n", "90"]).n_grid == (90,)
+        with pytest.raises(UsageError, match=r"config.txt:2: n_grid is already set on line 1"):
+            parse_config(["run", "--config", str(cfg)])
 
     def test_each_command_takes_its_flags(self):
         common = {"--config", "-h", "--help"}
@@ -282,6 +287,16 @@ class TestParsing:
         ("csv-not-utf8", ["fit", "--csv", "{tmp}/latin1.csv"],
          "latin1.csv': 'utf-8' codec can't decode byte 0xe9"),
         ("config-line", ["run", "--config", "{tmp}/no-equals.txt"], "expected 'key = value'"),
+        ("config-repeated-field", ["run", "--config", "{tmp}/reps-twice.txt"],
+         "reps-twice.txt:3: reps is already set on line 1"),
+        ("gnuplot-on", ["run", "--config", "{tmp}/gnuplot-on.txt"],
+         "gnuplot-on.txt:1: bad value for gnuplot: 'on' is not one of"),
+        ("gnuplot-typo", ["run", "--config", "{tmp}/gnuplot-typo.txt"],
+         "gnuplot-typo.txt:1: bad value for gnuplot: 'flase' is not one of"),
+        ("alpha-grid-repeated", ["sweep-alpha", "--alpha-grid", "0.5,0.3,0.5"],
+         "--alpha-grid repeats 0.5"),
+        ("protocols-repeated", ["sweep-noise", "--model", "1", "--protocols", "static,static"],
+         "--protocols repeats 'static'"),
         ("csv-columns", ["fit", "--csv", "{tmp}/columns.csv"], "is not a campaign CSV"),
         ("csv-row", ["fit", "--csv", "{tmp}/row.csv"],
          "row.csv:3: invalid literal for int() with base 10: 'abc'"),
@@ -337,6 +352,9 @@ class TestParsing:
         (tmp_path / "no-equals.txt").write_text("seed 3\n")
         (tmp_path / "axis.txt").write_text("error-axis = 0,0,1\n")
         (tmp_path / "alpha.txt").write_text("alpha = 0.3\n")
+        (tmp_path / "reps-twice.txt").write_text("reps = 2\n# comment\nreps = 3\n")
+        (tmp_path / "gnuplot-on.txt").write_text("gnuplot = on\n")
+        (tmp_path / "gnuplot-typo.txt").write_text("gnuplot = flase\n")
         (tmp_path / "columns.csv").write_text("protocol,n\r\nstatic,100\r\n")
         (tmp_path / "latin1.csv").write_bytes("protocol,N,mean_infidelity\r\ncaf\u00e9,100,0.1\r\n"
                                               .encode("latin-1"))
