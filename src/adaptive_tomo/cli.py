@@ -51,13 +51,14 @@ from .harness import (
     NoiseFloorResult,
     ScalingFit,
     alpha_sweep,
+    fit_campaign,
     fit_means,
     noise_floor_sweep,
     run_campaign,
 )
 from .measurement import FixedError, NoError, PerExperimentError, PerSettingError
 from .protocols import STREAM_VERSION, Adaptive, AdaptivePow, ProtocolSpec, protocol_name
-from .states import density_to_bloch, fidelity, purity
+from .states import BLOCH_NORM_ATOL, density_to_bloch, fidelity, purity
 
 OUTPUT_DIR_ENV = "ADAPTIVE_TOMO_OUT"
 
@@ -148,7 +149,8 @@ def parse_axis(text: str) -> tuple[float, float, float]:
     norm = math.sqrt(sum(p * p for p in parts))
     if norm == 0:
         raise UsageError("axis must be nonzero")
-    return (parts[0] / norm, parts[1] / norm, parts[2] / norm)
+    # An axis that ``check_axis`` takes as unit is kept bit for bit: it names the campaign.
+    return tuple(p / (1.0 if abs(norm - 1.0) <= BLOCH_NORM_ATOL else norm) for p in parts)
 
 
 def _protocol_list(text: str) -> tuple[str, ...]:
@@ -246,9 +248,9 @@ def _parse_value(field: str, text: str, where: str = ""):
 
 
 def _read_lines(path: str, kind: str, newline: Optional[str] = None) -> list[str]:
-    """The lines of a UTF-8 input file; UsageError naming it if it cannot be read."""
+    """The lines of a UTF-8 input file, BOM or not; UsageError naming it if it cannot be read."""
     try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
             return fh.readlines()
     except FileNotFoundError:
         raise UsageError(f"{kind} {path!r} not found") from None
@@ -392,8 +394,8 @@ def _csv(header: Sequence[str], rows) -> str:
 
 def _campaign_csv(results: Sequence[CampaignResult]) -> str:
     return _csv(["protocol", "N", "reps", "mean_infidelity", "stderr", "seed"],
-                ([protocol_name(result.spec.protocol), row.n, row.reps,
-                  _fmt(row.mean_infidelity), _fmt(row.stderr), result.seed]
+                ([protocol_name(result.spec.protocol), row.n, result.spec.reps,
+                  _fmt(row.mean_infidelity), _fmt(row.stderr), result.spec.seed]
                  for result in results for row in result.rows))
 
 
@@ -519,10 +521,11 @@ def execute(config: RunConfig) -> int:
         name = protocol_name(result.spec.protocol)
         for row in result.rows:
             print(
-                f"{name} N={row.n} reps={row.reps} "
+                f"{name} N={row.n} reps={result.spec.reps} "
                 f"mean={row.mean_infidelity:.6e} stderr={row.stderr:.6e}"
             )
-        fits = _fits_from_rows([(name, row.n, row.mean_infidelity) for row in result.rows])
+        fit = fit_campaign(result)
+        fits = [] if fit is None else [_fit_entry(name, fit)]
         files = {"campaign.csv": _campaign_csv([result]), "fit.json": _json({"fits": fits})}
         if config.gnuplot:
             files["campaign.gp"] = _GNUPLOT

@@ -28,9 +28,9 @@ from .states import check_bloch
 class CampaignSpec:
     """One Monte Carlo campaign: protocol, true state, N grid, repetitions.
     Building one refuses a campaign that cannot run: a grid not strictly
-    increasing, reps not an integer of at least 2, a seed not an integer, a
-    state outside the Bloch ball (``check_bloch``) or an N that is not an
-    integer, that the protocol cannot split or whose split leaks (``_shot_plan``)."""
+    increasing, reps not an integer of at least 2, a bool or non-integer
+    seed, a state outside the Bloch ball (``check_bloch``) or an N that is
+    not an integer, that the protocol cannot split or whose split leaks (``_shot_plan``)."""
 
     protocol: ProtocolSpec
     state_bloch: tuple[float, float, float]
@@ -48,7 +48,7 @@ class CampaignSpec:
             raise InvalidStateError(f"reps must be an integer, got {self.reps!r}")
         if self.reps < 2:
             raise InvalidStateError("need at least 2 repetitions")
-        if not isinstance(self.seed, numbers.Integral):
+        if type(self.seed) is bool or not isinstance(self.seed, numbers.Integral):
             raise InvalidStateError(f"seed must be an integer, got {self.seed!r}")
         check_bloch(self.state_bloch)
         for n in self.n_grid:
@@ -60,15 +60,12 @@ class CampaignRow:
     n: int
     mean_infidelity: float
     stderr: float
-    reps: int
 
 
 @dataclass(frozen=True)
 class CampaignResult:
     spec: CampaignSpec
     rows: tuple[CampaignRow, ...]
-    spec_hash: str
-    seed: int
 
 
 def campaign_hash(spec: CampaignSpec) -> str:
@@ -85,9 +82,9 @@ def campaign_hash(spec: CampaignSpec) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _campaign_rng(digest: str, seed: int) -> RngContext:
+def _campaign_rng(spec: CampaignSpec) -> RngContext:
     # A campaign's stream (seed, (label, 0)), the label the first 64 bits of its hash.
-    return RngContext(seed, (int(digest[:16], 16), 0))
+    return RngContext(spec.seed, (int(campaign_hash(spec)[:16], 16), 0))
 
 
 def run_campaign(spec: CampaignSpec) -> CampaignResult:
@@ -99,14 +96,12 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
     an N its protocol cannot split.  Under glibc, the process's first engine
     call sets its malloc policy (``run_grid``).
     """
-    digest = campaign_hash(spec)
     infidelities = run_grid(spec.protocol, spec.state_bloch, spec.n_grid, spec.error_model,
-                            _campaign_rng(digest, spec.seed),
-                            spec.reps).infidelity.reshape(len(spec.n_grid), spec.reps)
+                            _campaign_rng(spec), spec.reps).infidelity.reshape(-1, spec.reps)
     stderrs = infidelities.std(axis=1, ddof=1) / math.sqrt(spec.reps)
-    rows = tuple(CampaignRow(n, float(mean), float(stderr), spec.reps)
+    rows = tuple(CampaignRow(n, float(mean), float(stderr))
                  for n, mean, stderr in zip(spec.n_grid, infidelities.mean(axis=1), stderrs))
-    return CampaignResult(spec=spec, rows=rows, spec_hash=digest, seed=spec.seed)
+    return CampaignResult(spec=spec, rows=rows)
 
 
 # The fewest points that a power-law fit takes.
@@ -260,10 +255,9 @@ def noise_floor_sweep(
         points = []
         for e_value, spec in zip(e_grid, protocol_specs):
             rows = spec.reps if _draws_misalignments(spec.error_model) else 1
-            rng = _campaign_rng(campaign_hash(spec), seed)
             try:
-                infidelity = _simulate(protocol, state_bloch, spec.n_grid, spec.error_model, rng,
-                                       rows, _expected_counts).infidelity
+                infidelity = _simulate(protocol, state_bloch, spec.n_grid, spec.error_model,
+                                       _campaign_rng(spec), rows, _expected_counts).infidelity
             except RuntimeError as exc:
                 raise RuntimeError(f"{exc}; at {protocol_name(protocol)}, "
                                    f"E={float(e_value)!r}") from exc

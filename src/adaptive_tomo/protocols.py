@@ -129,7 +129,6 @@ class RunResult:
     rho_prelim: Optional[np.ndarray]
     records: tuple[CountRecord, ...]
     infidelity: float
-    total_shots: int
 
 
 def _round_half_up(x: float) -> int:
@@ -187,7 +186,7 @@ def run_protocol(spec: ProtocolSpec, rho_true: np.ndarray, n_total: int,
                         batch.n_plus[0].tolist()))
     prelim = None if batch.bloch_prelim is None else bloch_to_density(batch.bloch_prelim[0])
     return RunResult(rho_hat=bloch_to_density(batch.bloch_hat[0]), rho_prelim=prelim,
-                     records=records, infidelity=float(batch.infidelity[0]), total_shots=n_total)
+                     records=records, infidelity=float(batch.infidelity[0]))
 
 
 # Version of the random-stream layout declared in ``run_grid``; recorded in
@@ -258,9 +257,9 @@ def run_grid(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int],
     both phases, each called with one (rows,) array of shots per setting.
     The state is a Bloch vector throughout, and the infidelity is
     ``fidelity_bloch``'s; the arithmetic between draws acts on each row
-    alone.  ``r_true`` is checked (``check_bloch``) and every shot plan is
-    worked out (``_shot_plan``, which also refuses a leaked budget) before
-    anything is drawn, so a bad state or the first bad N raises.  These
+    alone.  An empty grid, reps not an integer of at least 1, a state that
+    ``check_bloch`` refuses and the first N that ``_shot_plan`` cannot split
+    (or whose split leaks) raise before anything is drawn.  These
     stages are ``_simulate``'s, given this binomial draw as the counts.
 
     Under glibc, the process's first engine call sets its malloc policy
@@ -327,6 +326,9 @@ def _simulate(spec: ProtocolSpec, r_true: Sequence[float], n_grid: Sequence[int]
     ``counts(k, shots, p)`` for (rows, settings of the phase) arrays of shots
     and Born probabilities: ``run_grid``'s binomial draw, or the expected
     counts ``p * shots`` of a noise floor (``harness.noise_floor_sweep``)."""
+    if len(n_grid) == 0 or type(reps) is bool or not isinstance(reps, numbers.Integral) or reps < 1:
+        raise InvalidStateError(f"need a nonempty sample-size grid and reps an integer >= 1, "
+                                f"got {len(n_grid)} grid points and reps {reps!r}")
     _keep_heap()
     check_bloch(r_true)
     r_true = np.asarray(r_true, dtype=float)

@@ -5,6 +5,7 @@ import json
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from adaptive_tomo import Adaptive, CampaignSpec, alpha_sweep, cli, harness
@@ -15,6 +16,7 @@ from adaptive_tomo.cli import (
     parse_config,
     parse_float,
     parse_float_grid,
+    parse_axis,
     parse_n_grid,
 )
 from adaptive_tomo.errors import UsageError
@@ -43,6 +45,18 @@ class TestParsing:
     def test_n_grid_rounds_and_dedupes(self):
         assert parse_n_grid("100:1000:4") == (100, 215, 464, 1000)
         assert parse_n_grid("10,10.2,11") == (10, 11)
+
+    def test_parse_axis_keeps_a_unit_axis_bit_for_bit(self):
+        # An axis within BLOCH_NORM_ATOL of unit length names its campaign as
+        # given; any other is normalised, so parsing the text of a parsed
+        # axis gives that axis back.
+        assert parse_axis("0.8944271909999159,0.4472135954999579,0.0") == cli.RunConfig.error_axis
+        assert parse_axis("0,0,2") == (0.0, 0.0, 1.0)
+        assert parse_axis("0,-3,4") == (0.0, -0.6, 0.8)
+        rng = np.random.default_rng(2013)
+        for vector in rng.normal(size=(10_000, 3)) * rng.uniform(0.01, 100.0, size=(10_000, 1)):
+            axis = parse_axis(",".join(repr(float(x)) for x in vector))
+            assert parse_axis(",".join(map(repr, axis))) == axis
 
     def test_basic_run_config(self):
         config = parse_config(
@@ -179,6 +193,12 @@ class TestParsing:
             assert {k: f for k, f in cli._FILE_KEYS.items() if k[0] == command} == keys
         assert len(set(cli._FILE_KEYS.values())) == 16
         assert len({(command, field) for (command, _), field in cli._FILE_KEYS.items()}) == 32
+
+    def test_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("reps = 7\nseed = 3\n", encoding="utf-8-sig")
+        config = parse_config(["run", "--config", str(cfg)])
+        assert (config.reps, config.seed) == (7, 3)
 
     def test_unreadable_config_file_is_a_usage_error(self, tmp_path, capsys):
         latin1 = tmp_path / "latin1.txt"
@@ -453,6 +473,26 @@ class TestRunCommand:
         assert main(args + ["--out", str(dir_b)]) == 0
         assert (dir_a / "campaign.csv").read_bytes() == (dir_b / "campaign.csv").read_bytes()
         assert (dir_a / "fit.json").read_bytes() == (dir_b / "fit.json").read_bytes()
+
+    def test_the_default_axis_given_names_the_default_campaign(self, tmp_path, capsys):
+        # The axis as provenance.json records the default writes the default's files.
+        argv = ["run", "--model", "3", "--e", "0.01", "--n-grid", "100,1000,10000",
+                "--reps", "20"]
+        default, given = tmp_path / "default", tmp_path / "given"
+        assert main(argv + ["--out", str(default)]) == 0
+        axis = json.loads((default / "provenance.json").read_text())["config"]["error_axis"]
+        assert main(argv + ["--error-axis", ",".join(map(repr, axis)), "--out", str(given)]) == 0
+        for name in ("campaign.csv", "fit.json"):
+            assert (default / name).read_bytes() == (given / name).read_bytes()
+
+    def test_fit_reads_a_csv_that_starts_with_a_byte_order_mark(self, tmp_path, capsys):
+        # A spreadsheet's "CSV UTF-8" starts with one.
+        run_dir, fit_dir = tmp_path / "run", tmp_path / "fit"
+        assert main(["run", "--n-grid", "60,120,240", "--reps", "3", "--out", str(run_dir)]) == 0
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + (run_dir / "campaign.csv").read_bytes())
+        assert main(["fit", "--csv", str(bom_csv), "--out", str(fit_dir)]) == 0
+        assert (fit_dir / "fit.json").read_bytes() == (run_dir / "fit.json").read_bytes()
 
     def test_csv_schema(self, tmp_path, capsys):
         assert main(["run", "--n", "600", "--reps", "2", "--out", str(tmp_path)]) == 0
@@ -735,7 +775,8 @@ class TestSweepCommands:
             rows = [(r["protocol"], int(r["N"]), int(r["reps"]), float(r["mean_infidelity"]),
                      float(r["stderr"]), int(r["seed"])) for r in csv.DictReader(fh)]
         assert rows == [
-            (f"adaptive(alpha={alpha})", row.n, row.reps, row.mean_infidelity, row.stderr, 13)
+            (f"adaptive(alpha={alpha})", row.n, result.spec.reps, row.mean_infidelity, row.stderr,
+             13)
             for alpha, result, _ in sweep for row in result.rows
         ]
         entries = json.loads((tmp_path / "fit.json").read_text())["alpha_sweep"]

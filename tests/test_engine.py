@@ -46,6 +46,7 @@ from adaptive_tomo import (
     CampaignSpec,
     CountRecord,
     FixedError,
+    InvalidStateError,
     KnownBasis,
     NoError,
     PerExperimentError,
@@ -274,7 +275,6 @@ def test_run_protocol_is_the_one_rep_batch(protocol):
                 else:
                     assert result.rho_prelim is None and batch.bloch_prelim is None, where
                 assert result.infidelity == batch.infidelity[0], where
-                assert result.total_shots == n, where
                 checked += 1
     assert checked > 0
 
@@ -322,6 +322,19 @@ def test_grid_pass_matches_the_reference(protocol):
                             f"{field} {model} {state} N={good[0]}")
                 checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("grid, reps", [((), REPS), ((60,), 0), ((60,), -1), ((60,), 1.5),
+                                        ((60,), True)],
+                         ids=["empty-grid", "reps-0", "reps-negative", "reps-float", "reps-bool"])
+def test_grid_pass_refuses_what_it_cannot_run(grid, reps):
+    # An empty grid, or reps that is not an integer >= 1, raises before a
+    # generator is built, as a bad N does.
+    with unittest.mock.patch.object(RngContext, "generator", side_effect=AssertionError("drew")), \
+            pytest.raises(InvalidStateError, match=re.escape(
+                f"got {len(grid)} grid points and reps {reps!r}")):
+        run_grid(Adaptive(0.5), EQ7_BLOCH, grid, PerSettingError(0.01),
+                 RngContext(SEED, (LABEL, 0)), reps)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=repr)

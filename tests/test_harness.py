@@ -119,7 +119,6 @@ class TestRunCampaign:
         spec = CampaignSpec(Static(), EQ7_BLOCH, (60, 120, 240), reps=2, seed=5)
         result = run_campaign(spec)
         assert len(result.rows) == 3
-        assert all(row.reps == 2 for row in result.rows)
         assert all(row.mean_infidelity >= 0.0 for row in result.rows)
         assert [row.n for row in result.rows] == [60, 120, 240]
 
@@ -134,7 +133,6 @@ class TestRunCampaign:
         first = run_campaign(spec)
         again = run_campaign(spec)
         assert first.rows == again.rows
-        assert first.spec_hash == again.spec_hash
 
     def test_stderr_shrinks_with_reps(self):
         # The stderr ratio at a single grid point leaves the window on about
@@ -143,7 +141,7 @@ class TestRunCampaign:
         grid = tuple(int(1000 * 1.2**k) for k in range(16))
         few = run_campaign(CampaignSpec(Static(), EQ7_BLOCH, grid, reps=50, seed=9))
         many = run_campaign(CampaignSpec(Static(), EQ7_BLOCH, grid, reps=200, seed=9))
-        label = int(few.spec_hash[:16], 16)
+        label = int(campaign_hash(few.spec)[:16], 16)
         infidelity = run_grid(Static(), EQ7_BLOCH, (grid[0],), NoError(),
                               RngContext(9, (label, 0)), 50).infidelity
         assert few.rows[0].stderr == float(np.std(infidelity, ddof=1) / math.sqrt(50))
@@ -159,7 +157,7 @@ class TestRunCampaign:
         spec = CampaignSpec(Adaptive(0.5), EQ7_BLOCH, (100, 1000, 10**4), reps=reps, seed=12,
                             error_model=PerSettingError(0.01))
         result = run_campaign(spec)
-        label = int(result.spec_hash[:16], 16)
+        label = int(campaign_hash(result.spec)[:16], 16)
         infidelity = run_grid(spec.protocol, spec.state_bloch, spec.n_grid, spec.error_model,
                               RngContext(spec.seed, (label, 0)), reps).infidelity
         for i, row in enumerate(result.rows):
@@ -222,6 +220,9 @@ class TestRunCampaign:
             CampaignSpec(Static(), EQ7_BLOCH, (5, 100), reps=2)
         with pytest.raises(InvalidStateError):
             CampaignSpec(Static(), (0.8, 0.8, 0.0), (100,), reps=2)
+        # A bool is not an integer seed: it would key another stream than 1.
+        with pytest.raises(InvalidStateError, match="seed must be an integer, got True"):
+            CampaignSpec(Static(), EQ7_BLOCH, (100,), reps=2, seed=True)
 
     def test_integral_float_grid_is_refused(self):
         with pytest.raises(BudgetError, match=re.escape("N must be an integer, got 100.0")):
@@ -371,7 +372,7 @@ class TestNoiseFloorSweep:
                             error_model=factory(0.01), seed=2)
         point = noise_floor_sweep(factory, [0.01], [Static()], EQ7_BLOCH, reps=40,
                                   seed=2)[0].points[0]
-        rng = harness._campaign_rng(campaign_hash(spec), spec.seed)
+        rng = harness._campaign_rng(spec)
         infidelity = run_grid(Static(), EQ7_BLOCH, (2 * 10**10,), factory(0.01), rng,
                               40).infidelity
         assert point.stderr > 0.0

@@ -40,7 +40,6 @@ class TestBudgetAccounting:
         for n in range(6, 31):
             for spec in ALL_PROTOCOLS:
                 result = run_protocol(spec, rho, n, NoError(), RngContext(1, (n,)))
-                assert result.total_shots == n
                 assert sum(r.n_shots for r in result.records) == n
                 assert len(result.records) == EXPECTED_SETTINGS[type(spec)]
                 assert all(r.n_shots >= 1 for r in result.records)
@@ -112,7 +111,7 @@ class TestAdaptationMechanics:
             result = run_protocol(Adaptive(0.5), rho, 12, NoError(), RngContext(19, (rep,)))
             if purity(result.rho_prelim) > 1.0 - 1e-9:
                 boundary_seen += 1
-            assert result.total_shots == 12
+            assert sum(r.n_shots for r in result.records) == 12
         assert boundary_seen > 0
 
     def test_reduced_second_phase_single_axis(self):
